@@ -1,13 +1,21 @@
 package nova
 
-// Fuzz target for the wire request decoder: arbitrary JSON bodies (the
-// exact bytes novad reads off the network) must never panic the decode /
-// validate / cache-key path, and every accepted request must produce a
-// stable, well-formed cache key.
+// Fuzz targets. FuzzDecodeRequest: arbitrary JSON bodies (the exact bytes
+// novad reads off the network) must never panic the decode / validate /
+// cache-key path, and every accepted request must produce a stable,
+// well-formed cache key. FuzzEncode: arbitrary KISS2 text that parses
+// into a small machine must encode to a verified result or fail with a
+// typed error, never panic.
 
 import (
+	"context"
 	"encoding/json"
+	"os"
+	"slices"
+	"strings"
 	"testing"
+
+	"nova/internal/bench"
 )
 
 func FuzzDecodeRequest(f *testing.F) {
@@ -67,6 +75,56 @@ func FuzzDecodeRequest(f *testing.F) {
 		// runs — wire acceptance may not be looser than Options.Validate.
 		if verr := rq.Options().Validate(); verr != nil {
 			t.Fatalf("accepted request derives invalid options: %v\n%s", verr, data)
+		}
+	})
+}
+
+// FuzzEncode drives arbitrary KISS2 through igreedy and ihybrid at a small
+// search budget. Deterministic machines of up to 8 states and 8 binary
+// inputs that parse and validate must either encode to a result that
+// passes VerifyContext or fail with an error of the closed kind enum. This
+// runs the minimizer (constraint derivation, the final ESPRESSO, verify)
+// on layouts the benchmark generators never make: symbolic inputs and
+// output fields wider than one cube word.
+func FuzzEncode(f *testing.F) {
+	quick, err := os.ReadFile("testdata/quick4.kiss2")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(quick))
+	for _, name := range []string{"dk15", "dk27", "bbtas", "shiftreg", "ex6"} {
+		f.Add(bench.Get(name).String())
+	}
+	// 70 outputs: the output field spans two cube words.
+	wide := ".i 1\n.o 70\n"
+	for i, row := range []string{"0 a b", "1 a a", "0 b c", "1 b a", "0 c c", "1 c b"} {
+		wide += row + " " + strings.Repeat("01-"[i%3:i%3+1], 35) + strings.Repeat("10"[i%2:i%2+1], 35) + "\n"
+	}
+	f.Add(wide + ".e\n")
+
+	kinds := ErrorKinds()
+	ctx := context.Background()
+	f.Fuzz(func(t *testing.T, src string) {
+		m, err := ParseKISSString(src)
+		if err != nil || m.Validate() != nil || m.NumStates() > 8 || m.NI > 8 {
+			return
+		}
+		// A table whose overlapping rows disagree specifies no machine,
+		// so no encoding of it can verify.
+		if ok, _ := m.Deterministic(); !ok {
+			return
+		}
+		for _, alg := range []Algorithm{IGreedy, IHybrid} {
+			res, err := EncodeContext(ctx, m, Options{Algorithm: alg, MaxWork: 2000, Parallelism: 1})
+			if err != nil {
+				if k := ErrorKindOf(err); !slices.Contains(kinds, k) {
+					t.Fatalf("%s: error kind %q outside the enum: %v", alg, k, err)
+				}
+				continue
+			}
+			if err := VerifyContext(ctx, m, res.Assignment); err != nil {
+				t.Fatalf("%s: result does not verify: %v\n%s", alg, err, src)
+			}
 		}
 	})
 }

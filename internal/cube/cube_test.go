@@ -1,9 +1,9 @@
 package cube
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestStructureLayout(t *testing.T) {
@@ -197,22 +197,102 @@ func randomCube(s *Structure, rng *rand.Rand) Cube {
 	return c
 }
 
-// Property: intersection is the largest cube contained in both operands.
-func TestIntersectionProperty(t *testing.T) {
-	s := NewStructure(2, 2, 3)
-	rng := rand.New(rand.NewSource(1))
-	f := func() bool {
-		a, b := randomCube(s, rng), randomCube(s, rng)
-		r := s.NewCube()
-		And(r, a, b)
-		if s.IsEmpty(r) {
-			return !s.Intersects(a, b)
-		}
-		return Contains(a, r) && Contains(b, r) && s.Intersects(a, b)
+func repeatSize(n, k int) []int {
+	sizes := make([]int, k)
+	for i := range sizes {
+		sizes[i] = n
 	}
-	cfg := &quick.Config{MaxCount: 200}
-	if err := quick.Check(func() bool { return f() }, cfg); err != nil {
-		t.Fatal(err)
+	return sizes
+}
+
+// refEmpty is the per-field emptiness reference: some field has no part.
+func refEmpty(s *Structure, c Cube) bool {
+	for v := 0; v < s.NumVars(); v++ {
+		if s.VarEmpty(c, v) {
+			return true
+		}
+	}
+	return false
+}
+
+// restrictedCube returns the universe with up to two fields narrowed to
+// nothing, one part or random parts, so a pair of such cubes conflicts in
+// few fields and often in none.
+func restrictedCube(s *Structure, rng *rand.Rand) Cube {
+	c := s.FullCube()
+	for k := rng.Intn(3); k > 0; k-- {
+		v := rng.Intn(s.NumVars())
+		s.ClearAll(c, v)
+		switch rng.Intn(4) {
+		case 0:
+		case 1:
+			s.Set(c, v, rng.Intn(s.Size(v)))
+		default:
+			for p := 0; p < s.Size(v); p++ {
+				if rng.Intn(2) == 1 {
+					s.Set(c, v, p)
+				}
+			}
+		}
+	}
+	return c
+}
+
+// Property: Intersects and IsEmpty agree with the per-field VarEmpty
+// reference on every layout, and the intersection is the largest cube
+// contained in both operands. The layouts cover binary fields packed into
+// the word mask, fields left to the per-field fallback, and both mixed
+// over several words.
+func TestIntersectionProperty(t *testing.T) {
+	layouts := []struct {
+		name  string
+		sizes []int
+		other []int // variables the word mask cannot cover
+	}{
+		{"binary", []int{2, 2, 2, 2, 2, 2, 2}, nil},
+		{"binary-two-words", repeatSize(2, 40), nil},
+		{"mv-only", []int{3, 5, 4, 7}, []int{0, 1, 2, 3}},
+		{"mixed", []int{2, 2, 3}, []int{2}},
+		{"binary-straddles-63-64", []int{63, 2, 2, 2}, []int{0, 1}},
+		{"one-part-field", []int{2, 1, 2, 3, 1}, []int{1, 3, 4}},
+		{"multi-word", []int{2, 2, 121, 60}, []int{2, 3}},
+	}
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			s := NewStructure(l.sizes...)
+			if fmt.Sprint(s.other) != fmt.Sprint(l.other) {
+				t.Fatalf("fallback fields = %v, want %v", s.other, l.other)
+			}
+			rng := rand.New(rand.NewSource(1))
+			seen := map[bool]int{}
+			r := s.NewCube()
+			for i := 0; i < 4000; i++ {
+				var a, b Cube
+				if i%2 == 0 {
+					a, b = randomCube(s, rng), randomCube(s, rng)
+				} else {
+					a, b = restrictedCube(s, rng), restrictedCube(s, rng)
+				}
+				And(r, a, b)
+				want := !refEmpty(s, r)
+				if got := s.Intersects(a, b); got != want {
+					t.Fatalf("Intersects(%s, %s) = %v, per-field reference %v", s.String(a), s.String(b), got, want)
+				}
+				if got := s.IsEmpty(r); got != !want {
+					t.Fatalf("IsEmpty(%s) = %v, per-field reference %v", s.String(r), got, !want)
+				}
+				if got, ref := s.IsEmpty(a), refEmpty(s, a); got != ref {
+					t.Fatalf("IsEmpty(%s) = %v, per-field reference %v", s.String(a), got, ref)
+				}
+				if !Contains(a, r) || !Contains(b, r) {
+					t.Fatalf("a∧b = %s not contained in both operands", s.String(r))
+				}
+				seen[want]++
+			}
+			if seen[true] == 0 || seen[false] == 0 {
+				t.Fatalf("draws never exercised both outcomes: %v", seen)
+			}
+		})
 	}
 }
 

@@ -221,7 +221,7 @@ func (f *FSM) SetReset(name string) { f.Reset = f.State(name) }
 func Parse(r io.Reader) (*FSM, error) {
 	f := New("", 0, 0)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // grows on demand up to the 1 MiB line cap
 	line := 0
 	declaredP := -1
 	var resetName string

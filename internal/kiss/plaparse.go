@@ -14,7 +14,7 @@ import (
 // 4 (don't-care) is accepted and treated as '-'.
 func ParsePLA(r io.Reader) (*PLA, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // grows on demand up to the 1 MiB line cap
 	p := &PLA{NI: -1, NO: -1}
 	declaredP := -1
 	line := 0

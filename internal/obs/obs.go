@@ -51,6 +51,8 @@ type Tracer struct {
 	spans  []SpanRecord
 	w      io.Writer
 	logger *slog.Logger
+
+	wmu sync.Mutex // serializes this tracer's line writes to w
 }
 
 // New returns an empty tracer whose clock starts now.
@@ -65,7 +67,9 @@ func (t *Tracer) SetLabel(label string) {
 }
 
 // SetWriter streams completed spans (and Emit events) to w as JSON
-// lines. Writers shared between tracers must serialize whole lines; wrap
+// lines. The tracer serializes its own writes, so w sees one whole line
+// per Write even when the run's worker goroutines end spans at once.
+// Writers shared between tracers must serialize whole lines too; wrap
 // them with LockedWriter.
 func (t *Tracer) SetWriter(w io.Writer) {
 	t.mu.Lock()
@@ -185,7 +189,7 @@ func (s *ActiveSpan) End() {
 	w, logger, label := t.w, t.logger, t.label
 	t.mu.Unlock()
 	if w != nil {
-		writeJSONLine(w, spanJSON(label, s.rec))
+		t.writeJSONLine(w, spanJSON(label, s.rec))
 	}
 	if logger != nil {
 		logger.LogAttrs(context.Background(), slog.LevelDebug, "span",
@@ -217,7 +221,7 @@ func (t *Tracer) Emit(typ string, fields map[string]any) {
 	for k, v := range fields {
 		rec[k] = v
 	}
-	writeJSONLine(w, rec)
+	t.writeJSONLine(w, rec)
 }
 
 // spanJSON builds the JSON-line representation of a span record.
@@ -249,13 +253,17 @@ func spanJSON(label string, r SpanRecord) map[string]any {
 	return rec
 }
 
-func writeJSONLine(w io.Writer, rec map[string]any) {
+// writeJSONLine marshals rec outside any lock and writes it as one line
+// under wmu.
+func (t *Tracer) writeJSONLine(w io.Writer, rec map[string]any) {
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return
 	}
 	b = append(b, '\n')
+	t.wmu.Lock()
 	w.Write(b) //nolint:errcheck // tracing is best-effort by design
+	t.wmu.Unlock()
 }
 
 // lockedWriter serializes whole-line writes from several tracers.

@@ -158,6 +158,47 @@ func TestJSONLinesOutput(t *testing.T) {
 	}
 }
 
+// Spans ended at once by a run's worker goroutines reach a plain,
+// unsynchronized writer as whole lines: the tracer serializes its own
+// writes (a data race under -race, and lost or torn lines, otherwise).
+func TestConcurrentEndsWriteWholeLines(t *testing.T) {
+	const n = 16
+	var buf bytes.Buffer
+	tr := New()
+	tr.SetWriter(&buf)
+	ctx := With(context.Background(), tr)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, sp := Span(ctx, "task")
+			sp.SetInt("k", 1)
+			<-start
+			sp.End()
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	sc := bufio.NewScanner(&buf)
+	lines := 0
+	for sc.Scan() {
+		var rec map[string]any
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("bad JSON line %q: %v", sc.Text(), err)
+		}
+		if rec["name"] != "task" {
+			t.Fatalf("line = %v, want a task span", rec)
+		}
+		lines++
+	}
+	if lines != n {
+		t.Fatalf("stream has %d lines, want %d", lines, n)
+	}
+}
+
 func TestMetricsCounters(t *testing.T) {
 	var m Metrics
 	m.EspressoIters.Add(3)

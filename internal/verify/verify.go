@@ -27,9 +27,13 @@ type Expected struct {
 
 // Simulate evaluates the FSM's table at a total input: in holds one bit
 // per proper input, symVals one value index per symbolic input, state the
-// present state. Overlapping rows are resolved by union of asserted
-// outputs (the cover semantics of a PLA); conflicting next states make the
-// result the first row's (deterministic tables never conflict).
+// present state. It reads the table as the encoder builds the PLA (type
+// fd, see mvmin.Build and mvmin.EncodePLA): a matched row's '-' output,
+// unspecified next state or unspecified symbolic output is a don't-care,
+// and a don't-care wins over what other matched rows assert, as ESPRESSO's
+// don't-care set wins over its on-set. Otherwise an output is 1 when a
+// matched row asserts it and 0 when none does. Of conflicting next states
+// the first row's is taken (deterministic tables never conflict).
 func Simulate(f *kiss.FSM, in uint64, symVals []int, state int) Expected {
 	exp := Expected{Next: -1, Out: make([]byte, f.NO), SymOut: make([]int, len(f.SymOuts))}
 	for o := range exp.Out {
@@ -38,7 +42,9 @@ func Simulate(f *kiss.FSM, in uint64, symVals []int, state int) Expected {
 	for j := range exp.SymOut {
 		exp.SymOut[j] = -1
 	}
-	matched := false
+	matched, nextDC := false, false
+	outDC := make([]bool, f.NO)
+	symDC := make([]bool, len(f.SymOuts))
 	for _, r := range f.Rows {
 		if r.Present >= 0 && r.Present != state {
 			continue
@@ -67,31 +73,44 @@ func Simulate(f *kiss.FSM, in uint64, symVals []int, state int) Expected {
 			continue
 		}
 		matched = true
-		if exp.Next < 0 {
+		if r.Next < 0 {
+			nextDC = true
+		} else if exp.Next < 0 {
 			exp.Next = r.Next
 		}
 		for o := 0; o < f.NO; o++ {
 			switch r.Out[o] {
 			case '1':
 				exp.Out[o] = '1'
-			case '0':
-				if exp.Out[o] == '-' {
-					exp.Out[o] = '0'
-				}
+			case '-':
+				outDC[o] = true
 			}
 		}
 		for j, v := range r.SymOut {
-			if v >= 0 && exp.SymOut[j] < 0 {
+			if v < 0 {
+				symDC[j] = true
+			} else if exp.SymOut[j] < 0 {
 				exp.SymOut[j] = v
 			}
 		}
 	}
-	if matched {
-		// Unasserted outputs of matched inputs are 0 in a PLA.
-		for o := range exp.Out {
-			if exp.Out[o] == '-' {
-				exp.Out[o] = '0'
-			}
+	if !matched {
+		return exp
+	}
+	if nextDC {
+		exp.Next = -1
+	}
+	for o := range exp.Out {
+		switch {
+		case outDC[o]:
+			exp.Out[o] = '-'
+		case exp.Out[o] != '1':
+			exp.Out[o] = '0'
+		}
+	}
+	for j := range exp.SymOut {
+		if symDC[j] {
+			exp.SymOut[j] = -1
 		}
 	}
 	return exp

@@ -47,6 +47,34 @@ func TestSimulateUnspecified(t *testing.T) {
 	}
 }
 
+// '-' outputs and unspecified next states of matched rows are don't-cares,
+// as in the PLA the encoder minimizes, even where another matched row
+// asserts a value.
+func TestSimulateDontCares(t *testing.T) {
+	f := kiss.New("p", 1, 2)
+	f.MustAddRow("0", "a", "b", "-0")
+	f.MustAddRow("-", "a", "b", "1-")
+	f.MustAddRow("1", "b", "*", "10")
+	f.MustAddRow("-", "b", "a", "00")
+	a, b := f.StateIndex("a"), f.StateIndex("b")
+	for _, tc := range []struct {
+		in, st int
+		next   int
+		out    string
+	}{
+		{0, a, b, "--"},
+		{1, a, b, "1-"},
+		{0, b, a, "00"},
+		{1, b, -1, "10"},
+	} {
+		exp := Simulate(f, uint64(tc.in), nil, tc.st)
+		if exp.Next != tc.next || string(exp.Out) != tc.out {
+			t.Errorf("Simulate(%d, %s) = next %d out %q, want next %d out %q",
+				tc.in, f.States[tc.st], exp.Next, exp.Out, tc.next, tc.out)
+		}
+	}
+}
+
 func TestEquivalenceGoodEncoding(t *testing.T) {
 	f := counterFSM(t)
 	asg := encoding.Assignment{States: encoding.Encoding{Bits: 2, Codes: []uint64{0, 1, 3, 2}}}

@@ -683,7 +683,9 @@ func finishResult(ctx context.Context, f *FSM, res *Result, opt Options, mopt es
 // VerifyContext checks that an assignment implements the FSM: the
 // encoded, minimized machine is simulated against the symbolic table on
 // every (input, state) combination (sampled when the input space is
-// large). Cancellation stops the minimization of the encoded machine and
+// large). A '-' output, unspecified next state or unspecified symbolic
+// output of a matching row is a don't-care there, as in the PLA the
+// encoder minimizes. Cancellation stops the minimization of the encoded machine and
 // the simulation sweep, and returns an error matching
 // errors.Is(err, ErrCanceled).
 func VerifyContext(ctx context.Context, f *FSM, asg Assignment) error {
