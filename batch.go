@@ -78,7 +78,6 @@ func EncodeAll(ctx context.Context, fsms []*FSM, opt Options) ([]*Result, error)
 	bsp.End()
 	if t != nil {
 		flushPoolStats(t.Metrics(), eng.pool)
-		flushForkStats(t.Metrics(), eng.fork)
 	}
 	if werr != nil {
 		return nil, werr

@@ -19,7 +19,6 @@ import (
 	"nova/internal/espresso"
 	"nova/internal/experiments"
 	"nova/internal/mvmin"
-	"nova/internal/sched"
 	"nova/internal/symbolic"
 )
 
@@ -285,16 +284,6 @@ func BenchmarkEncodeBestParallelism(b *testing.B) {
 			}
 		})
 	}
-	// Coarse fan-out plus intra-problem parallelism: forked unate
-	// recursion and speculative search on the same 4-worker pool.
-	b.Run("intra-4", func(b *testing.B) {
-		opt := nova.Options{Algorithm: nova.Best, Seed: 1, Parallelism: 4, IntraParallelism: 4}
-		for i := 0; i < b.N; i++ {
-			if _, err := nova.Encode(f, opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // --------------------------------------------------------- micro benches
@@ -330,12 +319,8 @@ func mvProblem(b *testing.B, name string) *mvmin.Problem {
 // question IRREDUNDANT asks for every cube: "does the rest of the cover,
 // plus the don't-care set, cover this cube?" — i.e. tautology of the
 // cofactored cover. The rest-covers are prebuilt so the timed region is
-// the recursion itself. The serial/intra pair compares the plain
-// recursion against the forked one (8-worker pool); outputs are
-// identical, and on a multi-core host the intra variant shows the
-// speedup. Steady state is memo-hit heavy either way — the shared
-// tautology memo answers repeats — so the pair also bounds the fork's
-// overhead on the cached path.
+// the recursion itself. Steady state is memo-hit heavy — the shared
+// tautology memo answers repeats.
 func BenchmarkTautology(b *testing.B) {
 	p := mvProblem(b, "planet")
 	on, dc := p.On, p.Dc
@@ -356,48 +341,34 @@ func BenchmarkTautology(b *testing.B) {
 		}
 		rests[j] = rest
 	}
-	run := func(b *testing.B, fk *cube.Fork) {
-		b.ReportAllocs()
-		a := cube.GetArena(p.S)
-		defer cube.PutArena(a)
-		if fk != nil {
-			a.SetFork(fk, context.Background())
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			covered := 0
-			for j := 0; j < n; j++ {
-				if rests[j].CoversCubeWith(a, on.Cubes[j]) {
-					covered++
-				}
+	b.ReportAllocs()
+	a := cube.GetArena(p.S)
+	defer cube.PutArena(a)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		covered := 0
+		for j := 0; j < n; j++ {
+			if rests[j].CoversCubeWith(a, on.Cubes[j]) {
+				covered++
 			}
-			benchSink = covered
 		}
+		benchSink = covered
 	}
-	b.Run("serial", func(b *testing.B) { run(b, nil) })
-	b.Run("intra", func(b *testing.B) { run(b, cube.NewFork(sched.New(8), 8)) })
 }
 
 // BenchmarkComplement measures complementation of a real symbolic cover
 // (the operation mvmin.Build runs to derive the global don't-care set).
-// Complement results are not memoized, so the serial/intra pair is a
-// clean recursion-throughput comparison.
+// Complement results are not memoized, so this is a clean
+// recursion-throughput measurement.
 func BenchmarkComplement(b *testing.B) {
 	p := mvProblem(b, "keyb")
-	run := func(b *testing.B, fk *cube.Fork) {
-		b.ReportAllocs()
-		a := cube.GetArena(p.S)
-		defer cube.PutArena(a)
-		if fk != nil {
-			a.SetFork(fk, context.Background())
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			benchSink = p.On.ComplementWith(a).Len()
-		}
+	b.ReportAllocs()
+	a := cube.GetArena(p.S)
+	defer cube.PutArena(a)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = p.On.ComplementWith(a).Len()
 	}
-	b.Run("serial", func(b *testing.B) { run(b, nil) })
-	b.Run("intra", func(b *testing.B) { run(b, cube.NewFork(sched.New(8), 8)) })
 }
 
 // BenchmarkExpand measures the EXPAND step in isolation on a fresh copy of

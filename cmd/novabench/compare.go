@@ -85,21 +85,13 @@ func compareTables(r *compareReport, oldT, newT []tableBench, timeTolPct float64
 			r.notef("%s: new table, no baseline", tb.Table)
 			continue
 		}
-		for _, m := range []struct {
-			name      string
-			base, cur int64
-		}{
-			{"serial", ob.SerialNsOp, tb.SerialNsOp},
-			{"intra", ob.IntraNsOp, tb.IntraNsOp},
-		} {
-			d := pctDelta(m.base, m.cur)
-			if d > timeTolPct {
-				r.regressf("%s %s wall-clock %+.1f%% (%.3fs -> %.3fs, tol %.0f%%)",
-					tb.Table, m.name, d, float64(m.base)/1e9, float64(m.cur)/1e9, timeTolPct)
-			} else {
-				r.notef("%s %s wall-clock %+.1f%% (%.3fs -> %.3fs)",
-					tb.Table, m.name, d, float64(m.base)/1e9, float64(m.cur)/1e9)
-			}
+		d := pctDelta(ob.SerialNsOp, tb.SerialNsOp)
+		if d > timeTolPct {
+			r.regressf("%s serial wall-clock %+.1f%% (%.3fs -> %.3fs, tol %.0f%%)",
+				tb.Table, d, float64(ob.SerialNsOp)/1e9, float64(tb.SerialNsOp)/1e9, timeTolPct)
+		} else {
+			r.notef("%s serial wall-clock %+.1f%% (%.3fs -> %.3fs)",
+				tb.Table, d, float64(ob.SerialNsOp)/1e9, float64(tb.SerialNsOp)/1e9)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,7 +28,7 @@ func baseSnapshot() benchSnapshot {
 	return benchSnapshot{
 		Date: "2026-08-01",
 		Tables: []tableBench{
-			{Table: "table-2", SerialNsOp: 1_000_000_000, IntraNsOp: 800_000_000},
+			{Table: "table-2", SerialNsOp: 1_000_000_000},
 		},
 		Results: []nova.Response{
 			{Machine: "dk14", Algorithm: nova.IGreedy, Area: 480, Cubes: 20},
@@ -44,8 +45,8 @@ func baseSnapshot() benchSnapshot {
 func TestCompareNoRegression(t *testing.T) {
 	oldSnap := baseSnapshot()
 	newSnap := baseSnapshot()
-	newSnap.Results[0].Area = 470             // improvement
-	newSnap.Tables[0].IntraNsOp = 900_000_000 // +12.5%, inside the 25% tolerance
+	newSnap.Results[0].Area = 470                // improvement
+	newSnap.Tables[0].SerialNsOp = 1_125_000_000 // +12.5%, inside the 25% tolerance
 	r := compareSnapshots(&oldSnap, &newSnap, 0, 25)
 	if len(r.regressions) != 0 {
 		t.Fatalf("unexpected regressions: %v", r.regressions)
@@ -97,7 +98,7 @@ func TestComparePortfolioRegression(t *testing.T) {
 // committed one, which predates -json carrying results) still compares
 // the tables and skips the rest instead of failing.
 func TestCompareSkipsMissingSections(t *testing.T) {
-	oldSnap := benchSnapshot{Tables: []tableBench{{Table: "table-2", SerialNsOp: 1e9, IntraNsOp: 1e9}}}
+	oldSnap := benchSnapshot{Tables: []tableBench{{Table: "table-2", SerialNsOp: 1e9}}}
 	newSnap := baseSnapshot()
 	r := compareSnapshots(&oldSnap, &newSnap, 0, 25)
 	if len(r.regressions) != 0 {
@@ -108,6 +109,48 @@ func TestCompareSkipsMissingSections(t *testing.T) {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("report lacks %q:\n%s", want, joined)
 		}
+	}
+}
+
+// TestCompareOldSchemaSnapshot: a committed snapshot from before -json
+// dropped its intra columns still diffs against the current schema on
+// the serial table times and the encode results.
+func TestCompareOldSchemaSnapshot(t *testing.T) {
+	oldSnap, err := readSnapshot("../../BENCH_2026-08-09.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := benchSnapshot{Date: "2026-10-17", Results: oldSnap.Results}
+	for _, tb := range oldSnap.Tables {
+		cur.Tables = append(cur.Tables, tableBench{Table: tb.Table, SerialNsOp: tb.SerialNsOp})
+	}
+	newSnap, err := readSnapshot(writeSnap(t, t.TempDir(), "new.json", cur))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := compareSnapshots(oldSnap, newSnap, 0, 25)
+	if len(r.regressions) != 0 {
+		t.Fatalf("unexpected regressions: %v", r.regressions)
+	}
+	ok := 0
+	for _, resp := range oldSnap.Results {
+		if resp.Error == "" {
+			ok++
+		}
+	}
+	joined := strings.Join(r.lines, "\n")
+	for _, want := range []string{
+		"table-2 serial wall-clock +0.0%",
+		"table-4 serial wall-clock +0.0%",
+		"table-6 serial wall-clock +0.0%",
+		fmt.Sprintf("results: %d compared, 0 improved, %d unchanged, 0 regressed", ok, ok),
+	} {
+		if !strings.Contains(joined, want) {
+			t.Fatalf("report lacks %q:\n%s", want, joined)
+		}
+	}
+	if ok == 0 || strings.Contains(joined, "intra") {
+		t.Fatalf("old-schema report (%d results):\n%s", ok, joined)
 	}
 }
 

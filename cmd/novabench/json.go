@@ -1,10 +1,9 @@
 package main
 
-// The -json mode: a machine-readable performance snapshot comparing the
-// serial pipeline against the intra-parallel one (forked unate recursion
-// plus speculative search fan-out) on the paper's core tables. The
-// snapshot lands in BENCH_<date>.json next to the working directory, one
-// file per day, suitable for archiving as a CI artifact.
+// The -json mode: a machine-readable performance snapshot of the
+// paper's core tables. The snapshot lands in BENCH_<date>.json next to
+// the working directory, one file per day, suitable for archiving as a
+// CI artifact.
 
 import (
 	"encoding/json"
@@ -17,31 +16,26 @@ import (
 	"nova/internal/experiments"
 )
 
-// tableBench is one serial-vs-intra measurement of a table regeneration.
-// With -count > 1 the ns_per_op fields hold the mean over the
-// repetitions (so -compare keeps firing on means without schema
-// changes) and the _min fields record the best single repetition.
+// tableBench is one measurement of a table regeneration. With
+// -count > 1 the ns_per_op fields hold the mean over the repetitions
+// (so -compare keeps firing on means without schema changes) and the
+// _min fields record the best single repetition. The serial_ prefix
+// keeps the field names of older snapshots, which -compare still reads.
 type tableBench struct {
-	Table        string  `json:"table"`
-	SerialNsOp   int64   `json:"serial_ns_per_op"`
-	SerialAllocs uint64  `json:"serial_allocs_per_op"`
-	IntraNsOp    int64   `json:"intra_ns_per_op"`
-	IntraAllocs  uint64  `json:"intra_allocs_per_op"`
-	Speedup      float64 `json:"speedup_vs_serial"`
-	AllocRatio   float64 `json:"intra_alloc_ratio"`
-	Count        int     `json:"count,omitempty"`
-	SerialNsMin  int64   `json:"serial_ns_per_op_min,omitempty"`
-	IntraNsMin   int64   `json:"intra_ns_per_op_min,omitempty"`
+	Table        string `json:"table"`
+	SerialNsOp   int64  `json:"serial_ns_per_op"`
+	SerialAllocs uint64 `json:"serial_allocs_per_op"`
+	Count        int    `json:"count,omitempty"`
+	SerialNsMin  int64  `json:"serial_ns_per_op_min,omitempty"`
 }
 
 type benchSnapshot struct {
-	Date         string       `json:"date"`
-	GoVersion    string       `json:"go_version"`
-	NumCPU       int          `json:"num_cpu"`
-	GOMAXPROCS   int          `json:"gomaxprocs"`
-	IntraWorkers int          `json:"intra_workers"`
-	Note         string       `json:"note"`
-	Tables       []tableBench `json:"tables"`
+	Date       string       `json:"date"`
+	GoVersion  string       `json:"go_version"`
+	NumCPU     int          `json:"num_cpu"`
+	GOMAXPROCS int          `json:"gomaxprocs"`
+	Note       string       `json:"note"`
+	Tables     []tableBench `json:"tables"`
 	// Results carries the encode outcomes of the measured sweep through
 	// the wire-stable nova.Response schema — the same serialization the
 	// novad server emits, so downstream tooling parses one format.
@@ -115,27 +109,23 @@ func wireResults(opts experiments.RunOpts, r *experiments.Runner) []nova.Respons
 }
 
 // writeBenchJSON writes BENCH_<date>.json with the requested sections:
-// withTables measures tables II, IV and VI serially and with
-// intra-problem parallelism (count repetitions each, reporting mean and
-// min); withPortfolio adds the portfolio quality-vs-wallclock rows over
-// the same machines.
-func writeBenchJSON(opts experiments.RunOpts, intraWorkers, count int, withTables, withPortfolio bool) (string, error) {
-	if intraWorkers < 2 {
-		intraWorkers = 8
-	}
+// withTables measures tables II, IV and VI (count repetitions each,
+// reporting mean and min); withPortfolio adds the portfolio
+// quality-vs-wallclock rows over the same machines.
+func writeBenchJSON(opts experiments.RunOpts, count int, withTables, withPortfolio bool) (string, error) {
 	if count < 1 {
 		count = 1
 	}
 	snap := benchSnapshot{
-		Date:         time.Now().Format("2006-01-02"),
-		GoVersion:    runtime.Version(),
-		NumCPU:       runtime.NumCPU(),
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		IntraWorkers: intraWorkers,
-		Note: "speedup_vs_serial is wall-clock and needs spare CPUs to exceed 1.0; " +
-			"on a host without them the intra run matches serial within noise while " +
-			"staying byte-identical. allocs are process-wide Mallocs deltas per regeneration. " +
-			"with -count > 1 the ns_per_op fields are means over the repetitions and " +
+		Date:       time.Now().Format("2006-01-02"),
+		GoVersion:  runtime.Version(),
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Note: "serial_ns_per_op is the wall-clock of one table regeneration, measured in " +
+			"one pass per table and repetition: each encode runs its pipeline serially and " +
+			"the machines fan out over the -parallel workers (default GOMAXPROCS). allocs " +
+			"are process-wide Mallocs deltas per regeneration. with -count > 1 the " +
+			"ns_per_op fields are means over the repetitions and " +
 			"*_min the best single one; the process-global memos (tautology, failed " +
 			"embeddings) stay warm across repetitions and tables, so later runs measure " +
 			"the cached regime — exactly what a long-lived server sees. " +
@@ -151,7 +141,7 @@ func writeBenchJSON(opts experiments.RunOpts, intraWorkers, count int, withTable
 		snap.Portfolio = rows
 	}
 	if withTables {
-		if err := measureTables(opts, intraWorkers, count, &snap); err != nil {
+		if err := measureTables(opts, count, &snap); err != nil {
 			return "", err
 		}
 	}
@@ -188,25 +178,21 @@ func repeatMeasure(fn func() error, count int) (mean, min int64, allocs uint64, 
 	return int64(sumNs / uint64(count)), min, sumAllocs / uint64(count), nil
 }
 
-// measureTables fills the serial-vs-intra table measurements of the
-// snapshot, count repetitions per cell.
-func measureTables(opts experiments.RunOpts, intraWorkers, count int, snap *benchSnapshot) error {
-	serialOpts := opts
-	serialOpts.Intra = 0
-	intraOpts := opts
-	intraOpts.Intra = intraWorkers
+// measureTables fills the table measurements of the snapshot, count
+// repetitions per table.
+func measureTables(opts experiments.RunOpts, count int, snap *benchSnapshot) error {
 	seen := make(map[string]bool)
 	for _, table := range []int{2, 4, 6} {
 		var runner *experiments.Runner
-		sNs, sMin, sAllocs, err := repeatMeasure(regenerate(serialOpts, table, &runner), count)
+		ns, min, allocs, err := repeatMeasure(regenerate(opts, table, &runner), count)
 		if err != nil {
-			return fmt.Errorf("table %d serial: %w", table, err)
+			return fmt.Errorf("table %d: %w", table, err)
 		}
 		// Tables share machines; keep the first Response per
 		// machine/algorithm pair so the snapshot has no duplicates.
 		// (runner is the last repetition's — encodes are deterministic,
 		// so every repetition memoized the same results.)
-		for _, resp := range wireResults(serialOpts, runner) {
+		for _, resp := range wireResults(opts, runner) {
 			key := resp.Machine + "/" + string(resp.Algorithm)
 			if seen[key] {
 				continue
@@ -214,27 +200,14 @@ func measureTables(opts experiments.RunOpts, intraWorkers, count int, snap *benc
 			seen[key] = true
 			snap.Results = append(snap.Results, resp)
 		}
-		iNs, iMin, iAllocs, err := repeatMeasure(regenerate(intraOpts, table, nil), count)
-		if err != nil {
-			return fmt.Errorf("table %d intra: %w", table, err)
-		}
 		tb := tableBench{
 			Table:        fmt.Sprintf("table-%d", table),
-			SerialNsOp:   sNs,
-			SerialAllocs: sAllocs,
-			IntraNsOp:    iNs,
-			IntraAllocs:  iAllocs,
+			SerialNsOp:   ns,
+			SerialAllocs: allocs,
 		}
 		if count > 1 {
 			tb.Count = count
-			tb.SerialNsMin = sMin
-			tb.IntraNsMin = iMin
-		}
-		if iNs > 0 {
-			tb.Speedup = float64(sNs) / float64(iNs)
-		}
-		if sAllocs > 0 {
-			tb.AllocRatio = float64(iAllocs) / float64(sAllocs)
+			tb.SerialNsMin = min
 		}
 		snap.Tables = append(snap.Tables, tb)
 	}

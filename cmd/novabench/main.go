@@ -59,8 +59,7 @@ func realMain() int {
 	fast := flag.Bool("fast", false, "use the faster single-pass minimizer")
 	seed := flag.Int64("seed", 1, "seed for the random baselines")
 	par := flag.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS)")
-	intra := flag.Int("intra", 0, "intra-problem parallelism per encode (0/1 = serial inside each problem)")
-	jsonSnap := flag.Bool("json", false, "measure tables II/IV/VI serial vs intra-parallel and write BENCH_<date>.json")
+	jsonSnap := flag.Bool("json", false, "measure tables II/IV/VI and write BENCH_<date>.json")
 	pfSnap := flag.Bool("portfolio", false, "measure the portfolio race vs single algorithms and write BENCH_<date>.json (combines with -json)")
 	count := flag.Int("count", 1, "repetitions per -json table measurement; the snapshot reports the mean (what -compare reads) and the min")
 	exactBudget := flag.Int("exact-budget", 1_500_000, "iexact work budget per machine (0 = library default)")
@@ -143,7 +142,6 @@ func realMain() int {
 		Seed:         *seed,
 		FastMinimize: *fast,
 		Parallel:     *par,
-		Intra:        *intra,
 		ExactBudget:  *exactBudget,
 		Observe:      *phaseTable,
 	}
@@ -151,7 +149,7 @@ func realMain() int {
 		opts.Only = strings.Split(*only, ",")
 	}
 	if *jsonSnap || *pfSnap {
-		name, err := writeBenchJSON(opts, *intra, *count, *jsonSnap, *pfSnap)
+		name, err := writeBenchJSON(opts, *count, *jsonSnap, *pfSnap)
 		if err != nil {
 			return fail(err)
 		}

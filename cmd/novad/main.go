@@ -4,7 +4,7 @@
 // Usage:
 //
 //	novad [-addr :8089] [-cache-mb 64] [-max-inflight N] [-queue-wait 100ms]
-//	      [-timeout 30s] [-max-timeout 2m] [-parallel 1] [-intra 0]
+//	      [-timeout 30s] [-max-timeout 2m] [-parallel 1]
 //	      [-grace 30s] [-recorder 32] [-access-log] [-no-request-obs] [-v]
 //	      [-fault-inject "seed=5,error=0.1,drop=0.05"]
 //
@@ -53,7 +53,6 @@ func run() int {
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-request deadline (override per request with ?timeout=)")
 	maxTimeout := flag.Duration("max-timeout", 2*time.Minute, "cap on the client-requested ?timeout=")
 	parallel := flag.Int("parallel", 1, "worker goroutines per encode (1 = serial per request; admission owns the machine)")
-	intra := flag.Int("intra", 0, "intra-problem parallelism per encode (0/1 = off)")
 	grace := flag.Duration("grace", 30*time.Second, "drain budget for in-flight requests on SIGTERM")
 	recorder := flag.Int("recorder", 32, "flight-recorder depth: keep the N slowest and N most recent failed requests at /debug/requests (negative = off)")
 	accessLog := flag.Bool("access-log", false, "log one structured line per request (request ID, status, cache state, latency split)")
@@ -80,7 +79,6 @@ func run() int {
 		DefaultTimeout:    *timeout,
 		MaxTimeout:        *maxTimeout,
 		Parallelism:       *parallel,
-		Intra:             *intra,
 		Tracer:            tracer,
 		RecorderSize:      *recorder,
 		AccessLog:         *accessLog,

@@ -112,18 +112,9 @@ const driftFSM = `
 // neither produced nor exempted — the doc-drift this test exists to
 // catch.
 var scheduleExempt = map[string]bool{
-	"pool.inline":           true, // needs a saturated pool
-	"fork.taut_forks":       true, // intra fork points need an idle worker at the instant
-	"fork.comp_forks":       true,
-	"fork.taut_branches":    true,
-	"fork.comp_branches":    true,
-	"search.spec_branches":  true, // speculative fan-out is opportunistic by design
-	"search.spec_skipped":   true,
-	"search.spec_adopted":   true,
-	"search.spec_truncated": true,
-	"search.bound_pruned":   true,
-	"portfolio.pruned":      true, // needs a candidate provably beaten mid-run
-	"portfolio.canceled":    true, // needs a candidate still running when the race ends
+	"pool.inline":        true, // needs a saturated pool
+	"portfolio.pruned":   true, // needs a candidate provably beaten mid-run
+	"portfolio.canceled": true, // needs a candidate still running when the race ends
 	// Needs an input constraint with more states than any proper face of
 	// the minimum-length cube holds; the drift machine's constraints all
 	// fit, as do most real machines'.
@@ -148,14 +139,13 @@ func TestGlossaryCountersAppearInTracedRun(t *testing.T) {
 	// One portfolio race (algo.*, portfolio.won, portfolio.winner.*),
 	// then a parallel ihybrid encode on the same tracer twice (espresso,
 	// tautology memo including hits, arenas including reuses, searcher
-	// work/backtracks/checks, pool tasks/depths), all intra-enabled so
-	// the fork counters can fire where the scheduler allows.
+	// work/backtracks/checks, pool tasks/depths).
 	if _, err := nova.Encode(f, nova.Options{Algorithm: nova.Portfolio, Tracer: tracer}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
 		if _, err := nova.Encode(f, nova.Options{
-			Algorithm: nova.IHybrid, Parallelism: 4, IntraParallelism: 4, Tracer: tracer,
+			Algorithm: nova.IHybrid, Parallelism: 4, Tracer: tracer,
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -14,7 +14,8 @@ var (
 
 	// ErrUnencodable reports that no two-level implementation can be
 	// produced for the machine at all — for example a code assignment
-	// that would need more than 64 bits, or an invalid assignment.
+	// that would need more than 64 bits, an invalid assignment, or a
+	// nondeterministic table (overlapping rows that disagree).
 	ErrUnencodable = errors.New("nova: machine not encodable")
 
 	// ErrCanceled reports that the context passed to EncodeContext /

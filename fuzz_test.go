@@ -10,6 +10,7 @@ package nova
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"slices"
 	"strings"
@@ -80,9 +81,11 @@ func FuzzDecodeRequest(f *testing.F) {
 }
 
 // FuzzEncode drives arbitrary KISS2 through igreedy and ihybrid at a small
-// search budget. Deterministic machines of up to 8 states and 8 binary
-// inputs that parse and validate must either encode to a result that
-// passes VerifyContext or fail with an error of the closed kind enum. This
+// search budget. Machines of up to 8 states and 8 binary inputs that
+// parse and validate must either encode to a result that passes
+// VerifyContext or fail with an error of the closed kind enum; a
+// nondeterministic table must fail with ErrUnencodable, and one that
+// parses but fails FSM.Validate must fail with Validate's error. This
 // runs the minimizer (constraint derivation, the final ESPRESSO, verify)
 // on layouts the benchmark generators never make: symbolic inputs and
 // output fields wider than one cube word.
@@ -101,21 +104,35 @@ func FuzzEncode(f *testing.F) {
 		wide += row + " " + strings.Repeat("01-"[i%3:i%3+1], 35) + strings.Repeat("10"[i%2:i%2+1], 35) + "\n"
 	}
 	f.Add(wide + ".e\n")
+	// .i after the rows: parses, but the rows are narrower than NI.
+	f.Add(".o 1\n- a b 1\n- b a 0\n.i 2\n")
 
 	kinds := ErrorKinds()
 	ctx := context.Background()
 	f.Fuzz(func(t *testing.T, src string) {
 		m, err := ParseKISSString(src)
-		if err != nil || m.Validate() != nil || m.NumStates() > 8 || m.NI > 8 {
+		if err != nil || m.NumStates() > 8 || m.NI > 8 {
 			return
 		}
-		// A table whose overlapping rows disagree specifies no machine,
-		// so no encoding of it can verify.
-		if ok, _ := m.Deterministic(); !ok {
+		if verr := m.Validate(); verr != nil {
+			for _, alg := range []Algorithm{IGreedy, IHybrid} {
+				if _, err := EncodeContext(ctx, m, Options{Algorithm: alg, MaxWork: 2000, Parallelism: 1}); err == nil || err.Error() != verr.Error() {
+					t.Fatalf("%s: invalid table (%v) returned %v", alg, verr, err)
+				}
+			}
 			return
 		}
+		det, why := m.Deterministic()
 		for _, alg := range []Algorithm{IGreedy, IHybrid} {
 			res, err := EncodeContext(ctx, m, Options{Algorithm: alg, MaxWork: 2000, Parallelism: 1})
+			if !det {
+				// A table whose overlapping rows disagree specifies no
+				// machine, so no encoding of it can verify.
+				if !errors.Is(err, ErrUnencodable) {
+					t.Fatalf("%s: nondeterministic table (%s) not rejected as unencodable: %v", alg, why, err)
+				}
+				continue
+			}
 			if err != nil {
 				if k := ErrorKindOf(err); !slices.Contains(kinds, k) {
 					t.Fatalf("%s: error kind %q outside the enum: %v", alg, k, err)

@@ -1,9 +1,6 @@
 package cube
 
-import (
-	"context"
-	"sort"
-)
+import "sort"
 
 // Arena is a scratch allocator for the unate-recursion hot path: a free
 // list of cubes and cover containers tied to one Structure layout, plus a
@@ -26,13 +23,6 @@ type Arena struct {
 	// on the Structure so concurrent arenas share verdicts.
 	memoIdx []int
 	memoBuf []byte
-
-	// fork, when non-nil, parallelizes the unate recursion's branches
-	// (see fork.go); fctx is the cancellation context observed by the
-	// recursion while forking is on, polled every 64 nodes via pollTick.
-	fork     *Fork
-	fctx     context.Context
-	pollTick int
 
 	// stat accumulates hot-loop telemetry in plain ints — the arena is
 	// single-owner, so no atomics are needed here. Callers that trace
@@ -90,46 +80,12 @@ func GetArena(s *Structure) *Arena {
 	return NewArena(s)
 }
 
-// PutArena returns an arena to its layout's pool. Any fork attachment is
-// dropped: the next owner decides its own parallelism.
+// PutArena returns an arena to its layout's pool.
 func PutArena(a *Arena) {
 	if a == nil {
 		return
 	}
-	a.SetFork(nil, nil)
 	a.s.pool.Put(a)
-}
-
-// SetFork attaches (or, with a nil fork, detaches) intra-problem branch
-// parallelism to the arena: while attached, the unate-recursion
-// procedures fork large branch sets onto the fork's pool and poll ctx
-// for cancellation. The arena remains single-owner; the fork only
-// governs where child branches run.
-func (a *Arena) SetFork(fk *Fork, ctx context.Context) {
-	a.fork = fk
-	a.fctx = ctx
-	a.pollTick = 0
-}
-
-// cancelPoll is the recursion-entry cancellation check, active only
-// while a fork is attached. It polls the context once every 64 nodes;
-// a true return tells the recursion to unwind with a conservative
-// verdict (which is never memoized — see TautologyWith).
-func (a *Arena) cancelPoll() bool {
-	if a.fork == nil || a.fctx == nil {
-		return false
-	}
-	a.pollTick++
-	if a.pollTick&63 != 0 {
-		return false
-	}
-	return a.fctx.Err() != nil
-}
-
-// canceled reports whether the arena's fork context (if any) is done —
-// i.e. whether in-flight verdicts may be cancellation-tainted.
-func (a *Arena) canceled() bool {
-	return a.fctx != nil && a.fctx.Err() != nil
 }
 
 // NewCube returns a zeroed cube, recycled when possible.

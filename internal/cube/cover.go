@@ -171,15 +171,9 @@ func (f *Cover) Tautology() bool {
 // TautologyWith is Tautology with caller-provided scratch. The recursion
 // allocates cofactor covers from the arena and recycles them per node, and
 // consults the layout's shared memo cache for covers of at least
-// memoMinCubes cubes. With a fork attached (see Arena.SetFork) the branch
-// loop of large covers is evaluated in parallel, and cancellation of the
-// fork context unwinds the recursion with a conservative false verdict —
-// conservative verdicts are never memoized, so the memo stays exact.
+// memoMinCubes cubes.
 func (f *Cover) TautologyWith(a *Arena) bool {
 	a.stat.TautCalls++
-	if a.cancelPoll() {
-		return false // conservative; pre-memo, so never cached
-	}
 	if len(f.Cubes) == 0 {
 		return false
 	}
@@ -226,16 +220,6 @@ func (f *Cover) TautologyWith(a *Arena) bool {
 			return verdict
 		}
 	}
-	if a.shouldFork(f) {
-		res, tainted := f.tautologyBranchesParallel(a, v)
-		// A tainted verdict (external cancellation aborted a branch
-		// before it produced a genuine counterexample) must not be
-		// cached; the untainted ones are content-exact as ever.
-		if useMemo && !tainted && !a.canceled() {
-			a.memoPut(a.coverKey(f), res)
-		}
-		return res
-	}
 	res := true
 	sel := a.CopyCube(s.full)
 	for p := 0; p < s.Size(v); p++ {
@@ -251,9 +235,8 @@ func (f *Cover) TautologyWith(a *Arena) bool {
 	}
 	a.FreeCube(sel)
 	// The child recursion reuses the arena's key scratch, so the key is
-	// rebuilt here; skipped whenever a cancellation may have turned a
-	// child's verdict into a conservative false.
-	if useMemo && !a.canceled() {
+	// rebuilt here.
+	if useMemo {
 		a.memoPut(a.coverKey(f), res)
 	}
 	return res
@@ -366,25 +349,8 @@ func (f *Cover) ComplementWith(a *Arena) *Cover {
 	if v < 0 {
 		return out
 	}
-	if a.shouldFork(f) {
-		// Branches computed in parallel, merged in ascending part order:
-		// byte-identical to the serial loop below. Under external
-		// cancellation some slots are nil; the truncated result is
-		// discarded by the run's own ctx check.
-		for _, sub := range f.complementBranchesParallel(a, v) {
-			if sub != nil {
-				out.Cubes = append(out.Cubes, sub.Cubes...)
-			}
-		}
-		out.mergeAdjacent(v)
-		out.SingleCubeContainment()
-		return out
-	}
 	sel := a.CopyCube(s.full)
 	for p := 0; p < s.Size(v); p++ {
-		if a.cancelPoll() {
-			break // partial result; discarded by the caller's ctx check
-		}
 		s.ClearAll(sel, v)
 		s.Set(sel, v, p)
 		g := f.cofactorCoverWith(a, sel, false)

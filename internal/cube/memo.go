@@ -10,7 +10,7 @@ import (
 // canonical serialized content of a cover. Keys are content-exact, so a
 // hit can never be wrong; entries stay valid forever, which is why one
 // memo is shared by every Structure of a layout (and by every arena —
-// under intra-parallel minimization many arenas probe it at once).
+// concurrent encodes of one layout probe it at once).
 //
 // The cache is bounded: a sharded LRU whose global capacity is set by
 // SetTautMemoCap. Long EncodeAll sweeps over large covers therefore

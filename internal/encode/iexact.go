@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"nova/internal/constraint"
+	"nova/internal/encoding"
 	"nova/internal/obs"
 )
 
@@ -27,10 +28,6 @@ type ExactOptions struct {
 	// Result has GaveUp set (the paper's iexact likewise fails to
 	// complete on the hardest examples).
 	MaxWork int
-	// Fanout, when active, fans the primary-level-vector searches of a
-	// dimension out across pool workers with a shared best-index bound;
-	// results stay byte-identical to the serial search (see Fanout).
-	Fanout Fanout
 	// NoPrune disables the search-tree pruning added on top of the
 	// seed searcher: second-placement symmetry breaking and the
 	// failed-embedding memo. For A/B comparison and the equivalence
@@ -135,15 +132,7 @@ func IExact(n int, ics []constraint.Constraint, opt ExactOptions) (res Result) {
 		}
 		kBudget := truncated
 		for round := 0; round < 2 && kWork < perK; round++ {
-			var work int
-			var roundBudget bool
-			var winner *searcher
-			var err error
-			if opt.Fanout.active() && len(vectors) > 1 {
-				work, roundBudget, winner, err = iexactRoundSpec(opt, m, g, k, primaries, vectors, slice, perK, kWork)
-			} else {
-				work, roundBudget, winner, err = iexactRoundSerial(opt, m, g, k, primaries, vectors, slice, perK, kWork)
-			}
+			work, roundBudget, winner, err := iexactRound(opt, m, g, k, primaries, vectors, slice, perK, kWork)
 			kWork += work
 			totalWork += work
 			if err != nil {
@@ -189,6 +178,69 @@ func IExact(n int, ics []constraint.Constraint, opt ExactOptions) (res Result) {
 	res.Work = totalWork
 	res.GaveUp = true
 	return res
+}
+
+// iexactRound runs one retry round of IExact's per-dimension vector
+// loop. It returns the work consumed, the round's budget flag, the
+// winning searcher (nil if none), and any context error.
+func iexactRound(opt ExactOptions, m *obs.Metrics, g *constraint.Graph, k int,
+	primaries []*constraint.Node, vectors [][]int, slice, perK, kWork int) (work int, roundBudget bool, winner *searcher, err error) {
+	for _, dimvect := range vectors {
+		if err = ctxErr(opt.Ctx); err != nil {
+			return work, roundBudget, nil, err
+		}
+		w := slice
+		if rem := perK - kWork - work; w > rem {
+			w = rem
+		}
+		if w <= 0 {
+			return work, true, nil, nil
+		}
+		s := runVector(opt.Ctx, g, k, primaries, dimvect, w, opt.NoPrune)
+		s.flushMetrics(m)
+		work += s.work
+		if s.solved {
+			return work, roundBudget, s, nil
+		}
+		if s.budget {
+			roundBudget = true
+		}
+	}
+	return work, roundBudget, nil, nil
+}
+
+// runVector runs one primary-level-vector search with the given work cap.
+// Unless noPrune, runs are memoized by (graph content, k, level vector);
+// a hit returns a replayed searcher whose observable state matches the
+// original run's (see replaySearcher).
+func runVector(ctx context.Context, g *constraint.Graph, k int,
+	primaries []*constraint.Node, dimvect []int, maxWork int, noPrune bool) *searcher {
+	var key string
+	if !noPrune {
+		key = vectorKey(g, k, dimvect)
+		if v, ok := searchMemo.get(key); ok && v.usable(maxWork) {
+			return replaySearcher(v)
+		}
+	}
+	s := newSearcher(g, k)
+	s.allLevels = true
+	s.maxWork = maxWork
+	s.noPrune = noPrune
+	s.ctx = ctx
+	s.levels = map[*constraint.Node]int{}
+	for i, nd := range primaries {
+		s.levels[nd] = dimvect[i]
+	}
+	s.solved = s.solve(nil)
+	if !noPrune {
+		s.memoMisses = 1
+		var enc encoding.Encoding
+		if s.solved {
+			enc = s.extract()
+		}
+		recordSearch(key, s, enc, s.solved)
+	}
+	return s
 }
 
 // slackVectors lists level vectors within [lo, hi] ordered by increasing

@@ -22,10 +22,6 @@ type HybridOptions struct {
 	// and between semiexact_code calls; cancellation aborts the run with
 	// Result.Err set to the context error.
 	Ctx context.Context
-	// Fanout, when active, speculates the next semiexact link of the
-	// greedy acceptance chain on spare pool workers; results stay
-	// byte-identical to the serial chain (see Fanout).
-	Fanout Fanout
 	// NoPrune disables the search-tree pruning added on top of the
 	// seed searcher: second-placement symmetry breaking, the
 	// failed-embedding memo, and the infeasible-constraint skip. For
@@ -45,9 +41,92 @@ func (o *HybridOptions) defaults() {
 // returns the found encoding and whether all the given constraints were
 // satisfied.
 func semiexact(ctx context.Context, n int, sic []constraint.Constraint, cubeDim, maxWork int, oc []OCEdge, noPrune bool) (encoding.Encoding, bool, int) {
-	out := semiexactRun(ctx, n, sic, cubeDim, maxWork, oc, noPrune, "search.semiexact")
-	out.s.flushMetrics(obs.MetricsFrom(ctx))
+	out := semiexactRun(ctx, n, sic, cubeDim, maxWork, oc, noPrune)
 	return out.enc, out.ok, out.work
+}
+
+// semiexactOut is the outcome of one semiexact run; s is the searcher
+// (or its memo replay) that produced it.
+type semiexactOut struct {
+	enc  encoding.Encoding
+	ok   bool
+	work int
+	s    *searcher
+}
+
+// semiexactRun is the engine behind semiexact: one pos_equiv run under
+// a "search.semiexact" span, its tallies flushed into the run's metrics.
+//
+// Unless noPrune, the run is memoized at whole-run granularity: the
+// probe happens before the intersection-closure graph is even built, so
+// a hit skips BuildGraph and the search entirely. Only pruning-enabled
+// runs probe or record — the memo then never mixes the two searcher
+// behaviors.
+func semiexactRun(ctx context.Context, n int, sic []constraint.Constraint, cubeDim, maxWork int, oc []OCEdge, noPrune bool) semiexactOut {
+	sctx, sp := obs.Span(ctx, "search.semiexact")
+	sp.SetInt("constraints", int64(len(sic)))
+	var key string
+	var s *searcher
+	if !noPrune {
+		key = chainKey(n, cubeDim, sic, oc)
+		if v, ok := searchMemo.get(key); ok && v.usable(maxWork) {
+			s = replaySearcher(v)
+			sp.SetInt("memo_hit", 1)
+		}
+	}
+	if s == nil {
+		s = newSearcher(constraint.BuildGraph(n, sic), cubeDim)
+		s.allLevels = false
+		s.maxWork = maxWork
+		s.oc = oc
+		s.noPrune = noPrune
+		s.ctx = sctx
+		s.solved = s.solve(nil)
+	}
+	sp.SetInt("work", int64(s.work))
+	sp.End()
+	out := semiexactOut{ok: s.solved, work: s.work, s: s}
+	if s.solved {
+		out.enc = s.extract()
+	}
+	if !noPrune && !s.memoHit {
+		s.memoMisses = 1
+		recordSearch(key, s, out.enc, s.solved)
+	}
+	s.flushMetrics(obs.MetricsFrom(ctx))
+	return out
+}
+
+// chainResult is what the stage-1 greedy semiexact cycle produces.
+type chainResult struct {
+	enc  encoding.Encoding
+	have bool
+	sic  []constraint.Constraint
+	ric  []constraint.Constraint
+	work int
+	err  error
+}
+
+// semiexactChain runs the greedy acceptance cycle shared by IHybrid and
+// ioEncode stage 1: for each constraint in order, a bounded semiexact
+// over the accepted set plus the candidate; accept on success.
+func semiexactChain(opt HybridOptions, n int, ics []constraint.Constraint, cubeDim int) chainResult {
+	var r chainResult
+	for _, ic := range ics {
+		if err := ctxErr(opt.Ctx); err != nil {
+			r.err = err
+			return r
+		}
+		e, ok, w := semiexact(opt.Ctx, n, append(append([]constraint.Constraint(nil), r.sic...), ic), cubeDim, opt.MaxWork, nil, opt.NoPrune)
+		r.work += w
+		if ok {
+			r.enc, r.have = e, true
+			r.sic = append(r.sic, ic)
+		} else {
+			r.ric = append(r.ric, ic)
+		}
+	}
+	return r
 }
 
 // prepConstraints runs constraint preprocessing under its own span (so

@@ -22,10 +22,7 @@ import (
 //
 // Replays restore every searcher tally (work, backtracks, face checks),
 // so a memo hit is observationally identical to re-running the search:
-// counters and Result fields read "as if executed". Entries produced by
-// speculative runs are sound to reuse — the searcher is deterministic
-// given the key and budget, so the adopted and discarded branches would
-// have produced the same verdict.
+// counters and Result fields read "as if executed".
 //
 // Like the cube package's tautology memo, the cache is a process-global
 // sharded LRU bounded by SetSearchMemoCap.
@@ -62,9 +59,9 @@ func searchShardCap() int {
 
 // searchVerdict is one memoized embedding run.
 type searchVerdict struct {
-	ok     bool // embedding found
-	budget bool // run stopped on its work budget
-	cap    int  // the maxWork the run was produced under (0 = unbounded)
+	ok         bool // embedding found
+	budget     bool // run stopped on its work budget
+	cap        int  // the maxWork the run was produced under (0 = unbounded)
 	work       int
 	backtracks int
 	checksOK   int

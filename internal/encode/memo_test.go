@@ -95,7 +95,7 @@ func TestSemiexactRunMemoReplay(t *testing.T) {
 	defer searchMemoReset()
 	ics := paperConstraints()
 
-	live := semiexactRun(nil, 7, ics, 4, 0, nil, false, "search.semiexact")
+	live := semiexactRun(nil, 7, ics, 4, 0, nil, false)
 	if live.s.memoHit {
 		t.Fatal("first run hit a memo that was just reset")
 	}
@@ -103,7 +103,7 @@ func TestSemiexactRunMemoReplay(t *testing.T) {
 		t.Fatal("paper instance at k=4 should embed")
 	}
 
-	replay := semiexactRun(nil, 7, ics, 4, 0, nil, false, "search.semiexact")
+	replay := semiexactRun(nil, 7, ics, 4, 0, nil, false)
 	if !replay.s.memoHit {
 		t.Fatal("second identical run missed the memo")
 	}
@@ -129,7 +129,7 @@ func TestSemiexactRunMemoReplay(t *testing.T) {
 	// The replayed encoding is a copy — mutating it must not poison the
 	// cached entry.
 	re.Codes[0] ^= 1
-	again := semiexactRun(nil, 7, ics, 4, 0, nil, false, "search.semiexact")
+	again := semiexactRun(nil, 7, ics, 4, 0, nil, false)
 	if again.enc.Codes[0] != le.Codes[0] {
 		t.Fatal("mutating a replayed encoding corrupted the memo entry")
 	}
@@ -144,19 +144,19 @@ func TestMemoBudgetRegimes(t *testing.T) {
 	ics := paperConstraints()
 
 	// maxWork=3 cannot solve the paper instance: a budget verdict.
-	first := semiexactRun(nil, 7, ics, 4, 3, nil, false, "search.semiexact")
+	first := semiexactRun(nil, 7, ics, 4, 3, nil, false)
 	if first.ok || !first.s.budget {
 		t.Fatalf("expected a budget failure, got ok=%v budget=%v", first.ok, first.s.budget)
 	}
 
 	// Same cap: replayed.
-	same := semiexactRun(nil, 7, ics, 4, 3, nil, false, "search.semiexact")
+	same := semiexactRun(nil, 7, ics, 4, 3, nil, false)
 	if !same.s.memoHit {
 		t.Fatal("same-cap probe missed the budget verdict")
 	}
 	// Larger cap: must run live (and succeed, overwriting nothing — put
 	// keeps the first entry, but the probe rejects it via usable).
-	larger := semiexactRun(nil, 7, ics, 4, 0, nil, false, "search.semiexact")
+	larger := semiexactRun(nil, 7, ics, 4, 0, nil, false)
 	if larger.s.memoHit {
 		t.Fatal("unbounded probe replayed a budget-truncated verdict")
 	}
@@ -166,7 +166,7 @@ func TestMemoBudgetRegimes(t *testing.T) {
 
 	// noPrune runs bypass the memo entirely.
 	searchMemoReset()
-	np := semiexactRun(nil, 7, ics, 4, 0, nil, true, "search.semiexact")
+	np := semiexactRun(nil, 7, ics, 4, 0, nil, true)
 	if np.s.memoHit {
 		t.Fatal("noPrune run consulted the memo")
 	}

@@ -110,10 +110,10 @@ type searcher struct {
 	// callers). The first-placement break predates the flag and stays on.
 	noPrune bool
 
-	maxWork int  // 0 = unbounded
+	maxWork int // 0 = unbounded
 	work    int
 	budget  bool // set when the work bound fired
-	solved  bool // set by runVector: solve's verdict, kept with the searcher
+	solved  bool // solve's verdict, kept with the searcher (runVector, semiexactRun)
 
 	// Telemetry accumulated in plain ints (the searcher is single-owner);
 	// flushMetrics pushes the totals into a run's obs.Metrics, if any.

@@ -38,11 +38,6 @@ type Options struct {
 	// MakeSparse lowers redundantly asserted output/multiple-valued parts
 	// after minimization (fewer care entries, same cube count).
 	MakeSparse bool
-	// Fork, when non-nil, parallelizes the unate-recursion branch loops
-	// of the tautology checks inside the passes (see cube.Fork). Results
-	// are byte-identical to the serial recursion; nil keeps the passes
-	// strictly serial.
-	Fork *cube.Fork
 }
 
 // Minimize returns a minimized cover of the incompletely specified function
@@ -82,11 +77,6 @@ func MinimizeWith(on, dc *cube.Cover, opt Options, a *cube.Arena) *cube.Cover {
 		statBase = a.Stats()
 		msp.SetInt("cubes_in", int64(on.Len()))
 	}
-	if opt.Fork != nil {
-		a.SetFork(opt.Fork, opt.Ctx)
-		defer a.SetFork(nil, nil)
-	}
-
 	f := on.Copy()
 	if dc == nil {
 		dc = cube.NewCover(on.S)

@@ -48,11 +48,6 @@ type RunOpts struct {
 	ExactBudget int
 	// Parallel bounds worker goroutines (0 = GOMAXPROCS).
 	Parallel int
-	// Intra, when at least 2, turns on intra-problem parallelism inside
-	// every encode (forked unate recursion in the minimizer, speculative
-	// fan-out in the searches) with that worker bound. Results are
-	// bit-identical to serial runs; see nova.Options.IntraParallelism.
-	Intra int
 	// Observe attaches a per-machine telemetry tracer to every encode, so
 	// PhaseTable can report the espresso/search/symbolic time breakdown.
 	Observe bool
@@ -171,10 +166,8 @@ func (o RunOpts) novaOptions(alg nova.Algorithm, bits int) nova.Options {
 		MaxWork:      exactWorkFor(alg, o),
 		// The harness already fans out across machines (forEach), so
 		// each encode runs serially to keep the total worker count at
-		// RunOpts.Parallel. Intra-problem parallelism, when requested,
-		// widens the per-encode pool from the inside instead.
-		Parallelism:      1,
-		IntraParallelism: o.Intra,
+		// RunOpts.Parallel.
+		Parallelism: 1,
 	}
 }
 

@@ -8,7 +8,6 @@
 package mvmin
 
 import (
-	"context"
 	"fmt"
 
 	"nova/internal/constraint"
@@ -45,14 +44,6 @@ type Problem struct {
 // (input, present-state) combinations contribute a full don't-care row;
 // '-' output bits contribute per-output don't-cares.
 func Build(f *kiss.FSM) (*Problem, error) {
-	return BuildWithFork(f, nil, nil)
-}
-
-// BuildWithFork is Build with the input-space don't-care complement —
-// the one unate recursion mvmin runs outside espresso — dispatched onto
-// the fork's pool when fork is non-nil. ctx bounds the forked branches;
-// a nil fork (or nil ctx) reproduces the serial Build exactly.
-func BuildWithFork(f *kiss.FSM, ctx context.Context, fork *cube.Fork) (*Problem, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
@@ -147,12 +138,7 @@ func BuildWithFork(f *kiss.FSM, ctx context.Context, fork *cube.Fork) (*Problem,
 		}
 		rowIn.Add(trim)
 	}
-	arena := cube.GetArena(inS)
-	if fork != nil {
-		arena.SetFork(fork, ctx)
-	}
-	comp := rowIn.ComplementWith(arena)
-	cube.PutArena(arena)
+	comp := rowIn.Complement()
 	for _, c := range comp.Cubes {
 		d := s.NewCube()
 		for v := 0; v < inS.NumVars(); v++ {

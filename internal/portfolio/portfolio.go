@@ -7,9 +7,9 @@
 // launch or canceled mid-flight, and the race joins on a deterministic
 // pick: the lowest cost wins, ties broken by the lowest roster index.
 //
-// Determinism is the package's contract, mirroring internal/sched and
-// the speculative searches: the pick depends only on the (cost, index)
-// pairs of the successful candidates, each candidate's own computation is
+// Determinism is the package's contract, mirroring internal/sched: the
+// pick depends only on the (cost, index) pairs of the successful
+// candidates, each candidate's own computation is
 // deterministic for its inputs, and pruning/cancellation is applied only
 // to candidates whose outcome could not change the pick — a pruned
 // candidate's cost is at best (Lower, index), which the bound already

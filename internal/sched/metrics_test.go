@@ -98,57 +98,6 @@ func TestPoolStatsSerialPool(t *testing.T) {
 	}
 }
 
-// TestTryGoSkipsWhenSaturated pins the speculative-submission contract:
-// TryGo spawns when a slot is free and refuses — without running the
-// task — when the pool is saturated.
-func TestTryGoSkipsWhenSaturated(t *testing.T) {
-	p := New(2)
-	g := p.Group(context.Background())
-
-	started := make(chan struct{})
-	release := make(chan struct{})
-	if ok := g.TryGo(func(context.Context) error {
-		close(started)
-		<-release
-		return nil
-	}); !ok {
-		t.Fatal("TryGo on an idle pool refused the task")
-	}
-	<-started
-
-	ran := false
-	if ok := g.TryGo(func(context.Context) error { ran = true; return nil }); ok {
-		t.Fatal("TryGo on a saturated pool accepted the task")
-	}
-	if ran {
-		t.Fatal("refused task ran anyway")
-	}
-
-	close(release)
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if s := p.Stats(); s.Tasks != 1 || s.Inline != 0 {
-		t.Fatalf("stats after TryGo scenario = %+v, want Tasks=1 Inline=0", s)
-	}
-}
-
-// TestTryGoErrorCancelsGroup checks accepted TryGo tasks share the
-// group's first-error-wins and cancellation semantics with Go.
-func TestTryGoErrorCancelsGroup(t *testing.T) {
-	p := New(2)
-	g := p.Group(context.Background())
-	if ok := g.TryGo(func(context.Context) error { return context.Canceled }); !ok {
-		t.Fatal("TryGo refused on idle pool")
-	}
-	if err := g.Wait(); err != context.Canceled {
-		t.Fatalf("Wait = %v, want context.Canceled", err)
-	}
-	if g.Context().Err() == nil {
-		t.Fatal("group context not canceled after task error")
-	}
-}
-
 // TestPoolStatsRace hammers counters from many groups at once; run with
 // -race this proves the accounting introduces no data race, and the
 // monotonic totals must still add up exactly.

@@ -37,9 +37,9 @@ type Pool struct {
 	// depthHist[d] counts tasks that STARTED executing while d tasks
 	// (including themselves) were executing. Recording at task start —
 	// not at enqueue — is what makes the histogram reflect the true
-	// concurrency of nested intra-problem forks: a task queued behind a
-	// busy pool is sampled when it actually runs. Depths beyond the last
-	// bucket fold into it.
+	// concurrency of nested groups: a task queued behind a busy pool is
+	// sampled when it actually runs. Depths beyond the last bucket fold
+	// into it.
 	depthHist [DepthBuckets]atomic.Int64
 }
 
@@ -94,18 +94,14 @@ func (p *Pool) enter() {
 
 func (p *Pool) exit() { p.depth.Add(-1) }
 
-// PoolSize resolves the worker bound of one run's pool from the two
-// public knobs: the coarse-grained parallelism (0 selects
-// runtime.GOMAXPROCS(0)) widened by the intra-problem setting when that
-// is larger. It is the single sizing rule shared by the library entry
-// points and the serving layer, so server capacity planning and
-// intra-parallel forks agree on how many workers a run may occupy.
-func PoolSize(parallelism, intra int) int {
+// PoolSize resolves the worker bound of one run's pool from the public
+// Parallelism knob: 0 (or a negative value) selects
+// runtime.GOMAXPROCS(0). It is the single sizing rule shared by the
+// library entry points and the serving layer, so server capacity
+// planning agrees with the library on how many workers a run may occupy.
+func PoolSize(parallelism int) int {
 	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if intra > parallelism {
-		parallelism = intra
+		return runtime.GOMAXPROCS(0)
 	}
 	return parallelism
 }
@@ -120,16 +116,6 @@ func New(workers int) *Pool {
 	}
 	return &Pool{sem: make(chan struct{}, workers-1)}
 }
-
-// Workers returns the concurrency bound the pool was built with.
-func (p *Pool) Workers() int { return cap(p.sem) + 1 }
-
-// SpareSlots reports how many spare worker slots are free at this
-// instant. The value is a momentary hint — it can be stale by the time
-// the caller acts on it — but it is cheap enough to poll inside a
-// recursion to decide whether forking a branch could actually buy
-// concurrency right now.
-func (p *Pool) SpareSlots() int { return cap(p.sem) - len(p.sem) }
 
 // Group is a fork/join scope over a pool: tasks submitted with Go run
 // concurrently (bounded by the pool), Wait joins them, and the first
@@ -182,33 +168,6 @@ func (g *Group) Go(fn func(ctx context.Context) error) {
 		g.pool.enter()
 		g.record(fn(g.ctx))
 		g.pool.exit()
-	}
-}
-
-// TryGo submits a task only if a spare worker slot is free, returning
-// whether the task was accepted. Unlike Go it NEVER runs the task inline:
-// speculative work (running ahead of a decision that may discard it) is
-// pure overhead when it serializes onto the submitter, so a saturated
-// pool should skip it rather than absorb it. Accepted tasks behave
-// exactly like Go's spawned tasks (counted, joined by Wait, first error
-// wins).
-func (g *Group) TryGo(fn func(ctx context.Context) error) bool {
-	select {
-	case g.pool.sem <- struct{}{}:
-		g.pool.tasks.Add(1)
-		g.wg.Add(1)
-		go func() {
-			g.pool.enter()
-			defer func() {
-				g.pool.exit()
-				<-g.pool.sem
-				g.wg.Done()
-			}()
-			g.record(fn(g.ctx))
-		}()
-		return true
-	default:
-		return false
 	}
 }
 

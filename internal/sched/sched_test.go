@@ -13,8 +13,8 @@ import (
 func TestPoolBoundsConcurrency(t *testing.T) {
 	const workers = 4
 	p := New(workers)
-	if p.Workers() != workers {
-		t.Fatalf("Workers() = %d, want %d", p.Workers(), workers)
+	if got := cap(p.sem) + 1; got != workers {
+		t.Fatalf("pool bound = %d, want %d", got, workers)
 	}
 	g := p.Group(context.Background())
 	var cur, peak int32
@@ -157,21 +157,13 @@ func TestSplitSeedDeterministicAndDistinct(t *testing.T) {
 }
 
 func TestPoolSize(t *testing.T) {
-	if got := PoolSize(3, 0); got != 3 {
-		t.Fatalf("PoolSize(3, 0) = %d, want 3", got)
+	if got := PoolSize(3); got != 3 {
+		t.Fatalf("PoolSize(3) = %d, want 3", got)
 	}
-	if got := PoolSize(0, 0); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("PoolSize(0, 0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+	if got := PoolSize(0); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("PoolSize(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
-	// Intra-problem forks widen the pool so one problem's forks cannot
-	// starve the batch workers.
-	if got := PoolSize(2, 8); got != 8 {
-		t.Fatalf("PoolSize(2, 8) = %d, want 8", got)
-	}
-	if got := PoolSize(8, 2); got != 8 {
-		t.Fatalf("PoolSize(8, 2) = %d, want 8", got)
-	}
-	if got := PoolSize(-1, 0); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("PoolSize(-1, 0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+	if got := PoolSize(-1); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("PoolSize(-1) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
 }

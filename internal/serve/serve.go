@@ -62,7 +62,7 @@ type Config struct {
 	// CacheBytes bounds the result cache payload (default 64 MiB).
 	CacheBytes int64
 	// MaxInflight caps concurrently admitted requests (default
-	// sched.PoolSize(0, 0), i.e. GOMAXPROCS).
+	// sched.PoolSize(0), i.e. GOMAXPROCS).
 	MaxInflight int
 	// QueueWait is how long an arriving request may wait for an
 	// admission slot before the 429 (default 100ms; negative = reject
@@ -77,15 +77,13 @@ type Config struct {
 	MaxBodyBytes int64
 	// MaxBatch bounds the machines of one batch request (default 64).
 	MaxBatch int
-	// Parallelism and Intra set the per-encode worker knobs
-	// (nova.Options.Parallelism / IntraParallelism). The default
-	// Parallelism is 1: under concurrent traffic, one worker per encode
-	// maximizes throughput, and admission — not per-run fan-out — owns
-	// the machine. Raise it (or Intra) for latency-sensitive, low-QPS
-	// deployments; sched.PoolSize(Parallelism, Intra) workers per run
-	// times MaxInflight bounds total engine goroutines.
+	// Parallelism sets the per-encode worker bound
+	// (nova.Options.Parallelism). The default is 1: under concurrent
+	// traffic, one worker per encode maximizes throughput, and admission
+	// — not per-run fan-out — owns the machine. Raise it for
+	// latency-sensitive, low-QPS deployments; sched.PoolSize(Parallelism)
+	// workers per run times MaxInflight bounds total engine goroutines.
 	Parallelism int
-	Intra       int
 	// Tracer receives the server's request/cache metrics; a fresh tracer
 	// is created when nil. Expose it with obs.PublishExpvar or read
 	// /debug/vars.
@@ -118,7 +116,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.MaxInflight <= 0 {
-		c.MaxInflight = sched.PoolSize(0, 0)
+		c.MaxInflight = sched.PoolSize(0)
 	}
 	if c.QueueWait == 0 {
 		c.QueueWait = 100 * time.Millisecond
@@ -471,7 +469,6 @@ func (s *Server) encodeCached(ctx context.Context, rq *nova.Request, ro *reqObs,
 		}
 		opt := rq.Options()
 		opt.Parallelism = s.cfg.Parallelism
-		opt.IntraParallelism = s.cfg.Intra
 		if rq.IncludeTelemetry || ro.wantTrace() {
 			opt.Tracer = obs.New()
 		}

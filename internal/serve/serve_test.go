@@ -359,6 +359,59 @@ func TestBatchPartialResults(t *testing.T) {
 	}
 }
 
+// TestMalformedTableIsAnError: a table that parses but fails
+// FSM.Validate (.i declared after its rows) answers with an inline error
+// in a batch and with an error response on the point endpoint — twice,
+// so the single-flight entry of the failed key is released.
+func TestMalformedTableIsAnError(t *testing.T) {
+	const malformed = ".o 1\n- a b 1\n- b a 0\n.i 2\n"
+	s := New(Config{})
+	bq := BatchRequest{Requests: []nova.Request{
+		{KISS2: quickFSM, Name: "good", Algorithm: nova.IGreedy},
+		{KISS2: malformed, Name: "malformed", Algorithm: nova.IGreedy},
+	}}
+	b, err := json.Marshal(bq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := post(s, "/v1/encode/batch", bytes.NewReader(b))
+	if w.Code != http.StatusOK {
+		t.Fatalf("batch status = %d: %s", w.Code, w.Body)
+	}
+	var out BatchResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	var good, bad nova.Response
+	if err := json.Unmarshal(out.Responses[0], &good); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(out.Responses[1], &bad); err != nil {
+		t.Fatal(err)
+	}
+	if good.Error != "" || good.Area <= 0 {
+		t.Fatalf("good item: %+v", good)
+	}
+	if bad.Error == "" || bad.Machine != "malformed" {
+		t.Fatalf("malformed item: %+v", bad)
+	}
+	for i := 0; i < 2; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		r := httptest.NewRequest(http.MethodPost, "/v1/encode",
+			encodeBody(t, nova.Request{KISS2: malformed, Algorithm: nova.Best})).WithContext(ctx)
+		pw := httptest.NewRecorder()
+		s.ServeHTTP(pw, r)
+		cancel()
+		var rp nova.Response
+		if err := json.Unmarshal(pw.Body.Bytes(), &rp); err != nil {
+			t.Fatalf("point request %d: body is not a Response: %v", i, err)
+		}
+		if pw.Code == http.StatusOK || rp.Error == "" || rp.ErrorKind == nova.ErrKindCanceled {
+			t.Fatalf("point request %d: status %d, %+v", i, pw.Code, rp)
+		}
+	}
+}
+
 // TestBatchBounds rejects empty and oversized batches.
 func TestBatchBounds(t *testing.T) {
 	s := New(Config{MaxBatch: 2})

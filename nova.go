@@ -40,7 +40,6 @@ import (
 
 	"nova/internal/baseline"
 	"nova/internal/constraint"
-	"nova/internal/cube"
 	"nova/internal/encode"
 	"nova/internal/encoding"
 	"nova/internal/espresso"
@@ -139,12 +138,6 @@ type Options struct {
 	// MaxWork bounds each bounded-backtracking call (paper's max_work);
 	// 0 selects the default.
 	MaxWork int
-	// SearchMemoCap bounds the process-wide failed-embedding memo (the
-	// LRU cache of encoding-search verdicts, shared across runs like the
-	// tautology memo) at that many entries; 0 keeps the current bound
-	// (initially encode.DefaultSearchMemoCap). Negative values are
-	// rejected by Validate.
-	SearchMemoCap int
 	// DisableSearchPruning turns off the search-tree pruning layered on
 	// the embedding searcher — constraint infeasibility skips, hypercube
 	// symmetry breaking beyond the first placement, and the
@@ -178,25 +171,6 @@ type Options struct {
 	// joined by variable index — so scheduling order never leaks into the
 	// result, only into wall-clock time.
 	Parallelism int
-	// IntraParallelism, when at least 2, additionally parallelizes the
-	// inside of one encoding problem: the cofactor branches of the
-	// tautology/complement unate recursion in the minimizer fork onto the
-	// run's pool (for sub-covers of at least IntraForkCubes cubes), and
-	// the encoding searches speculate ahead — iexact fans the primary
-	// level vectors of a dimension out under a shared best-index bound,
-	// ihybrid/iohybrid speculate the next semiexact link of the greedy
-	// chain. The run pool is sized max(Parallelism, IntraParallelism).
-	//
-	// 0 or 1 (the default) keeps every problem's inside strictly serial.
-	// The determinism guarantee above extends to this knob: speculative
-	// outcomes are replayed against the serial schedule before adoption,
-	// so the Result is bit-identical for every IntraParallelism setting.
-	IntraParallelism int
-	// IntraForkCubes is the smallest cofactor cover (in cubes) whose
-	// recursion branches are forked under IntraParallelism; 0 selects
-	// the default (cube.DefaultForkCubes, 24). Smaller values expose more
-	// concurrency but pay more goroutine handoffs per unit of work.
-	IntraForkCubes int
 	// Portfolio configures Algorithm Portfolio: the candidate roster (in
 	// pick-priority order), an optional candidate cap, and the hedging
 	// delay before the backup candidates launch. nil selects the default
@@ -214,27 +188,16 @@ type Options struct {
 }
 
 // engine bundles the concurrency machinery of one run (or one EncodeAll
-// batch): the bounded pool every fan-out shares, plus — when
-// IntraParallelism is on — the unate-recursion fork and the search
-// speculation handle backed by the same pool.
+// batch): the bounded pool every fan-out shares. Concurrency is between
+// problems only; each problem's pipeline runs serially on one worker.
 type engine struct {
 	pool *sched.Pool
-	fork *cube.Fork
-	fan  encode.Fanout
 }
 
 // newEngine builds the run machinery for an Options value that already
 // went through withDefaults.
 func newEngine(opt Options) *engine {
-	eng := &engine{pool: sched.New(sched.PoolSize(opt.Parallelism, opt.IntraParallelism))}
-	if opt.IntraParallelism >= 2 {
-		eng.fork = cube.NewFork(eng.pool, opt.IntraForkCubes)
-		eng.fan = encode.Fanout{Pool: eng.pool}
-	}
-	if opt.SearchMemoCap > 0 {
-		encode.SetSearchMemoCap(opt.SearchMemoCap)
-	}
-	return eng
+	return &engine{pool: sched.New(opt.Parallelism)}
 }
 
 // Result reports an encoding and its two-level cost.
@@ -296,7 +259,11 @@ func ConstraintsContext(ctx context.Context, f *FSM) (states []Constraint, symIn
 // for the determinism guarantee.
 //
 // Invalid Options are rejected up front with an error matching
-// errors.Is(err, ErrBadOptions); see Options.Validate.
+// errors.Is(err, ErrBadOptions); see Options.Validate. Before any
+// minimization, a structurally invalid table is rejected with the error
+// of FSM.Validate, and a table whose overlapping rows disagree (see
+// FSM.Deterministic) specifies no machine and is rejected with an error
+// matching errors.Is(err, ErrUnencodable).
 func EncodeContext(ctx context.Context, f *FSM, opt Options) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -309,16 +276,16 @@ func EncodeContext(ctx context.Context, f *FSM, opt Options) (*Result, error) {
 // envelope — the "nova.encode" span with its machine/algorithm/outcome
 // attributes and the per-algorithm outcome tally. It is the single copy
 // of that envelope, shared by EncodeContext (via encodeRun) and the
-// EncodeAll fan-out; without a tracer it is exactly encodeWith. The
+// EncodeAll fan-out; without a tracer it is exactly encodeMachine. The
 // tracer must already be attached to ctx (obs.With) by the caller.
 func encodeObserved(ctx context.Context, eng *engine, f *FSM, opt Options, t *Tracer) (*Result, error) {
 	if t == nil {
-		return encodeWith(ctx, eng, f, opt)
+		return encodeMachine(ctx, eng, f, opt)
 	}
 	sctx, sp := obs.Span(ctx, "nova.encode")
 	sp.SetStr("machine", f.Name)
 	sp.SetStr("algorithm", string(opt.Algorithm))
-	res, err := encodeWith(sctx, eng, f, opt)
+	res, err := encodeMachine(sctx, eng, f, opt)
 	outcome := outcomeOf(err)
 	sp.SetStr("outcome", outcome)
 	if res != nil {
@@ -334,20 +301,34 @@ func encodeObserved(ctx context.Context, eng *engine, f *FSM, opt Options, t *Tr
 // encodeObserved: the tracer (if any) is attached to the context, the
 // pool scheduling counters are flushed, and the snapshot is attached to
 // the Result — including the partial Result of an ErrGaveUp run. Without
-// a tracer this is exactly encodeWith.
+// a tracer this is exactly encodeMachine.
 func encodeRun(ctx context.Context, eng *engine, f *FSM, opt Options) (*Result, error) {
 	t := opt.Tracer
 	if t == nil {
-		return encodeWith(ctx, eng, f, opt)
+		return encodeMachine(ctx, eng, f, opt)
 	}
 	res, err := encodeObserved(obs.With(ctx, t), eng, f, opt, t)
 	m := t.Metrics()
 	flushPoolStats(m, eng.pool)
-	flushForkStats(m, eng.fork)
 	if res != nil {
 		res.Telemetry = t.Snapshot()
 	}
 	return res, err
+}
+
+// encodeMachine is one machine's run: the table is checked for
+// structure (FSM.Validate, which Deterministic's indexing relies on) and
+// for determinism once, before any minimization, then the selected
+// algorithm runs. Best and Portfolio candidates enter at encodeWith, so
+// the checks run once per machine, not once per candidate.
+func encodeMachine(ctx context.Context, eng *engine, f *FSM, opt Options) (*Result, error) {
+	if err := f.Validate(); err != nil {
+		return nil, err
+	}
+	if ok, why := f.Deterministic(); !ok {
+		return nil, fmt.Errorf("%w: nondeterministic table: %s", ErrUnencodable, why)
+	}
+	return encodeWith(ctx, eng, f, opt)
 }
 
 // encodeWith is the engine behind EncodeContext and EncodeAll: every
@@ -382,15 +363,18 @@ func encodeWith(ctx context.Context, eng *engine, f *FSM, opt Options) (*Result,
 	}
 }
 
-// minOpt / hybOpt derive the espresso and backtracking options of one
-// task from its (group) context and the run engine's intra-problem
-// parallelism handles.
-func (eng *engine) minOpt(ctx context.Context, opt Options) espresso.Options {
-	return espresso.Options{SkipReduce: opt.FastMinimize, Ctx: ctx, Fork: eng.fork}
+// minOpt / hybOpt / exactOpt derive the espresso and search options of
+// one task from its (group) context.
+func minOpt(ctx context.Context, opt Options) espresso.Options {
+	return espresso.Options{SkipReduce: opt.FastMinimize, Ctx: ctx}
 }
 
-func (eng *engine) hybOpt(ctx context.Context, opt Options) encode.HybridOptions {
-	return encode.HybridOptions{MaxWork: opt.MaxWork, Seed: opt.Seed, Ctx: ctx, Fanout: eng.fan, NoPrune: opt.DisableSearchPruning}
+func hybOpt(ctx context.Context, opt Options) encode.HybridOptions {
+	return encode.HybridOptions{MaxWork: opt.MaxWork, Seed: opt.Seed, Ctx: ctx, NoPrune: opt.DisableSearchPruning}
+}
+
+func exactOpt(ctx context.Context, opt Options) encode.ExactOptions {
+	return encode.ExactOptions{MaxWork: opt.MaxWork, Ctx: ctx, NoPrune: opt.DisableSearchPruning}
 }
 
 // encodeBest fans the three candidate algorithms of "best of NOVA" out
@@ -443,7 +427,7 @@ func encodeRandom(ctx context.Context, eng *engine, f *FSM, opt Options) (*Resul
 	for t := 0; t < trials; t++ {
 		g.Go(func(ctx context.Context) error {
 			asg := baseline.RandomAssignment(f, sched.SplitSeed(opt.Seed, t))
-			m, err := mvmin.Measure(f, asg, eng.minOpt(ctx, opt))
+			m, err := mvmin.Measure(f, asg, minOpt(ctx, opt))
 			if err != nil {
 				return fmt.Errorf("nova: random trial %d: %w", t, errors.Join(ErrUnencodable, err))
 			}
@@ -474,7 +458,7 @@ func encodeRandom(ctx context.Context, eng *engine, f *FSM, opt Options) (*Resul
 // fanned out over the pool (joined by variable index).
 func encodeIO(ctx context.Context, eng *engine, f *FSM, opt Options) (*Result, error) {
 	res := &Result{Algorithm: opt.Algorithm}
-	out, aerr := symbolic.Analyze(f, symbolic.Options{Min: eng.minOpt(ctx, opt)})
+	out, aerr := symbolic.Analyze(f, symbolic.Options{Min: minOpt(ctx, opt)})
 	if aerr != nil {
 		return nil, aerr
 	}
@@ -488,9 +472,9 @@ func encodeIO(ctx context.Context, eng *engine, f *FSM, opt Options) (*Result, e
 		sctx, sp := obs.Span(ctx, "search."+string(opt.Algorithm))
 		defer sp.End()
 		if opt.Algorithm == IOHybrid {
-			r = encode.IOHybrid(out.Problem, opt.Bits, eng.hybOpt(sctx, opt))
+			r = encode.IOHybrid(out.Problem, opt.Bits, hybOpt(sctx, opt))
 		} else {
-			r = encode.IOVariant(out.Problem, opt.Bits, eng.hybOpt(sctx, opt))
+			r = encode.IOVariant(out.Problem, opt.Bits, hybOpt(sctx, opt))
 		}
 		if r.Err != nil {
 			return fmt.Errorf("nova: %s: state variable: %w", opt.Algorithm, canceledErr(r.Err))
@@ -501,7 +485,7 @@ func encodeIO(ctx context.Context, eng *engine, f *FSM, opt Options) (*Result, e
 		g.Go(func(ctx context.Context) error {
 			sctx, sp := obs.Span(ctx, "search.symin")
 			defer sp.End()
-			sr := encode.IHybrid(len(f.SymIns[vi].Values), out.SymIns[vi], 0, eng.hybOpt(sctx, opt))
+			sr := encode.IHybrid(len(f.SymIns[vi].Values), out.SymIns[vi], 0, hybOpt(sctx, opt))
 			if sr.Err != nil {
 				return fmt.Errorf("nova: %s: symbolic input %s: %w", opt.Algorithm, f.SymIns[vi].Name, canceledErr(sr.Err))
 			}
@@ -528,12 +512,12 @@ func encodeIO(ctx context.Context, eng *engine, f *FSM, opt Options) (*Result, e
 func encodeInput(ctx context.Context, eng *engine, f *FSM, opt Options) (*Result, error) {
 	res := &Result{Algorithm: opt.Algorithm}
 	_, bsp := obs.Span(ctx, "mvmin.build")
-	p, berr := mvmin.BuildWithFork(f, ctx, eng.fork)
+	p, berr := mvmin.Build(f)
 	bsp.End()
 	if berr != nil {
 		return nil, berr
 	}
-	min := p.Minimize(eng.minOpt(ctx, opt))
+	min := p.Minimize(minOpt(ctx, opt))
 	_, csp := obs.Span(ctx, "mvmin.constraints")
 	cs := p.Constraints(min)
 	csp.End()
@@ -548,12 +532,12 @@ func encodeInput(ctx context.Context, eng *engine, f *FSM, opt Options) (*Result
 		defer sp.End()
 		switch opt.Algorithm {
 		case IExact:
-			r = encode.IExact(f.NumStates(), cs.States, encode.ExactOptions{MaxWork: opt.MaxWork, Ctx: sctx, Fanout: eng.fan, NoPrune: opt.DisableSearchPruning})
+			r = encode.IExact(f.NumStates(), cs.States, exactOpt(sctx, opt))
 			if r.Err == nil && r.GaveUp {
 				return fmt.Errorf("nova: %s: state variable: %w", opt.Algorithm, ErrGaveUp)
 			}
 		case IHybrid:
-			r = encode.IHybrid(f.NumStates(), cs.States, opt.Bits, eng.hybOpt(sctx, opt))
+			r = encode.IHybrid(f.NumStates(), cs.States, opt.Bits, hybOpt(sctx, opt))
 		case IGreedy:
 			r = encode.IGreedy(f.NumStates(), cs.States, opt.Bits)
 		case KISS:
@@ -572,16 +556,16 @@ func encodeInput(ctx context.Context, eng *engine, f *FSM, opt Options) (*Result
 			var sr encode.Result
 			switch opt.Algorithm {
 			case IExact:
-				sr = encode.IExact(n, cs.SymIns[vi], encode.ExactOptions{MaxWork: opt.MaxWork, Ctx: sctx, Fanout: eng.fan, NoPrune: opt.DisableSearchPruning})
+				sr = encode.IExact(n, cs.SymIns[vi], exactOpt(sctx, opt))
 				if sr.Err == nil && sr.GaveUp {
-					sr = encode.IHybrid(n, cs.SymIns[vi], 0, eng.hybOpt(sctx, opt))
+					sr = encode.IHybrid(n, cs.SymIns[vi], 0, hybOpt(sctx, opt))
 				}
 			case KISS:
 				sr = encode.SatisfyAll(n, cs.SymIns[vi])
 			case IGreedy:
 				sr = encode.IGreedy(n, cs.SymIns[vi], 0)
 			default:
-				sr = encode.IHybrid(n, cs.SymIns[vi], 0, eng.hybOpt(sctx, opt))
+				sr = encode.IHybrid(n, cs.SymIns[vi], 0, hybOpt(sctx, opt))
 			}
 			if sr.Err != nil {
 				return fmt.Errorf("nova: %s: symbolic input %s: %w", opt.Algorithm, f.SymIns[vi].Name, canceledErr(sr.Err))
@@ -612,7 +596,7 @@ func finishEncode(ctx context.Context, eng *engine, f *FSM, res *Result, opt Opt
 	sctx, sp := obs.Span(ctx, "nova.finish")
 	defer sp.End()
 	ctx = sctx
-	mopt := eng.minOpt(ctx, opt)
+	mopt := minOpt(ctx, opt)
 	if err := fillSymbolicOutputs(f, res, mopt); err != nil {
 		return nil, err
 	}

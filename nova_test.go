@@ -1,6 +1,9 @@
 package nova
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -48,6 +51,95 @@ func TestEncodeAllAlgorithms(t *testing.T) {
 		if err := Verify(f, res.Assignment); err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
+	}
+}
+
+// nondetFSM is a 2-state table whose rows 0 and 1 overlap (input 0 in
+// state a) with different next states, so it specifies no machine.
+const nondetFSM = `
+.i 1
+.o 1
+0 a a 0
+- a b 0
+0 b a 1
+1 b b 0
+.e
+`
+
+// TestEncodeRejectsNondeterministic: a table whose overlapping rows
+// disagree fails with ErrUnencodable under every algorithm, and in a
+// batch only the bad machine fails.
+func TestEncodeRejectsNondeterministic(t *testing.T) {
+	bad, err := ParseKISSString(nondetFSM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Name = "nondet"
+	const why = "rows 0 and 1 overlap with different next states"
+	for _, alg := range Algorithms() {
+		res, err := EncodeContext(context.Background(), bad, Options{Algorithm: alg})
+		if !errors.Is(err, ErrUnencodable) || res != nil {
+			t.Fatalf("%s: got (%+v, %v), want ErrUnencodable and no result", alg, res, err)
+		}
+		if !strings.Contains(err.Error(), why) {
+			t.Fatalf("%s: error %q lacks the reason %q", alg, err, why)
+		}
+		if k := ErrorKindOf(err); k != ErrKindUnencodable {
+			t.Fatalf("%s: wire kind %q, want %q", alg, k, ErrKindUnencodable)
+		}
+	}
+
+	good := parseQuick(t)
+	good.Name = "quick4"
+	want, err := Encode(good, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := EncodeAll(context.Background(), []*FSM{good, bad}, Options{})
+	if !errors.Is(err, ErrUnencodable) || !strings.Contains(err.Error(), "nondet: ") {
+		t.Fatalf("batch err = %v, want ErrUnencodable naming the bad machine", err)
+	}
+	if strings.Contains(err.Error(), "quick4") {
+		t.Fatalf("batch err %q blames the good machine", err)
+	}
+	if len(results) != 2 || results[1] != nil {
+		t.Fatalf("batch results = %+v, want the bad machine's slot nil", results)
+	}
+	if !reflect.DeepEqual(results[0], want) {
+		t.Fatalf("good machine in batch = %+v, want %+v", results[0], want)
+	}
+}
+
+// malformedFSM declares .i after its rows, so kiss.Parse leaves the rows
+// narrower than NI; only FSM.Validate catches that.
+const malformedFSM = ".o 1\n- a b 1\n- b a 0\n.i 2\n"
+
+// TestEncodeRejectsMalformedTable: a structurally invalid table fails
+// with FSM.Validate's error under every algorithm and in a batch, before
+// the determinism scan (which indexes rows by NI) can panic on it.
+func TestEncodeRejectsMalformedTable(t *testing.T) {
+	bad, err := ParseKISSString(malformedFSM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Name = "malformed"
+	want := bad.Validate()
+	if want == nil {
+		t.Fatal("malformed table passes Validate")
+	}
+	for _, alg := range Algorithms() {
+		res, err := EncodeContext(context.Background(), bad, Options{Algorithm: alg})
+		if err == nil || err.Error() != want.Error() || res != nil {
+			t.Fatalf("%s: got (%+v, %v), want (nil, %v)", alg, res, err, want)
+		}
+	}
+	good := parseQuick(t)
+	results, err := EncodeAll(context.Background(), []*FSM{good, bad}, Options{})
+	if err == nil || !strings.Contains(err.Error(), "malformed: "+want.Error()) {
+		t.Fatalf("batch err = %v, want the malformed machine's %v", err, want)
+	}
+	if len(results) != 2 || results[0] == nil || results[1] != nil {
+		t.Fatalf("batch results = %+v, want only the good machine's", results)
 	}
 }
 

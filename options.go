@@ -45,20 +45,11 @@ func (o Options) Validate() error {
 	if o.MaxWork < 0 {
 		return bad("MaxWork %d is negative", o.MaxWork)
 	}
-	if o.SearchMemoCap < 0 {
-		return bad("SearchMemoCap %d is negative", o.SearchMemoCap)
-	}
 	if o.RandomTrials < 0 {
 		return bad("RandomTrials %d is negative", o.RandomTrials)
 	}
 	if o.Parallelism < 0 {
 		return bad("Parallelism %d is negative", o.Parallelism)
-	}
-	if o.IntraParallelism < 0 {
-		return bad("IntraParallelism %d is negative", o.IntraParallelism)
-	}
-	if o.IntraForkCubes < 0 {
-		return bad("IntraForkCubes %d is negative", o.IntraForkCubes)
 	}
 	if o.Portfolio != nil && o.Algorithm != "" && o.Algorithm != Portfolio {
 		return bad("Portfolio config set with algorithm %q (want %q or empty)", o.Algorithm, Portfolio)
@@ -83,6 +74,6 @@ func (o Options) withDefaults() Options {
 			o.Algorithm = Best
 		}
 	}
-	o.Parallelism = sched.PoolSize(o.Parallelism, 0)
+	o.Parallelism = sched.PoolSize(o.Parallelism)
 	return o
 }

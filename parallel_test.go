@@ -48,39 +48,6 @@ func TestSerialParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestSerialIntraParallelIdentical checks the intra-problem determinism
-// guarantee: with IntraParallelism on — forked unate recursion in the
-// minimizer plus speculative fan-out in the searches — every Result,
-// including the minimized PLA bytes, is identical to a strictly serial
-// run. IntraForkCubes is dropped to 2 so even the small suite machines
-// actually fork, and MaxWork is fixed on both sides so the searches walk
-// the same budgeted schedule.
-func TestSerialIntraParallelIdentical(t *testing.T) {
-	for _, name := range parallelSuite {
-		for _, alg := range []nova.Algorithm{nova.Best, nova.IExact, nova.IHybrid, nova.IOHybrid} {
-			t.Run(name+"/"+string(alg), func(t *testing.T) {
-				f := bench.Get(name)
-				opt := nova.Options{Algorithm: alg, Seed: 7, MaxWork: 200_000, KeepPLA: true}
-				opt.Parallelism = 1
-				serial, err := nova.Encode(f, opt)
-				if err != nil {
-					t.Fatalf("serial: %v", err)
-				}
-				opt.Parallelism = 4
-				opt.IntraParallelism = 4
-				opt.IntraForkCubes = 2
-				par, err := nova.Encode(f, opt)
-				if err != nil {
-					t.Fatalf("intra-parallel: %v", err)
-				}
-				if !reflect.DeepEqual(serial, par) {
-					t.Fatalf("intra-parallel result differs from serial:\nserial:   %+v\nparallel: %+v", serial, par)
-				}
-			})
-		}
-	}
-}
-
 // TestSerialParallelIdenticalAcrossSeeds widens the Random check: the
 // per-trial seed split must make every trial independent of scheduling.
 func TestSerialParallelIdenticalAcrossSeeds(t *testing.T) {

@@ -23,8 +23,7 @@ func fullRoster() []nova.PortfolioCandidate { return nova.DefaultRoster() }
 
 // TestPortfolioSerialParallelIdentical is the acceptance check: over the
 // determinism suite, a portfolio race at Parallelism 1 and at
-// Parallelism 4 (with intra-problem parallelism on) returns
-// byte-identical Results — same winning cover, same winner metadata —
+// Parallelism 4 returns byte-identical Results — same winning cover, same winner metadata —
 // because the pick is lowest cost with ties to roster order, never
 // completion order.
 func TestPortfolioSerialParallelIdentical(t *testing.T) {
@@ -38,8 +37,6 @@ func TestPortfolioSerialParallelIdentical(t *testing.T) {
 				t.Fatalf("serial: %v", err)
 			}
 			opt.Parallelism = 4
-			opt.IntraParallelism = 4
-			opt.IntraForkCubes = 2
 			par, err := nova.Encode(f, opt)
 			if err != nil {
 				t.Fatalf("parallel: %v", err)

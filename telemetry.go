@@ -3,7 +3,6 @@ package nova
 import (
 	"fmt"
 
-	"nova/internal/cube"
 	"nova/internal/obs"
 	"nova/internal/sched"
 )
@@ -50,43 +49,6 @@ func flushPoolStats(m *obs.Metrics, pool *sched.Pool) {
 		if n != 0 {
 			m.Add(fmt.Sprintf("pool.depth.%d", d), n)
 		}
-	}
-}
-
-// flushForkStats folds the intra-problem parallelism counters of a run's
-// unate-recursion fork into its metrics: how many tautology/complement
-// calls dispatched their branches onto the pool, how many branches that
-// produced, and the minimizer-style arena counters of the forked child
-// branches (which bypass the espresso per-pass flush). A nil fork — every
-// run without IntraParallelism — records nothing.
-func flushForkStats(m *obs.Metrics, fork *cube.Fork) {
-	fs := fork.Stats()
-	if fs.TautForks != 0 {
-		m.Add("fork.taut_forks", fs.TautForks)
-	}
-	if fs.CompForks != 0 {
-		m.Add("fork.comp_forks", fs.CompForks)
-	}
-	if fs.TautBranches != 0 {
-		m.Add("fork.taut_branches", fs.TautBranches)
-	}
-	if fs.CompBranches != 0 {
-		m.Add("fork.comp_branches", fs.CompBranches)
-	}
-	if fs.Child.TautCalls != 0 {
-		m.TautCalls.Add(fs.Child.TautCalls)
-	}
-	if fs.Child.TautMemoLookups != 0 {
-		m.TautMemoLookups.Add(fs.Child.TautMemoLookups)
-	}
-	if fs.Child.TautMemoHits != 0 {
-		m.TautMemoHits.Add(fs.Child.TautMemoHits)
-	}
-	if fs.Child.CubesAlloc != 0 {
-		m.CubesAlloc.Add(fs.Child.CubesAlloc)
-	}
-	if fs.Child.CubesReused != 0 {
-		m.CubesReused.Add(fs.Child.CubesReused)
 	}
 }
 

@@ -11,7 +11,7 @@ func TestOptionsValidate(t *testing.T) {
 	good := []Options{
 		{},
 		{Algorithm: IExact, Bits: 64, MaxWork: 10, RandomTrials: 3},
-		{Parallelism: 8, IntraParallelism: 4, IntraForkCubes: 100},
+		{Parallelism: 8},
 	}
 	for _, o := range good {
 		if err := o.Validate(); err != nil {
@@ -25,8 +25,6 @@ func TestOptionsValidate(t *testing.T) {
 		{MaxWork: -1},
 		{RandomTrials: -1},
 		{Parallelism: -1},
-		{IntraParallelism: -1},
-		{IntraForkCubes: -1},
 	}
 	for _, o := range bad {
 		err := o.Validate()
