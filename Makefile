@@ -1,9 +1,10 @@
-# Tier-1 verification lives behind `make verify`: vet, build, the test
-# suite, and the race detector over the concurrent encoding engine.
+# Tier-1 verification lives behind `make verify`: formatting, vet, build,
+# the test suite, and the race detector over the concurrent encoding
+# engine.
 
 GO ?= go
 
-.PHONY: all build test vet race verify bench smoke
+.PHONY: all build fmt test vet race verify bench smoke
 
 all: verify
 
@@ -19,10 +20,15 @@ test:
 vet:
 	$(GO) vet ./...
 
+# gofmt -l lists every file whose formatting differs; any listed file
+# fails the target.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
 race:
 	$(GO) test -race -shuffle=on ./...
 
-verify: vet build test race
+verify: fmt vet build test race
 
 bench:
 	$(GO) test -run NONE -bench . -benchtime 1x .

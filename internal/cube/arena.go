@@ -3,8 +3,8 @@ package cube
 import "sort"
 
 // Arena is a scratch allocator for the unate-recursion hot path: a free
-// list of cubes and cover containers tied to one Structure layout, plus a
-// memo cache for tautology results. The recursion of Tautology /
+// list of cubes and cover containers tied to one Structure layout, plus
+// scratch for tautology-memo keys. The recursion of Tautology /
 // CoversCube / Complement allocates one cofactor cover per node; with an
 // arena those buffers are recycled instead of handed to the garbage
 // collector, which removes the dominant allocation cost of the ESPRESSO
@@ -19,8 +19,7 @@ type Arena struct {
 	covers []*Cover
 
 	// memoIdx/memoBuf are reusable scratch for building keys into the
-	// layout's shared tautology memo (see memo.go); the memo itself lives
-	// on the Structure so concurrent arenas share verdicts.
+	// process-wide tautology memo (see memo.go).
 	memoIdx []int
 	memoBuf []byte
 
@@ -58,7 +57,8 @@ func (s ArenaStats) Sub(o ArenaStats) ArenaStats {
 func (a *Arena) Stats() ArenaStats { return a.stat }
 
 // Reused reports whether this arena came out of the pool warm (with its
-// free lists and memo from a previous owner) rather than freshly built.
+// free lists and key scratch from a previous owner) rather than freshly
+// built.
 func (a *Arena) Reused() bool { return a.reused }
 
 // memoMinCubes is the smallest cover worth memoizing: below this the
@@ -71,7 +71,7 @@ func NewArena(s *Structure) *Arena { return &Arena{s: s} }
 // GetArena checks an arena for s's layout out of the shared pool. The
 // caller has exclusive use of it until PutArena.
 func GetArena(s *Structure) *Arena {
-	if v := s.pool.Get(); v != nil {
+	if v := s.layout.pool.Get(); v != nil {
 		a := v.(*Arena)
 		a.s = s // equal layout: masks and widths are interchangeable
 		a.reused = true
@@ -85,7 +85,7 @@ func PutArena(a *Arena) {
 	if a == nil {
 		return
 	}
-	a.s.pool.Put(a)
+	a.s.layout.pool.Put(a)
 }
 
 // NewCube returns a zeroed cube, recycled when possible.
@@ -148,10 +148,10 @@ func (a *Arena) Release(f *Cover) {
 
 // coverKey builds the canonical content key of f: cube indices sorted
 // lexicographically by words, then all words serialized little-endian.
-// Two covers get the same key iff they contain the same multiset of
-// cubes. The returned slice aliases arena scratch — it is valid only
-// until the next coverKey call on this arena (the memo copies on
-// insert and only reads during lookup).
+// Two covers of one layout get the same key iff they contain the same
+// multiset of cubes. The returned slice aliases arena scratch — it is
+// valid only until the next coverKey call on this arena (the memo only
+// reads it during a lookup; an insert stores a copy).
 func (a *Arena) coverKey(f *Cover) []byte {
 	n := len(f.Cubes)
 	if cap(a.memoIdx) < n {
@@ -183,14 +183,4 @@ func (a *Arena) coverKey(f *Cover) []byte {
 	}
 	a.memoBuf = buf
 	return buf
-}
-
-// memoGet looks up a tautology verdict in the layout's shared memo.
-func (a *Arena) memoGet(key []byte) (bool, bool) {
-	return a.s.memo.get(key)
-}
-
-// memoPut stores a tautology verdict in the layout's shared memo.
-func (a *Arena) memoPut(key []byte, v bool) {
-	a.s.memo.put(key, v)
 }

@@ -170,7 +170,7 @@ func (f *Cover) Tautology() bool {
 
 // TautologyWith is Tautology with caller-provided scratch. The recursion
 // allocates cofactor covers from the arena and recycles them per node, and
-// consults the layout's shared memo cache for covers of at least
+// consults the process-wide tautology memo for covers of at least
 // memoMinCubes cubes.
 func (f *Cover) TautologyWith(a *Arena) bool {
 	a.stat.TautCalls++
@@ -215,9 +215,9 @@ func (f *Cover) TautologyWith(a *Arena) bool {
 	useMemo := len(f.Cubes) >= memoMinCubes
 	if useMemo {
 		a.stat.TautMemoLookups++
-		if verdict, ok := a.memoGet(a.coverKey(f)); ok {
+		if v, ok := tautologyMemo.GetBytes(a.coverKey(f)); ok && v.layout == s.layout.id {
 			a.stat.TautMemoHits++
-			return verdict
+			return v.taut
 		}
 	}
 	res := true
@@ -237,7 +237,7 @@ func (f *Cover) TautologyWith(a *Arena) bool {
 	// The child recursion reuses the arena's key scratch, so the key is
 	// rebuilt here.
 	if useMemo {
-		a.memoPut(a.coverKey(f), res)
+		tautologyMemo.Put(string(a.coverKey(f)), memoVerdict{s.layout.id, res})
 	}
 	return res
 }

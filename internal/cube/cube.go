@@ -21,6 +21,7 @@ import (
 	"math/bits"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Structure describes the variable layout shared by all cubes of a cover:
@@ -50,8 +51,7 @@ type Structure struct {
 	bmask    Cube   // per word: low part of each whole-in-word binary field
 	other    []int  // variables bmask does not cover, in variable order
 
-	pool *sync.Pool // shared Arena pool of this layout (see arena.go)
-	memo *tautMemo  // shared tautology memo of this layout (see memo.go)
+	layout *layout // state shared by every Structure of this layout
 }
 
 // NewStructure returns a Structure for variables with the given part counts.
@@ -96,27 +96,40 @@ func NewStructure(sizes ...int) *Structure {
 	for i := 0; i < s.nbits; i++ {
 		s.full.setBit(i)
 	}
-	// Structures with the same layout share one arena pool, so scratch
-	// buffers survive across calls (and across equal-layout Structure
-	// values, as the per-candidate encoders create).
-	key := layoutKey(s.sizes)
-	p, _ := arenaPools.LoadOrStore(key, &sync.Pool{})
-	s.pool = p.(*sync.Pool)
-	s.memo = memoForLayout(key)
+	s.layout = layoutFor(s.sizes)
 	return s
 }
 
-// layoutKey serializes a sizes vector for the arena-pool registry.
-func layoutKey(sizes []int) string {
+// layout is what every Structure of one variable layout shares: the
+// arena pool, so scratch buffers survive across calls and across the
+// equal-layout Structure values the per-candidate encoders create, and
+// the id that tags the layout's verdicts in the tautology memo.
+type layout struct {
+	id   uint32
+	pool sync.Pool
+}
+
+// layouts maps a serialized sizes vector to its *layout. Entries are
+// never removed; each is a few hundred bytes.
+var (
+	layouts      sync.Map
+	nextLayoutID atomic.Uint32
+)
+
+// layoutFor returns the registered layout of sizes, registering it with
+// a fresh id on first sight.
+func layoutFor(sizes []int) *layout {
 	var b strings.Builder
 	for _, n := range sizes {
 		fmt.Fprintf(&b, "%d.", n)
 	}
-	return b.String()
+	key := b.String()
+	if l, ok := layouts.Load(key); ok {
+		return l.(*layout)
+	}
+	l, _ := layouts.LoadOrStore(key, &layout{id: nextLayoutID.Add(1)})
+	return l.(*layout)
 }
-
-// arenaPools maps a layout key to the sync.Pool of Arenas for that layout.
-var arenaPools sync.Map
 
 // NumVars returns the number of variables.
 func (s *Structure) NumVars() int { return len(s.sizes) }

@@ -1,142 +1,24 @@
 package cube
 
 import (
-	"encoding/binary"
-	"sync"
+	"math/rand"
 	"testing"
+
+	"nova/internal/lru"
 )
 
-func memoKey(i uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], i)
-	return b[:]
-}
-
-// TestTautMemoBasic checks put/get round trips and verdict fidelity.
-func TestTautMemoBasic(t *testing.T) {
-	m := newTautMemo()
-	m.put(memoKey(1), true)
-	m.put(memoKey(2), false)
-	if v, ok := m.get(memoKey(1)); !ok || !v {
-		t.Fatalf("get(1) = %v,%v, want true,true", v, ok)
-	}
-	if v, ok := m.get(memoKey(2)); !ok || v {
-		t.Fatalf("get(2) = %v,%v, want false,true", v, ok)
-	}
-	if _, ok := m.get(memoKey(3)); ok {
-		t.Fatal("get(3) hit on a key never inserted")
-	}
-	if m.len() != 2 {
-		t.Fatalf("len = %d, want 2", m.len())
-	}
-}
-
-// TestTautMemoKeyBufferReuse checks the no-copy probe contract: the
-// caller may clobber the key buffer after get/put return.
-func TestTautMemoKeyBufferReuse(t *testing.T) {
-	m := newTautMemo()
-	buf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(buf, 42)
-	m.put(buf, true)
-	binary.LittleEndian.PutUint64(buf, 43) // clobber after put
-	m.put(buf, false)
-	if v, ok := m.get(memoKey(42)); !ok || !v {
-		t.Fatalf("key 42 = %v,%v after buffer reuse, want true,true", v, ok)
-	}
-	if v, ok := m.get(memoKey(43)); !ok || v {
-		t.Fatalf("key 43 = %v,%v after buffer reuse, want false,true", v, ok)
-	}
-}
-
-// TestTautMemoLRUBound checks the cap: after inserting far more entries
-// than the configured capacity, the memo holds at most cap entries and
-// the freshest insert of each shard is still resident.
-func TestTautMemoLRUBound(t *testing.T) {
-	defer SetTautMemoCap(0)
-	SetTautMemoCap(64) // 4 per shard
-	m := newTautMemo()
-	const n = 4096
-	for i := uint64(0); i < n; i++ {
-		m.put(memoKey(i), i%2 == 0)
-	}
-	if got := m.len(); got > 64 {
-		t.Fatalf("len = %d after %d inserts, cap 64", got, n)
-	}
-	// The last insert hashes into some shard and must have survived as
-	// that shard's most recent entry.
-	if v, ok := m.get(memoKey(n - 1)); !ok || v != ((n-1)%2 == 0) {
-		t.Fatalf("freshest key evicted or wrong: %v,%v", v, ok)
-	}
-}
-
-// TestTautMemoRefreshOnGet checks recency: with a single-entry shard
-// budget, a key that is re-read survives a duplicate re-put (refresh, not
-// duplicate insertion) and the memo never exceeds its bound.
-func TestTautMemoRefreshOnGet(t *testing.T) {
-	defer SetTautMemoCap(0)
-	SetTautMemoCap(memoShards) // 1 entry per shard
-	m := newTautMemo()
-	m.put(memoKey(7), true)
-	for i := 0; i < 100; i++ {
-		m.put(memoKey(7), true) // refresh path, not growth
-	}
-	if got := m.len(); got != 1 {
-		t.Fatalf("len = %d after re-puts of one key, want 1", got)
-	}
-	if v, ok := m.get(memoKey(7)); !ok || !v {
-		t.Fatalf("refreshed key lost: %v,%v", v, ok)
-	}
-}
-
-// TestSetTautMemoCapRestoresDefault checks n <= 0 restores the default.
-func TestSetTautMemoCapRestoresDefault(t *testing.T) {
-	SetTautMemoCap(128)
-	if got := shardCap(); got != 128/memoShards {
-		t.Fatalf("shardCap = %d, want %d", got, 128/memoShards)
-	}
-	SetTautMemoCap(0)
-	if got := shardCap(); got != DefaultTautMemoCap/memoShards {
-		t.Fatalf("shardCap = %d after restore, want %d", got, DefaultTautMemoCap/memoShards)
-	}
-	// A cap below the shard count still leaves one entry per shard.
-	SetTautMemoCap(1)
-	if got := shardCap(); got != 1 {
-		t.Fatalf("shardCap = %d for cap 1, want 1", got)
-	}
-	SetTautMemoCap(0)
-}
-
-// TestTautMemoConcurrent hammers one memo from many goroutines (run
-// under -race in CI): concurrent readers and writers against overlapping
-// keys, with eviction pressure from a small cap.
-func TestTautMemoConcurrent(t *testing.T) {
-	defer SetTautMemoCap(0)
-	SetTautMemoCap(256)
-	m := newTautMemo()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := uint64(0); i < 2000; i++ {
-				k := memoKey(i % 512)
-				if v, ok := m.get(k); ok && v != (i%512%2 == 0) {
-					t.Errorf("worker %d: wrong verdict for key %d", w, i%512)
-					return
-				}
-				m.put(k, i%512%2 == 0)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := m.len(); got > 256 {
-		t.Fatalf("len = %d under concurrency, cap 256", got)
-	}
+// freshMemo points the tautology memo at a new, empty LRU of the given
+// bound for the rest of the test.
+func freshMemo(t *testing.T, bound int64) *lru.Cache[memoVerdict] {
+	saved := tautologyMemo
+	tautologyMemo = lru.New[memoVerdict](bound, nil)
+	t.Cleanup(func() { tautologyMemo = saved })
+	return tautologyMemo
 }
 
 // TestTautologyMemoSharedAcrossArenas checks the end-to-end wiring: two
 // arenas over structures of the same layout share verdicts through the
-// layout memo.
+// memo.
 func TestTautologyMemoSharedAcrossArenas(t *testing.T) {
 	s := NewStructure(2, 2, 2)
 	f := NewCover(s)
@@ -162,4 +44,124 @@ func TestTautologyMemoSharedAcrossArenas(t *testing.T) {
 	if a2.stat.TautMemoHits == before {
 		t.Fatal("second arena missed the shared layout memo")
 	}
+}
+
+// TestTautMemoLRUBound checks the cap: after far more covers of one
+// layout than the memo's bound, the memo holds at most the bound, and
+// the verdict of the cover tested last is still resident, so a fresh
+// arena's probe of that cover hits with the same answer.
+func TestTautMemoLRUBound(t *testing.T) {
+	const bound = 64 // 4 per shard
+	memo := freshMemo(t, bound)
+	rng := rand.New(rand.NewSource(2))
+	s := NewStructure(2, 2, 2, 2, 2, 2, 2, 2)
+	probed := 0
+	for k := 0; k < 2000; k++ {
+		f := NewCover(s)
+		for j := 0; j < 8; j++ {
+			c := s.FullCube()
+			for v := 0; v < 8; v++ {
+				if p := rng.Intn(3); p < 2 {
+					s.Clear(c, v, p)
+				}
+			}
+			f.Add(c)
+		}
+		a := NewArena(s)
+		got := f.TautologyWith(a)
+		if n := memo.Stats().Entries; n > bound {
+			t.Fatalf("memo holds %d entries after %d covers, bound %d", n, k+1, bound)
+		}
+		if a.stat.TautMemoLookups == 0 {
+			continue // the cover never reached the memo
+		}
+		// The first probe is the cover's own, and its verdict is stored
+		// (or refreshed) last, so it is the freshest entry of its shard.
+		probed++
+		b := NewArena(s)
+		if f.TautologyWith(b) != got || b.stat.TautMemoLookups != 1 || b.stat.TautMemoHits != 1 {
+			t.Fatalf("cover %d: freshest verdict evicted or wrong: %+v", k, b.stat)
+		}
+	}
+	if st := memo.Stats(); probed < 100 || st.Evictions == 0 {
+		t.Fatalf("%d covers probed the memo, stats %+v: the bound was never exercised", probed, st)
+	}
+}
+
+// TestTautologyMemoBoundIsProcessWide fills the memo through random
+// covers of 24 layouts and checks that the entries of all of them
+// together stay within the one bound.
+func TestTautologyMemoBoundIsProcessWide(t *testing.T) {
+	const bound = 128
+	memo := freshMemo(t, bound)
+	rng := rand.New(rand.NewSource(1))
+	probed := 0
+	for vars := 3; vars < 3+24; vars++ {
+		sizes := make([]int, vars)
+		for i := range sizes {
+			sizes[i] = 2
+		}
+		s := NewStructure(sizes...)
+		a := NewArena(s)
+		for k := 0; k < 100; k++ {
+			f := NewCover(s)
+			for j := 0; j < 6; j++ {
+				c := s.FullCube()
+				for v := 0; v < vars; v++ {
+					if p := rng.Intn(3); p < 2 {
+						s.Clear(c, v, p)
+					}
+				}
+				f.Add(c)
+			}
+			f.TautologyWith(a)
+		}
+		if a.stat.TautMemoLookups > 0 {
+			probed++
+		}
+		if n := memo.Stats().Entries; n > bound {
+			t.Fatalf("after %d layouts the memo holds %d entries, bound %d", vars-2, n, bound)
+		}
+	}
+	if probed < 20 {
+		t.Fatalf("only %d layouts probed the memo", probed)
+	}
+	if st := memo.Stats(); st.Evictions == 0 {
+		t.Fatalf("the covers never filled the memo: %+v", st)
+	}
+}
+
+// TestTautologyMemoKeysLayouts: layouts (2,2,2) and (3,3) both fit one
+// word, so the same four words are a cover of each, with one memo key.
+// Under (2,2,2) they leave x0=x1=1, x2=0 uncovered; under (3,3) they
+// cover every minterm. The layout id in the entry keeps either verdict
+// from answering the other, in either order.
+func TestTautologyMemoKeysLayouts(t *testing.T) {
+	sa := NewStructure(2, 2, 2)
+	fa := NewCover(sa)
+	fa.Add(parse(sa, "10", "10", "10"))
+	fa.Add(parse(sa, "01", "10", "10"))
+	fa.Add(parse(sa, "10", "01", "10"))
+	fa.Add(parse(sa, "11", "11", "01"))
+	sb := NewStructure(3, 3)
+	fb := NewCover(sb)
+	for _, c := range fa.Cubes {
+		fb.Add(c.Copy())
+	}
+	check := func(name string, f *Cover, want bool) {
+		t.Helper()
+		a := NewArena(f.S)
+		if got := f.TautologyWith(a); got != want {
+			t.Fatalf("%s: tautology = %v, want %v", name, got, want)
+		}
+		if a.stat.TautMemoLookups == 0 || a.stat.TautMemoHits != 0 {
+			t.Fatalf("%s: want a memo probe that misses, got %+v", name, a.stat)
+		}
+	}
+	freshMemo(t, 1<<10)
+	check("(2,2,2) first", fa, false)
+	check("(3,3) second", fb, true)
+	freshMemo(t, 1<<10)
+	check("(3,3) first", fb, true)
+	check("(2,2,2) second", fa, false)
 }

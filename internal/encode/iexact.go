@@ -218,7 +218,7 @@ func runVector(ctx context.Context, g *constraint.Graph, k int,
 	var key string
 	if !noPrune {
 		key = vectorKey(g, k, dimvect)
-		if v, ok := searchMemo.get(key); ok && v.usable(maxWork) {
+		if v, ok := searchMemo.Get(key); ok && v.usable(maxWork) {
 			return replaySearcher(v)
 		}
 	}

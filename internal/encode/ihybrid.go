@@ -69,7 +69,7 @@ func semiexactRun(ctx context.Context, n int, sic []constraint.Constraint, cubeD
 	var s *searcher
 	if !noPrune {
 		key = chainKey(n, cubeDim, sic, oc)
-		if v, ok := searchMemo.get(key); ok && v.usable(maxWork) {
+		if v, ok := searchMemo.Get(key); ok && v.usable(maxWork) {
 			s = replaySearcher(v)
 			sp.SetInt("memo_hit", 1)
 		}

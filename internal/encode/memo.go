@@ -1,14 +1,12 @@
 package encode
 
 import (
-	"hash/maphash"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"nova/internal/constraint"
 	"nova/internal/encoding"
+	"nova/internal/lru"
 )
 
 // The search memo caches embedding-run verdicts keyed by the exact
@@ -24,38 +22,19 @@ import (
 // so a memo hit is observationally identical to re-running the search:
 // counters and Result fields read "as if executed".
 //
-// Like the cube package's tautology memo, the cache is a process-global
-// sharded LRU bounded by SetSearchMemoCap.
+// Like the cube package's tautology memo, the cache is one process-wide
+// LRU. Only a run that found no usable verdict is recorded, and it
+// replaces the verdict held under its key (say, an exhaustive run after a
+// budget-truncated one), so each key holds its latest verdict; usable
+// still guards every replay. A hit's codes slice is shared with the
+// memo: callers must not mutate it (extract copies it out).
 
-// searchMemoShards is the number of independently locked LRU shards.
-const searchMemoShards = 16
+// searchMemoEntries bounds the search memo. Entries carry the winning
+// code vector (a handful of words), so the memo stays small even when
+// full; the benchmark workloads peak below 10^4 entries.
+const searchMemoEntries = 1 << 14
 
-// DefaultSearchMemoCap is the default global entry bound. Entries carry
-// the winning code vector (a handful of words), so the memo stays small
-// even when full.
-const DefaultSearchMemoCap = 1 << 14
-
-var searchMemoCap atomic.Int64
-
-func init() { searchMemoCap.Store(DefaultSearchMemoCap) }
-
-// SetSearchMemoCap bounds the process-wide failed-embedding memo at n
-// entries (spread evenly over the internal shards). n <= 0 restores the
-// default. The bound applies lazily: shards evict on their next insert.
-func SetSearchMemoCap(n int) {
-	if n <= 0 {
-		n = DefaultSearchMemoCap
-	}
-	searchMemoCap.Store(int64(n))
-}
-
-func searchShardCap() int {
-	c := int(searchMemoCap.Load()) / searchMemoShards
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
+var searchMemo = lru.New[searchVerdict](searchMemoEntries, nil)
 
 // searchVerdict is one memoized embedding run.
 type searchVerdict struct {
@@ -82,142 +61,6 @@ func (v *searchVerdict) usable(maxWork int) bool {
 		return maxWork > 0 && maxWork == v.cap
 	}
 	return maxWork <= 0 || v.work <= maxWork
-}
-
-var searchMemoSeed = maphash.MakeSeed()
-
-var searchMemo = func() *embedMemo {
-	m := &embedMemo{}
-	for i := range m.shards {
-		m.shards[i].init()
-	}
-	return m
-}()
-
-type embedMemo struct {
-	shards [searchMemoShards]embedShard
-}
-
-type embedShard struct {
-	mu      sync.Mutex
-	m       map[string]int32
-	entries []embedEntry
-	head    int32
-	tail    int32
-	free    int32
-}
-
-type embedEntry struct {
-	key        string
-	prev, next int32
-	v          searchVerdict
-}
-
-func (sh *embedShard) init() {
-	sh.m = make(map[string]int32)
-	sh.head, sh.tail, sh.free = -1, -1, -1
-}
-
-func (sh *embedShard) unlink(i int32) {
-	e := &sh.entries[i]
-	if e.prev >= 0 {
-		sh.entries[e.prev].next = e.next
-	} else {
-		sh.head = e.next
-	}
-	if e.next >= 0 {
-		sh.entries[e.next].prev = e.prev
-	} else {
-		sh.tail = e.prev
-	}
-}
-
-func (sh *embedShard) pushFront(i int32) {
-	e := &sh.entries[i]
-	e.prev, e.next = -1, sh.head
-	if sh.head >= 0 {
-		sh.entries[sh.head].prev = i
-	}
-	sh.head = i
-	if sh.tail < 0 {
-		sh.tail = i
-	}
-}
-
-// get looks key up and, on a hit, refreshes its recency and returns a
-// copy of the verdict (the codes slice is shared — callers must not
-// mutate it; extract copies before handing it out).
-func (m *embedMemo) get(key string) (searchVerdict, bool) {
-	sh := &m.shards[maphash.String(searchMemoSeed, key)&(searchMemoShards-1)]
-	sh.mu.Lock()
-	i, ok := sh.m[key]
-	var v searchVerdict
-	if ok {
-		v = sh.entries[i].v
-		if sh.head != i {
-			sh.unlink(i)
-			sh.pushFront(i)
-		}
-	}
-	sh.mu.Unlock()
-	return v, ok
-}
-
-// put records a verdict, evicting the least recently used entry of the
-// shard when it is at capacity.
-func (m *embedMemo) put(key string, v searchVerdict) {
-	sh := &m.shards[maphash.String(searchMemoSeed, key)&(searchMemoShards-1)]
-	sh.mu.Lock()
-	if i, ok := sh.m[key]; ok {
-		if sh.head != i {
-			sh.unlink(i)
-			sh.pushFront(i)
-		}
-		sh.mu.Unlock()
-		return
-	}
-	cap := searchShardCap()
-	for len(sh.m) >= cap && sh.tail >= 0 {
-		victim := sh.tail
-		sh.unlink(victim)
-		delete(sh.m, sh.entries[victim].key)
-		sh.entries[victim] = embedEntry{key: "", next: sh.free}
-		sh.free = victim
-	}
-	var i int32
-	if sh.free >= 0 {
-		i = sh.free
-		sh.free = sh.entries[i].next
-	} else {
-		sh.entries = append(sh.entries, embedEntry{})
-		i = int32(len(sh.entries) - 1)
-	}
-	sh.entries[i] = embedEntry{key: key, v: v}
-	sh.m[key] = i
-	sh.pushFront(i)
-	sh.mu.Unlock()
-}
-
-func (m *embedMemo) len() int {
-	n := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// searchMemoReset drops every cached entry (tests only).
-func searchMemoReset() {
-	for i := range searchMemo.shards {
-		sh := &searchMemo.shards[i]
-		sh.mu.Lock()
-		sh.init()
-		sh.entries = nil
-		sh.mu.Unlock()
-	}
 }
 
 // chainKey builds the memo key of a semiexact run: symbol count, cube
@@ -285,7 +128,7 @@ func recordSearch(key string, s *searcher, enc encoding.Encoding, ok bool) {
 		v.codes = append([]uint64(nil), enc.Codes...)
 		v.bits = enc.Bits
 	}
-	searchMemo.put(key, v)
+	searchMemo.Put(key, v)
 }
 
 // replaySearcher builds a searcher presenting a memoized run's

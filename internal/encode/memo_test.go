@@ -5,7 +5,12 @@ import (
 	"testing"
 
 	"nova/internal/constraint"
+	"nova/internal/encoding"
+	"nova/internal/lru"
 )
+
+// searchMemoReset gives the test a fresh, empty search memo.
+func searchMemoReset() { searchMemo = lru.New[searchVerdict](searchMemoEntries, nil) }
 
 func paperConstraints() []constraint.Constraint {
 	var ics []constraint.Constraint
@@ -41,49 +46,44 @@ func TestVerdictUsable(t *testing.T) {
 	}
 }
 
-// TestSearchMemoLRU exercises the sharded LRU: the cap is enforced
-// across inserts (with slot reuse through the free list), a re-put of a
-// live key refreshes rather than duplicates, and SetSearchMemoCap(0)
-// restores the default.
+// TestSearchMemoLRU exercises the search memo through recordSearch: the
+// bound holds across inserts, the run just recorded is resident, a run
+// recorded again under a live key replaces its verdict without adding an
+// entry, and a reset memo has the default bound again.
 func TestSearchMemoLRU(t *testing.T) {
-	searchMemoReset()
-	SetSearchMemoCap(searchMemoShards) // one entry per shard
-	defer func() {
-		SetSearchMemoCap(0)
-		searchMemoReset()
-	}()
+	searchMemo = lru.New[searchVerdict](lru.Shards, nil) // one entry per shard
+	defer searchMemoReset()
 
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("k%d", i)
-		searchMemo.put(key, searchVerdict{work: i})
+		recordSearch(key, &searcher{work: i}, encoding.Encoding{}, false)
 		// The entry just inserted is at its shard's front and must be
 		// present.
-		if v, ok := searchMemo.get(key); !ok || v.work != i {
+		if v, ok := searchMemo.Get(key); !ok || v.work != i {
 			t.Fatalf("just-inserted key %q missing (ok=%v work=%d)", key, ok, v.work)
 		}
 	}
-	if n := searchMemo.len(); n > searchMemoShards {
-		t.Fatalf("memo holds %d entries, cap is %d", n, searchMemoShards)
+	if n := searchMemo.Stats().Entries; n > lru.Shards {
+		t.Fatalf("memo holds %d entries, cap is %d", n, lru.Shards)
 	}
 
-	// Re-putting a live key must not duplicate it or alter the count.
-	before := searchMemo.len()
-	searchMemo.put("k199", searchVerdict{work: 1})
-	if n := searchMemo.len(); n != before {
+	// Re-recording a live key must not duplicate it or alter the count.
+	before := searchMemo.Stats().Entries
+	recordSearch("k199", &searcher{work: 1}, encoding.Encoding{}, false)
+	if n := searchMemo.Stats().Entries; n != before {
 		t.Fatalf("re-put changed entry count %d -> %d", before, n)
 	}
-	// The original verdict wins: put of an existing key refreshes
-	// recency only.
-	if v, ok := searchMemo.get("k199"); ok && v.work != 199 {
-		t.Fatalf("re-put overwrote verdict: work=%d, want 199", v.work)
+	// The later verdict wins.
+	if v, ok := searchMemo.Get("k199"); !ok || v.work != 1 {
+		t.Fatalf("re-put key: ok=%v work=%d, want the later verdict (work 1)", ok, v.work)
 	}
 
-	SetSearchMemoCap(0)
+	searchMemoReset()
 	for i := 0; i < 100; i++ {
-		searchMemo.put(fmt.Sprintf("d%d", i), searchVerdict{})
+		recordSearch(fmt.Sprintf("d%d", i), &searcher{}, encoding.Encoding{}, false)
 	}
-	if n := searchMemo.len(); n <= searchMemoShards {
-		t.Fatalf("default cap not restored: %d entries after 100 inserts", n)
+	if n := searchMemo.Stats().Entries; n != 100 {
+		t.Fatalf("default bound not restored: %d entries after 100 inserts", n)
 	}
 }
 
@@ -154,8 +154,8 @@ func TestMemoBudgetRegimes(t *testing.T) {
 	if !same.s.memoHit {
 		t.Fatal("same-cap probe missed the budget verdict")
 	}
-	// Larger cap: must run live (and succeed, overwriting nothing — put
-	// keeps the first entry, but the probe rejects it via usable).
+	// Larger cap: the probe rejects the budget verdict via usable, so the
+	// run is live (and succeeds, replacing the entry).
 	larger := semiexactRun(nil, 7, ics, 4, 0, nil, false)
 	if larger.s.memoHit {
 		t.Fatal("unbounded probe replayed a budget-truncated verdict")
@@ -170,7 +170,7 @@ func TestMemoBudgetRegimes(t *testing.T) {
 	if np.s.memoHit {
 		t.Fatal("noPrune run consulted the memo")
 	}
-	if n := searchMemo.len(); n != 0 {
+	if n := searchMemo.Stats().Entries; n != 0 {
 		t.Fatalf("noPrune run recorded %d memo entries", n)
 	}
 }

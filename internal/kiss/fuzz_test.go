@@ -9,6 +9,7 @@ import (
 // must round-trip — writing the parsed value and parsing it again yields
 // the same serialized form (Write output is the canonical form, so the
 // first Write settles normalization and the second must reproduce it).
+// A parsed KISS2 table must also pass FSM.Validate.
 
 func FuzzParseKISS2(f *testing.F) {
 	for _, seed := range []string{
@@ -18,6 +19,7 @@ func FuzzParseKISS2(f *testing.F) {
 		".i 2\n.o 2\n.p 2\n-- a a 00\n11 a b 11\n.end\n",
 		"# comment\n.i 1\n.o 1\n.s 1\n0 only only 1 # trailing\n.e\n",
 		".i 1\n.o 1\n0 s0 * 1\n- s0 s0 0\n.e\n",
+		".o 1\n- a b 1\n- b a 0\n.i 2\n", // .i after the rows it governs
 	} {
 		f.Add(seed)
 	}
@@ -25,6 +27,9 @@ func FuzzParseKISS2(f *testing.F) {
 		fsm, err := ParseString(data)
 		if err != nil {
 			return // rejected inputs only need to not panic
+		}
+		if err := fsm.Validate(); err != nil {
+			t.Fatalf("parsed FSM fails Validate: %v\ninput:\n%s", err, data)
 		}
 		first := fsm.String()
 		again, err := ParseString(first)

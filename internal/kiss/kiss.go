@@ -217,7 +217,8 @@ func (f *FSM) MustAddRowSym(in string, symIn []string, present, next, out string
 // SetReset sets the reset state by name (adding it if new).
 func (f *FSM) SetReset(name string) { f.Reset = f.State(name) }
 
-// Parse reads a KISS2 state transition table.
+// Parse reads a KISS2 state transition table. Every table it returns
+// passes Validate.
 func Parse(r io.Reader) (*FSM, error) {
 	f := New("", 0, 0)
 	sc := bufio.NewScanner(r)
@@ -313,6 +314,11 @@ func Parse(r io.Reader) (*FSM, error) {
 	}
 	if len(f.Rows) == 0 {
 		return nil, fmt.Errorf("kiss: empty state table")
+	}
+	// Rows are checked against .i/.o as they are read, but a directive
+	// may come after the rows it governs.
+	if err := f.Validate(); err != nil {
+		return nil, err
 	}
 	return f, nil
 }

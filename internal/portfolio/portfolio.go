@@ -70,8 +70,6 @@ type Options struct {
 	// whichever is first. Zero launches the whole roster at once. The
 	// delay affects wall-clock only, never the pick.
 	HedgeDelay time.Duration
-	// Max caps how many roster members race (0 = all).
-	Max int
 	// Metrics, when non-nil, receives the portfolio.* counters.
 	Metrics *obs.Metrics
 }
@@ -150,9 +148,6 @@ func (b *Bound) Prunable(lower int64, index int) bool {
 // means. Race returns when every launched candidate has returned.
 func Race[T any](ctx context.Context, pool *sched.Pool, cands []Candidate[T], opt Options) ([]Outcome[T], int) {
 	n := len(cands)
-	if opt.Max > 0 && opt.Max < n {
-		n = opt.Max
-	}
 	if n > MaxCandidates {
 		n = MaxCandidates
 	}

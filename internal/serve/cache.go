@@ -1,44 +1,14 @@
 package serve
 
-import (
-	"container/list"
-	"hash/maphash"
-	"sync"
-	"sync/atomic"
-)
+import "nova/internal/lru"
 
-// cacheShards is the shard count of the result cache: enough to keep
-// lock contention negligible at the server's admission bound without
-// fragmenting the byte budget into uselessly small slices.
-const cacheShards = 16
-
-// Cache is a sharded, size-bounded, content-addressed result cache: keys
-// are the hex digests of nova.Request.CacheKey, values the marshaled
-// Response bytes. Each shard keeps an LRU list under its own mutex and
-// owns an equal slice of the byte budget; inserting over budget evicts
-// from the shard's cold end. Values are treated as immutable — callers
-// must not modify returned slices.
+// Cache is the size-bounded, content-addressed result cache: keys are
+// the hex digests of nova.Request.CacheKey, values the marshaled Response
+// bytes, and the bound is on the total payload length (see package lru
+// for the sharding and eviction). Values are treated as immutable —
+// callers must not modify returned slices.
 type Cache struct {
-	shardBudget int64 // byte budget per shard
-	seed        maphash.Seed
-	shards      [cacheShards]cacheShard
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-	bytes     atomic.Int64 // current total payload bytes (gauge)
-}
-
-type cacheShard struct {
-	mu    sync.Mutex
-	ll    *list.List // front = most recently used
-	m     map[string]*list.Element
-	bytes int64 // payload bytes held by this shard
-}
-
-type cacheEntry struct {
-	key string
-	val []byte
+	lru *lru.Cache[[]byte]
 }
 
 // NewCache returns a cache bounded to roughly maxBytes of payload.
@@ -47,81 +17,16 @@ func NewCache(maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = 64 << 20
 	}
-	budget := maxBytes / cacheShards
-	if budget < 1 {
-		budget = 1
-	}
-	c := &Cache{shardBudget: budget, seed: maphash.MakeSeed()}
-	for i := range c.shards {
-		c.shards[i].ll = list.New()
-		c.shards[i].m = make(map[string]*list.Element)
-	}
-	return c
+	return &Cache{lru.New(maxBytes, func(v []byte) int64 { return int64(len(v)) })}
 }
 
-func (c *Cache) shard(key string) *cacheShard {
-	return &c.shards[maphash.String(c.seed, key)%cacheShards]
-}
+// Get returns the cached bytes for key and whether they were present.
+func (c *Cache) Get(key string) ([]byte, bool) { return c.lru.Get(key) }
 
-// Get returns the cached bytes for key and whether they were present,
-// promoting a hit to the warm end of its shard.
-func (c *Cache) Get(key string) ([]byte, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	el, ok := s.m[key]
-	var val []byte
-	if ok {
-		s.ll.MoveToFront(el)
-		val = el.Value.(*cacheEntry).val // read under the lock: Put may overwrite
-	}
-	s.mu.Unlock()
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	return val, true
-}
-
-// Put stores val under key, evicting cold entries of the shard while it
-// is over its slice of the byte budget. A value larger than the whole
-// shard budget is not admitted (it would evict everything else to keep
-// one entry).
-func (c *Cache) Put(key string, val []byte) {
-	if int64(len(val)) > c.shardBudget {
-		return
-	}
-	s := c.shard(key)
-	var delta, evicted int64
-	s.mu.Lock()
-	if el, ok := s.m[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		delta = int64(len(val)) - int64(len(ent.val))
-		ent.val = val
-		s.ll.MoveToFront(el)
-	} else {
-		s.m[key] = s.ll.PushFront(&cacheEntry{key: key, val: val})
-		delta = int64(len(val))
-	}
-	s.bytes += delta
-	for s.bytes > c.shardBudget {
-		el := s.ll.Back()
-		if el == nil {
-			break
-		}
-		ent := el.Value.(*cacheEntry)
-		s.ll.Remove(el)
-		delete(s.m, ent.key)
-		s.bytes -= int64(len(ent.val))
-		delta -= int64(len(ent.val))
-		evicted++
-	}
-	s.mu.Unlock()
-	c.bytes.Add(delta)
-	if evicted > 0 {
-		c.evictions.Add(evicted)
-	}
-}
+// Put stores val under key, evicting cold entries to stay within the
+// byte budget. A value larger than a shard's share of the budget is not
+// admitted.
+func (c *Cache) Put(key string, val []byte) { c.lru.Put(key, val) }
 
 // CacheStats is a point-in-time summary of the cache counters.
 type CacheStats struct {
@@ -134,17 +39,6 @@ type CacheStats struct {
 
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() CacheStats {
-	st := CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Bytes:     c.bytes.Load(),
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		st.Entries += int64(len(s.m))
-		s.mu.Unlock()
-	}
-	return st
+	st := c.lru.Stats()
+	return CacheStats{Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions, Bytes: st.Cost, Entries: st.Entries}
 }

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"nova/internal/lru"
 )
 
 func TestCacheConcurrentEvictionStress(t *testing.T) {
@@ -20,7 +22,7 @@ func TestCacheConcurrentEvictionStress(t *testing.T) {
 		readers    = 4
 		keysPerW   = 400
 		valBytes   = 256
-		budget     = cacheShards * 8 * valBytes // ~8 entries per shard: constant evictions
+		budget     = lru.Shards * 8 * valBytes // ~8 entries per shard: constant evictions
 		hotEntries = 16
 	)
 	c := NewCache(budget)
@@ -111,25 +113,22 @@ func TestCacheConcurrentEvictionStress(t *testing.T) {
 	// Post-quiescence accounting: the byte gauge equals the sum of the
 	// live values, and every surviving key still replays its own bytes.
 	var live int64
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for key, el := range s.m {
-			ent := el.Value.(*cacheEntry)
-			if ent.key != key {
-				t.Errorf("shard map key %q indexes entry %q", key, ent.key)
+	for w := 0; w < writers; w++ {
+		for i := 0; i < keysPerW; i++ {
+			if val, ok := c.Get(keyOf(w, i)); ok {
+				check(keyOf(w, i), val)
+				live += int64(len(val))
 			}
-			live += int64(len(ent.val))
 		}
-		s.mu.Unlock()
-	}
-	if live != st.Bytes {
-		t.Fatalf("byte gauge %d != %d live bytes (lost-update in eviction accounting)", st.Bytes, live)
 	}
 	for i := range hot {
 		if val, ok := c.Get(hot[i]); ok {
 			check(hot[i], val)
+			live += int64(len(val))
 		}
+	}
+	if live != st.Bytes {
+		t.Fatalf("byte gauge %d != %d live bytes (lost-update in eviction accounting)", st.Bytes, live)
 	}
 	if n := bad.Load(); n != 0 {
 		t.Fatalf("%d post-quiescence replays corrupted", n)

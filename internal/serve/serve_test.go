@@ -359,10 +359,10 @@ func TestBatchPartialResults(t *testing.T) {
 	}
 }
 
-// TestMalformedTableIsAnError: a table that parses but fails
-// FSM.Validate (.i declared after its rows) answers with an inline error
-// in a batch and with an error response on the point endpoint — twice,
-// so the single-flight entry of the failed key is released.
+// TestMalformedTableIsAnError: a table whose rows disagree with a later
+// .i is a bad request: an inline bad_request error in a batch, and HTTP
+// 400 with kind bad_request on the point endpoint — twice, so nothing
+// of the failed request lingers.
 func TestMalformedTableIsAnError(t *testing.T) {
 	const malformed = ".o 1\n- a b 1\n- b a 0\n.i 2\n"
 	s := New(Config{})
@@ -392,7 +392,7 @@ func TestMalformedTableIsAnError(t *testing.T) {
 	if good.Error != "" || good.Area <= 0 {
 		t.Fatalf("good item: %+v", good)
 	}
-	if bad.Error == "" || bad.Machine != "malformed" {
+	if bad.Error == "" || bad.ErrorKind != nova.ErrKindBadRequest || bad.Machine != "malformed" {
 		t.Fatalf("malformed item: %+v", bad)
 	}
 	for i := 0; i < 2; i++ {
@@ -406,7 +406,7 @@ func TestMalformedTableIsAnError(t *testing.T) {
 		if err := json.Unmarshal(pw.Body.Bytes(), &rp); err != nil {
 			t.Fatalf("point request %d: body is not a Response: %v", i, err)
 		}
-		if pw.Code == http.StatusOK || rp.Error == "" || rp.ErrorKind == nova.ErrKindCanceled {
+		if pw.Code != http.StatusBadRequest || rp.Error == "" || rp.ErrorKind != nova.ErrKindBadRequest {
 			t.Fatalf("point request %d: status %d, %+v", i, pw.Code, rp)
 		}
 	}

@@ -110,19 +110,16 @@ func TestEncodeRejectsNondeterministic(t *testing.T) {
 	}
 }
 
-// malformedFSM declares .i after its rows, so kiss.Parse leaves the rows
-// narrower than NI; only FSM.Validate catches that.
-const malformedFSM = ".o 1\n- a b 1\n- b a 0\n.i 2\n"
-
 // TestEncodeRejectsMalformedTable: a structurally invalid table fails
 // with FSM.Validate's error under every algorithm and in a batch, before
 // the determinism scan (which indexes rows by NI) can panic on it.
+// kiss.Parse rejects such a table, so it is built by hand: its rows are
+// narrower than NI.
 func TestEncodeRejectsMalformedTable(t *testing.T) {
-	bad, err := ParseKISSString(malformedFSM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad.Name = "malformed"
+	bad := NewFSM("malformed", 0, 1)
+	bad.MustAddRow("", "a", "b", "1")
+	bad.MustAddRow("", "b", "a", "0")
+	bad.NI = 2
 	want := bad.Validate()
 	if want == nil {
 		t.Fatal("malformed table passes Validate")
