@@ -41,7 +41,7 @@ type benchSnapshot struct {
 	// novad server emits, so downstream tooling parses one format.
 	Results []nova.Response `json:"results,omitempty"`
 	// Portfolio holds the -portfolio quality-vs-wallclock rows: the
-	// hedged race against each single roster algorithm per machine.
+	// portfolio race against each single roster algorithm per machine.
 	Portfolio []portfolioRow `json:"portfolio,omitempty"`
 }
 
@@ -129,7 +129,7 @@ func writeBenchJSON(opts experiments.RunOpts, count int, withTables, withPortfol
 			"*_min the best single one; the process-global memos (tautology, failed " +
 			"embeddings) stay warm across repetitions and tables, so later runs measure " +
 			"the cached regime — exactly what a long-lived server sees. " +
-			"portfolio rows compare the hedged race against each roster algorithm run " +
+			"portfolio rows compare the portfolio race against each roster algorithm run " +
 			"alone: area_vs_best_single <= 1.0 is the quality bar, wallclock_vs_fastest " +
 			"needs spare CPUs to approach 1.0.",
 	}

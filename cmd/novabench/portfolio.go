@@ -34,7 +34,7 @@ type portfolioRow struct {
 	AreaVsBestSingle float64 `json:"area_vs_best_single"`
 	PortfolioNs      int64   `json:"portfolio_ns"`
 	// FastestSingle* describe the quickest standalone roster algorithm —
-	// the wall-clock the portfolio's hedging is paying against.
+	// the wall-clock the portfolio race is paying against.
 	FastestSingleAlgorithm string  `json:"fastest_single_algorithm"`
 	FastestSingleNs        int64   `json:"fastest_single_ns"`
 	WallclockVsFastest     float64 `json:"wallclock_vs_fastest"`

@@ -107,14 +107,11 @@ const driftFSM = `
 
 // scheduleExempt lists glossary counters that legitimately may not fire
 // in a small deterministic run: they depend on scheduler timing (a spare
-// worker existing at the right instant) or on a race being close enough
-// to prune. The guard still fails if the doc names a counter that is
-// neither produced nor exempted — the doc-drift this test exists to
-// catch.
+// worker existing at the right instant) or on the machine's shape. The
+// guard still fails if the doc names a counter that is neither produced
+// nor exempted — the doc-drift this test exists to catch.
 var scheduleExempt = map[string]bool{
-	"pool.inline":        true, // needs a saturated pool
-	"portfolio.pruned":   true, // needs a candidate provably beaten mid-run
-	"portfolio.canceled": true, // needs a candidate still running when the race ends
+	"pool.inline": true, // needs a saturated pool
 	// Needs an input constraint with more states than any proper face of
 	// the minimum-length cube holds; the drift machine's constraints all
 	// fit, as do most real machines'.

@@ -1,10 +1,10 @@
 // Package sched provides the concurrent execution engine behind the
 // public encoding API: a bounded worker pool shared by every fan-out of
-// one encoding run (the three Best candidates, the Random trial batch,
-// the per-symbolic-input encodes, and the per-FSM tasks of EncodeAll),
-// fork/join groups with first-error-wins semantics, and the deterministic
-// seed splitter that makes parallel randomized batches bit-identical to
-// their serial counterparts.
+// one encoding run (the per-symbolic-input encodes and the per-FSM tasks
+// of EncodeAll), fork/join groups with first-error-wins semantics, the
+// deterministic "run candidates, keep the cheapest" join behind Best,
+// Random and Portfolio, and the seed splitter that makes parallel
+// randomized batches bit-identical to their serial counterparts.
 //
 // The pool never blocks a task submission: when every worker slot is
 // busy, Go runs the task inline on the submitting goroutine. Groups may
@@ -202,4 +202,48 @@ func SplitSeed(seed int64, i int) int64 {
 	z *= 0x94D049BB133111EB
 	z ^= z >> 31
 	return int64(z)
+}
+
+// Outcome is one task's result in a Cheapest join.
+type Outcome[T any] struct {
+	// Value and Cost are valid when Err is nil.
+	Value T
+	Cost  int64
+	// Err is the task's own failure. A task the join never launched,
+	// because the context was done first, carries the context's error.
+	Err error
+}
+
+// Cheapest runs tasks 0..n-1 over the pool and returns every task's
+// outcome together with the index of the cheapest success: the lowest
+// cost, ties to the lowest index, -1 when no task succeeded. The pick
+// depends only on the outcomes, never on completion order, so a serial
+// pool and a parallel one pick the same task.
+//
+// A failed task only loses: its error stays in its Outcome and never
+// cancels its siblings; the caller decides what a failure means. Once ctx
+// is done no further task launches. Cheapest returns when every launched
+// task has returned.
+func Cheapest[T any](ctx context.Context, p *Pool, n int, run func(ctx context.Context, i int) (T, int64, error)) ([]Outcome[T], int) {
+	out := make([]Outcome[T], n)
+	g := p.Group(ctx)
+	for i := range out {
+		if err := ctx.Err(); err != nil {
+			out[i].Err = err
+			continue
+		}
+		g.Go(func(ctx context.Context) error {
+			o := &out[i]
+			o.Value, o.Cost, o.Err = run(ctx, i)
+			return nil
+		})
+	}
+	g.Wait()
+	win := -1
+	for i, o := range out {
+		if o.Err == nil && (win < 0 || o.Cost < out[win].Cost) {
+			win = i
+		}
+	}
+	return out, win
 }

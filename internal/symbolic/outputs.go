@@ -23,14 +23,20 @@ import (
 // The returned edges (From covers To) feed OutEncoder (or the io
 // algorithms) to choose the value codes.
 func OutputCovering(f *kiss.FSM, which int, opt Options) ([]Edge, error) {
-	if which < 0 || which >= len(f.SymOuts) {
-		return nil, fmt.Errorf("symbolic: no symbolic output %d", which)
-	}
-	p, err := mvmin.Build(f)
+	p, c, err := minimized(f, opt)
 	if err != nil {
 		return nil, err
 	}
-	c := p.Minimize(opt.Min)
+	return OutputCoveringMinimized(p, c, which, opt)
+}
+
+// OutputCoveringMinimized is OutputCovering on c, the minimized cover of
+// p. Like AnalyzeMinimized it only reads p and c.
+func OutputCoveringMinimized(p *mvmin.Problem, c *cube.Cover, which int, opt Options) ([]Edge, error) {
+	f := p.F
+	if which < 0 || which >= len(f.SymOuts) {
+		return nil, fmt.Errorf("symbolic: no symbolic output %d", which)
+	}
 	s := p.S
 	base := p.SymOutBase[which]
 	count := len(f.SymOuts[which].Values)
@@ -220,16 +226,18 @@ type OutputEncodingResult struct {
 	Edges []Edge
 }
 
-// EncodeSymbolicOutputs chooses codes for every symbolic output variable:
-// covering constraints from OutputCovering are satisfied by OutEncoder.
-// The minimum length is used unless the covering DAG forces more bits.
-func EncodeSymbolicOutputs(f *kiss.FSM, opt Options) ([]OutputEncodingResult, error) {
+// EncodeSymbolicOutputs chooses codes for every symbolic output variable
+// of p's machine from c, the minimized cover of p: covering constraints
+// from OutputCoveringMinimized are satisfied by OutEncoder. The minimum
+// length is used unless the covering DAG forces more bits.
+func EncodeSymbolicOutputs(p *mvmin.Problem, c *cube.Cover, opt Options) ([]OutputEncodingResult, error) {
 	sctx, sp := obs.Span(opt.Min.Ctx, "symbolic.outputs")
 	opt.Min.Ctx = sctx
 	defer sp.End()
+	f := p.F
 	var out []OutputEncodingResult
 	for which := range f.SymOuts {
-		edges, err := OutputCovering(f, which, opt)
+		edges, err := OutputCoveringMinimized(p, c, which, opt)
 		if err != nil {
 			return nil, err
 		}

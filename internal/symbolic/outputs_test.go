@@ -82,8 +82,11 @@ func TestOutputCoveringBadIndex(t *testing.T) {
 }
 
 func TestEncodeSymbolicOutputs(t *testing.T) {
-	f := symOutFSM(t)
-	outs, err := EncodeSymbolicOutputs(f, Options{})
+	p, c, err := minimized(symOutFSM(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := EncodeSymbolicOutputs(p, c, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,17 +57,35 @@ type Output struct {
 	InitialCubes, FinalCubes int
 }
 
-// Analyze runs the full symbolic minimization pipeline on the FSM.
+// Analyze runs the full symbolic minimization pipeline on the FSM: step
+// 0, the disjoint minimization of the symbolic cover, then
+// AnalyzeMinimized on its result.
 func Analyze(f *kiss.FSM, opt Options) (*Output, error) {
-	sctx, sp := obs.Span(opt.Min.Ctx, "symbolic.analyze")
-	opt.Min.Ctx = sctx
-	defer sp.End()
-	p, err := mvmin.Build(f)
+	p, c, err := minimized(f, opt)
 	if err != nil {
 		return nil, err
 	}
-	// Step 0: disjoint minimization of the symbolic cover.
-	c := p.Minimize(opt.Min)
+	return AnalyzeMinimized(p, c, opt), nil
+}
+
+// minimized builds the FSM's multiple-valued cover and minimizes it.
+func minimized(f *kiss.FSM, opt Options) (*mvmin.Problem, *cube.Cover, error) {
+	p, err := mvmin.Build(f)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, p.Minimize(opt.Min), nil
+}
+
+// AnalyzeMinimized runs the symbolic minimization loop on c, the
+// minimized cover of p (p.Minimize with the espresso options of opt). It
+// only reads p and c, so one minimization can serve any number of
+// concurrent analyses.
+func AnalyzeMinimized(p *mvmin.Problem, c *cube.Cover, opt Options) *Output {
+	sctx, sp := obs.Span(opt.Min.Ctx, "symbolic.analyze")
+	opt.Min.Ctx = sctx
+	defer sp.End()
+	f := p.F
 	ns := f.NumStates()
 	s := p.S
 
@@ -291,7 +309,7 @@ func Analyze(f *kiss.FSM, opt Options) (*Output, error) {
 	for vi := range f.SymIns {
 		out.SymIns = append(out.SymIns, varConstraints(p, P, p.SymVars[vi], len(f.SymIns[vi].Values)))
 	}
-	return out, nil
+	return out
 }
 
 // buildIOProblem clusters the constraints of FinalP per next state.

@@ -37,9 +37,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"nova/internal/baseline"
 	"nova/internal/constraint"
+	"nova/internal/cube"
 	"nova/internal/encode"
 	"nova/internal/encoding"
 	"nova/internal/espresso"
@@ -103,13 +105,12 @@ const (
 	// area (the paper's "best of NOVA" column).
 	Best Algorithm = "best"
 	// Portfolio races a roster of algorithm×seed candidates over the
-	// run's worker pool under a shared best-cost bound and returns the
-	// cheapest cover — the hedged generalization of Best. The roster,
-	// candidate cap and hedging delay come from Options.Portfolio (nil
-	// selects DefaultRoster); the pick is deterministic (lowest area,
-	// ties to the lowest roster index), so serial and parallel portfolio
-	// runs return byte-identical Results. Result.Winner names the roster
-	// member that won.
+	// run's worker pool and returns the cheapest cover — Best with a
+	// configurable roster. The roster and candidate cap come from
+	// Options.Portfolio (nil selects DefaultRoster); the pick is
+	// deterministic (lowest area, ties to the lowest roster index), so
+	// serial and parallel portfolio runs return byte-identical Results.
+	// Result.Winner names the roster member that won.
 	Portfolio Algorithm = "portfolio"
 
 	// KISS satisfies all input constraints at a heuristic length, like
@@ -159,24 +160,25 @@ type Options struct {
 	// Parallelism bounds the worker goroutines of one encoding run (and
 	// of a whole EncodeAll batch): 0 selects runtime.GOMAXPROCS(0), 1
 	// reproduces the historical serial execution exactly, larger values
-	// fan out the independent pieces of the run — the three Best
-	// candidate algorithms, the Random trial batch, the per-symbolic-
-	// input encodes, and the per-machine tasks of EncodeAll.
+	// fan out the independent pieces of the run — the Best and Portfolio
+	// candidates, the Random trial batch, the per-symbolic-input
+	// encodes, and the per-machine tasks of EncodeAll.
 	//
 	// Determinism guarantee: for a fixed Options value (Seed included)
 	// the returned Result is bit-identical for every Parallelism setting.
-	// Best joins its candidates by (area, fixed algorithm order), Random
-	// draws trial t from the seed sched.SplitSeed(Seed, t) and joins by
-	// (area, trial index), and per-variable encodes are deterministic and
-	// joined by variable index — so scheduling order never leaks into the
-	// result, only into wall-clock time.
+	// Best, Portfolio and Random share one join that keeps the lowest
+	// area, ties to the lowest candidate index (Random draws trial t from
+	// the seed sched.SplitSeed(Seed, t)); the candidates of one run share
+	// one read-only derivation of the machine's cover and constraints;
+	// and per-variable encodes are deterministic and joined by variable
+	// index — so scheduling order never leaks into the result, only into
+	// wall-clock time.
 	Parallelism int
 	// Portfolio configures Algorithm Portfolio: the candidate roster (in
-	// pick-priority order), an optional candidate cap, and the hedging
-	// delay before the backup candidates launch. nil selects the default
-	// roster. Setting it with any other (non-empty) Algorithm is
-	// rejected by Validate; with an empty Algorithm it selects
-	// Portfolio.
+	// pick-priority order) and an optional candidate cap. nil selects
+	// the default roster. Setting it with any other (non-empty)
+	// Algorithm is rejected by Validate; with an empty Algorithm it
+	// selects Portfolio.
 	Portfolio *PortfolioConfig
 	// Tracer, when non-nil, records phase spans and counters for the run;
 	// the snapshot is attached to Result.Telemetry. The default (nil)
@@ -231,16 +233,20 @@ type Result struct {
 
 // ConstraintsContext derives the weighted input constraints of the FSM's
 // state variable (and of each symbolic input) by multiple-valued
-// minimization. Cancellation stops the minimization between passes and
-// returns an error matching errors.Is(err, ErrCanceled).
+// minimization — the derivation every EncodeContext candidate shares. The
+// table checks are EncodeContext's: a structurally invalid table fails
+// with the error of FSM.Validate and a nondeterministic one with an error
+// matching errors.Is(err, ErrUnencodable). Cancellation stops the
+// minimization between passes and returns an error matching
+// errors.Is(err, ErrCanceled).
 func ConstraintsContext(ctx context.Context, f *FSM) (states []Constraint, symIns [][]Constraint, err error) {
-	p, err := mvmin.Build(f)
+	p, err := prepare(f, Options{})
 	if err != nil {
 		return nil, nil, err
 	}
-	cs := p.Constraints(p.Minimize(espresso.Options{Ctx: ctx}))
-	if err := ctx.Err(); err != nil {
-		return nil, nil, canceledErr(err)
+	cs, err := p.constraints(ctx)
+	if err != nil {
+		return nil, nil, err
 	}
 	return cs.States, cs.SymIns, nil
 }
@@ -316,59 +322,183 @@ func encodeRun(ctx context.Context, eng *engine, f *FSM, opt Options) (*Result, 
 	return res, err
 }
 
-// encodeMachine is one machine's run: the table is checked for
-// structure (FSM.Validate, which Deterministic's indexing relies on) and
-// for determinism once, before any minimization, then the selected
-// algorithm runs. Best and Portfolio candidates enter at encodeWith, so
-// the checks run once per machine, not once per candidate.
+// encodeMachine is one machine's run: prepare checks the table, then
+// the selected algorithm runs on the prepared machine. Best, Random and
+// Portfolio candidates enter at encodeWith with that same value, so the
+// checks and the derivations run once per machine, not once per
+// candidate.
 func encodeMachine(ctx context.Context, eng *engine, f *FSM, opt Options) (*Result, error) {
+	p, err := prepare(f, opt)
+	if err != nil {
+		return nil, err
+	}
+	return encodeWith(ctx, eng, p, opt)
+}
+
+// prepared is one machine's derived state, shared read-only by every
+// candidate of a run: the minimized multiple-valued cover and its
+// constraint sets (§2.2), the §6.1 symbolic analysis of that cover, and
+// the symbolic-output codes. Each is derived on first use, at most once,
+// under the context of the candidate that asks first. The candidates of
+// a run share their context's cancellation, so a derivation cut short
+// fails every consumer with ErrCanceled, and no result is ever built on
+// a partly minimized cover.
+type prepared struct {
+	f *FSM
+	// fast is Options.FastMinimize, which every minimization of the run
+	// honors.
+	fast bool
+
+	mvOnce sync.Once
+	mv     *mvmin.Problem
+	cover  *cube.Cover
+	cs     mvmin.ConstraintSets
+	mvErr  error
+
+	symOnce sync.Once
+	sym     *symbolic.Output
+	symErr  error
+
+	outOnce sync.Once
+	outs    []Encoding
+	outErr  error
+}
+
+// prepare checks the table once, before any minimization — structure
+// first (FSM.Validate, which Deterministic's indexing relies on), then
+// determinism — and returns the machine's prepared value.
+func prepare(f *FSM, opt Options) (*prepared, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
 	if ok, why := f.Deterministic(); !ok {
 		return nil, fmt.Errorf("%w: nondeterministic table: %s", ErrUnencodable, why)
 	}
-	return encodeWith(ctx, eng, f, opt)
+	return &prepared{f: f, fast: opt.FastMinimize}, nil
+}
+
+// minOpt is the espresso configuration of every minimization of the run.
+func (p *prepared) minOpt(ctx context.Context) espresso.Options {
+	return espresso.Options{SkipReduce: p.fast, Ctx: ctx}
+}
+
+// constraints returns the constraint sets of the minimized
+// multiple-valued cover, deriving the cover on the first call.
+func (p *prepared) constraints(ctx context.Context) (mvmin.ConstraintSets, error) {
+	p.mvOnce.Do(func() {
+		_, sp := obs.Span(ctx, "mvmin.build")
+		p.mv, p.mvErr = mvmin.Build(p.f)
+		sp.End()
+		if p.mvErr != nil {
+			return
+		}
+		p.cover = p.mv.Minimize(p.minOpt(ctx))
+		if err := ctx.Err(); err != nil {
+			p.mvErr = canceledErr(err)
+			return
+		}
+		_, sp = obs.Span(ctx, "mvmin.constraints")
+		p.cs = p.mv.Constraints(p.cover)
+		sp.End()
+	})
+	return p.cs, p.mvErr
+}
+
+// analysis returns the symbolic analysis of the minimized cover, the
+// input of iohybrid_code and iovariant_code.
+func (p *prepared) analysis(ctx context.Context) (*symbolic.Output, error) {
+	p.symOnce.Do(func() {
+		if _, p.symErr = p.constraints(ctx); p.symErr != nil {
+			return
+		}
+		p.sym = symbolic.AnalyzeMinimized(p.mv, p.cover, symbolic.Options{Min: p.minOpt(ctx)})
+		if err := ctx.Err(); err != nil {
+			p.symErr = canceledErr(err)
+		}
+	})
+	return p.sym, p.symErr
+}
+
+// symOutCodes returns the codes of the symbolic output variables: output
+// covering constraints derived from the minimized cover (the paper's
+// Section VII extension), satisfied by out_encoder.
+func (p *prepared) symOutCodes(ctx context.Context) ([]Encoding, error) {
+	p.outOnce.Do(func() {
+		if _, p.outErr = p.constraints(ctx); p.outErr != nil {
+			return
+		}
+		outs, err := symbolic.EncodeSymbolicOutputs(p.mv, p.cover, symbolic.Options{Min: p.minOpt(ctx)})
+		if cerr := ctx.Err(); err == nil && cerr != nil {
+			err = canceledErr(cerr)
+		}
+		if p.outErr = err; err == nil {
+			for _, o := range outs {
+				p.outs = append(p.outs, o.Enc)
+			}
+		}
+	})
+	return p.outs, p.outErr
 }
 
 // encodeWith is the engine behind EncodeContext and EncodeAll: every
 // fan-out of one run (or one batch) shares the same bounded pool. The
 // Options were resolved by withDefaults at the entry point, so
 // opt.Algorithm is always a member of the algorithm set here.
-func encodeWith(ctx context.Context, eng *engine, f *FSM, opt Options) (*Result, error) {
+func encodeWith(ctx context.Context, eng *engine, p *prepared, opt Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, canceledErr(err)
 	}
 	switch opt.Algorithm {
 	case Portfolio:
-		return encodePortfolio(ctx, eng, f, opt)
+		return encodePortfolio(ctx, eng, p, opt)
 	case Best:
-		return encodeBest(ctx, eng, f, opt)
+		return encodeBest(ctx, eng, p, opt)
 	case Random:
-		return encodeRandom(ctx, eng, f, opt)
+		return encodeRandom(ctx, eng, p, opt)
 	case OneHot, MustangP, MustangN, MustangPT, MustangNT:
 		res := &Result{Algorithm: opt.Algorithm}
 		if opt.Algorithm == OneHot {
-			res.Assignment = baseline.OneHotAssignment(f)
+			res.Assignment = baseline.OneHotAssignment(p.f)
 		} else {
-			res.Assignment = baseline.MustangAssignment(f, mustangVariant(opt.Algorithm))
+			res.Assignment = baseline.MustangAssignment(p.f, mustangVariant(opt.Algorithm))
 		}
-		return finishEncode(ctx, eng, f, res, opt)
+		return finishEncode(ctx, p, res, opt)
 	case IOHybrid, IOVariant:
-		return encodeIO(ctx, eng, f, opt)
+		return encodeIO(ctx, eng, p, opt)
 	case IExact, IHybrid, IGreedy, KISS:
-		return encodeInput(ctx, eng, f, opt)
+		return encodeInput(ctx, eng, p, opt)
 	default:
 		return nil, fmt.Errorf("nova: unknown algorithm %q", opt.Algorithm)
 	}
 }
 
-// minOpt / hybOpt / exactOpt derive the espresso and search options of
-// one task from its (group) context.
-func minOpt(ctx context.Context, opt Options) espresso.Options {
-	return espresso.Options{SkipReduce: opt.FastMinimize, Ctx: ctx}
+// costed shapes an encode's return values as a sched.Cheapest task's:
+// the Result, with its area as the cost.
+func costed(r *Result, err error) (*Result, int64, error) {
+	if err != nil {
+		return nil, 0, err
+	}
+	return r, int64(r.Area), nil
 }
 
+// firstErr is the failure of a join that needs every task to succeed:
+// ErrCanceled once ctx is done, else the lowest-index task's error, so
+// the reported error never depends on completion order.
+func firstErr(ctx context.Context, out []sched.Outcome[*Result]) error {
+	for _, o := range out {
+		if o.Err == nil {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return canceledErr(err)
+		}
+		return o.Err
+	}
+	return nil
+}
+
+// hybOpt / exactOpt derive the search options of one task from its
+// (group) context.
 func hybOpt(ctx context.Context, opt Options) encode.HybridOptions {
 	return encode.HybridOptions{MaxWork: opt.MaxWork, Seed: opt.Seed, Ctx: ctx, NoPrune: opt.DisableSearchPruning}
 }
@@ -377,93 +507,62 @@ func exactOpt(ctx context.Context, opt Options) encode.ExactOptions {
 	return encode.ExactOptions{MaxWork: opt.MaxWork, Ctx: ctx, NoPrune: opt.DisableSearchPruning}
 }
 
-// encodeBest fans the three candidate algorithms of "best of NOVA" out
-// over the pool and joins deterministically: smallest area wins, ties
-// resolved by the fixed candidate order, exactly like the serial loop.
-func encodeBest(ctx context.Context, eng *engine, f *FSM, opt Options) (*Result, error) {
-	algs := []Algorithm{IHybrid, IGreedy, IOHybrid}
-	results := make([]*Result, len(algs))
-	g := eng.pool.Group(ctx)
-	for i, alg := range algs {
-		g.Go(func(ctx context.Context) error {
-			o := opt
-			o.Algorithm = alg
-			r, err := encodeWith(ctx, eng, f, o)
-			if err != nil {
-				return err
-			}
-			results[i] = r
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
+// bestRoster is "best of NOVA" in pick order: the smallest area wins,
+// ties to the earliest algorithm.
+var bestRoster = [...]Algorithm{IHybrid, IGreedy, IOHybrid}
+
+// encodeBest joins the bestRoster candidates over the pool. It fails when
+// any candidate fails, with the error firstErr picks.
+func encodeBest(ctx context.Context, eng *engine, p *prepared, opt Options) (*Result, error) {
+	out, win := sched.Cheapest(ctx, eng.pool, len(bestRoster), func(ctx context.Context, i int) (*Result, int64, error) {
+		o := opt
+		o.Algorithm = bestRoster[i]
+		return costed(encodeWith(ctx, eng, p, o))
+	})
+	if err := firstErr(ctx, out); err != nil {
 		return nil, err
 	}
-	var best *Result
-	for _, r := range results {
-		if best == nil || r.Area < best.Area {
-			best = r
-		}
-	}
+	best := out[win].Value
 	best.Algorithm = Best
 	return best, nil
 }
 
-// encodeRandom measures the Random trial batch over the pool. Trial t is
-// drawn from sched.SplitSeed(opt.Seed, t), so the batch is bit-identical
-// to a serial run regardless of completion order; the join picks the
-// smallest area, ties resolved by the lowest trial index.
-func encodeRandom(ctx context.Context, eng *engine, f *FSM, opt Options) (*Result, error) {
+// encodeRandom joins the Random trial batch over the pool. Trial t is
+// the assignment drawn from sched.SplitSeed(opt.Seed, t), finished like
+// any other encode, so the batch is bit-identical to a serial run
+// regardless of completion order; the join keeps the smallest area, ties
+// to the lowest trial index.
+func encodeRandom(ctx context.Context, eng *engine, p *prepared, opt Options) (*Result, error) {
 	trials := opt.RandomTrials
 	if trials <= 0 {
-		trials = baseline.DefaultRandomTrials(f)
+		trials = baseline.DefaultRandomTrials(p.f)
 	}
-	type trial struct {
-		asg Assignment
-		m   mvmin.Metrics
-	}
-	out := make([]trial, trials)
-	g := eng.pool.Group(ctx)
-	for t := 0; t < trials; t++ {
-		g.Go(func(ctx context.Context) error {
-			asg := baseline.RandomAssignment(f, sched.SplitSeed(opt.Seed, t))
-			m, err := mvmin.Measure(f, asg, minOpt(ctx, opt))
-			if err != nil {
-				return fmt.Errorf("nova: random trial %d: %w", t, errors.Join(ErrUnencodable, err))
-			}
-			out[t] = trial{asg, m}
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
+	out, win := sched.Cheapest(ctx, eng.pool, trials, func(ctx context.Context, t int) (*Result, int64, error) {
+		asg := baseline.RandomAssignment(p.f, sched.SplitSeed(opt.Seed, t))
+		return costed(finishEncode(ctx, p, &Result{Algorithm: Random, Assignment: asg}, opt))
+	})
+	if err := firstErr(ctx, out); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, canceledErr(err)
+	var sum int64
+	for _, o := range out {
+		sum += o.Cost
 	}
-	var best *Result
-	sum := 0
-	for _, tr := range out {
-		sum += tr.m.Area
-		if best == nil || tr.m.Area < best.Area {
-			best = &Result{Algorithm: Random, Assignment: tr.asg, Bits: tr.m.Bits, Cubes: tr.m.Cubes, Area: tr.m.Area}
-		}
-	}
-	best.RandomAvgArea = sum / trials
-	return finishEncode(ctx, eng, f, best, opt)
+	best := out[win].Value
+	best.RandomAvgArea = int(sum / int64(trials))
+	return best, nil
 }
 
-// encodeIO runs iohybrid_code / iovariant_code: symbolic minimization,
-// then the state-variable embedding and the per-symbolic-input encodes
-// fanned out over the pool (joined by variable index).
-func encodeIO(ctx context.Context, eng *engine, f *FSM, opt Options) (*Result, error) {
+// encodeIO runs iohybrid_code / iovariant_code: the prepared machine's
+// symbolic analysis drives the state-variable embedding and the
+// per-symbolic-input encodes, fanned out over the pool (joined by
+// variable index).
+func encodeIO(ctx context.Context, eng *engine, p *prepared, opt Options) (*Result, error) {
+	f := p.f
 	res := &Result{Algorithm: opt.Algorithm}
-	out, aerr := symbolic.Analyze(f, symbolic.Options{Min: minOpt(ctx, opt)})
-	if aerr != nil {
-		return nil, aerr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, canceledErr(err)
+	out, err := p.analysis(ctx)
+	if err != nil {
+		return nil, err
 	}
 	var r encode.Result
 	symRes := make([]encode.Result, len(f.SymIns))
@@ -502,27 +601,19 @@ func encodeIO(ctx context.Context, eng *engine, f *FSM, opt Options) (*Result, e
 	for _, sr := range symRes {
 		res.Assignment.SymIns = append(res.Assignment.SymIns, sr.Enc)
 	}
-	return finishEncode(ctx, eng, f, res, opt)
+	return finishEncode(ctx, p, res, opt)
 }
 
 // encodeInput runs the input-constraint algorithms (iexact, ihybrid,
-// igreedy, KISS-style): one multiple-valued minimization derives the
-// constraints, then the state-variable encode and the per-symbolic-input
-// encodes fan out over the pool (joined by variable index).
-func encodeInput(ctx context.Context, eng *engine, f *FSM, opt Options) (*Result, error) {
+// igreedy, KISS-style): the prepared machine's constraints drive the
+// state-variable encode and the per-symbolic-input encodes, fanned out
+// over the pool (joined by variable index).
+func encodeInput(ctx context.Context, eng *engine, p *prepared, opt Options) (*Result, error) {
+	f := p.f
 	res := &Result{Algorithm: opt.Algorithm}
-	_, bsp := obs.Span(ctx, "mvmin.build")
-	p, berr := mvmin.Build(f)
-	bsp.End()
-	if berr != nil {
-		return nil, berr
-	}
-	min := p.Minimize(minOpt(ctx, opt))
-	_, csp := obs.Span(ctx, "mvmin.constraints")
-	cs := p.Constraints(min)
-	csp.End()
-	if err := ctx.Err(); err != nil {
-		return nil, canceledErr(err)
+	cs, err := p.constraints(ctx)
+	if err != nil {
+		return nil, err
 	}
 	var r encode.Result
 	symRes := make([]encode.Result, len(f.SymIns))
@@ -587,42 +678,26 @@ func encodeInput(ctx context.Context, eng *engine, f *FSM, opt Options) (*Result
 	for _, sr := range symRes {
 		res.Assignment.SymIns = append(res.Assignment.SymIns, sr.Enc)
 	}
-	return finishEncode(ctx, eng, f, res, opt)
+	return finishEncode(ctx, p, res, opt)
 }
 
 // finishEncode completes a run whose assignment is chosen: symbolic
-// outputs are filled in, the encoded machine is minimized and measured.
-func finishEncode(ctx context.Context, eng *engine, f *FSM, res *Result, opt Options) (*Result, error) {
-	sctx, sp := obs.Span(ctx, "nova.finish")
+// outputs the algorithm did not encode take the prepared machine's codes,
+// then the encoded machine is minimized and measured.
+func finishEncode(ctx context.Context, p *prepared, res *Result, opt Options) (*Result, error) {
+	ctx, sp := obs.Span(ctx, "nova.finish")
 	defer sp.End()
-	ctx = sctx
-	mopt := minOpt(ctx, opt)
-	if err := fillSymbolicOutputs(f, res, mopt); err != nil {
-		return nil, err
+	if len(p.f.SymOuts) > 0 && len(res.Assignment.SymOuts) != len(p.f.SymOuts) {
+		codes, err := p.symOutCodes(ctx)
+		if err != nil {
+			return nil, err
+		}
+		res.Assignment.SymOuts = append([]Encoding(nil), codes...)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, canceledErr(err)
 	}
-	return finishResult(ctx, f, res, opt, mopt)
-}
-
-// fillSymbolicOutputs encodes any symbolic output variables that the
-// selected algorithm did not already cover: output covering constraints
-// are derived by the symbolic-minimization loop (the paper's Section VII
-// extension) and satisfied by out_encoder.
-func fillSymbolicOutputs(f *FSM, res *Result, mopt espresso.Options) error {
-	if len(f.SymOuts) == 0 || len(res.Assignment.SymOuts) == len(f.SymOuts) {
-		return nil
-	}
-	outs, err := symbolic.EncodeSymbolicOutputs(f, symbolic.Options{Min: mopt})
-	if err != nil {
-		return err
-	}
-	res.Assignment.SymOuts = nil
-	for _, o := range outs {
-		res.Assignment.SymOuts = append(res.Assignment.SymOuts, o.Enc)
-	}
-	return nil
+	return finishResult(ctx, p.f, res, opt, p.minOpt(ctx))
 }
 
 func mustangVariant(a Algorithm) baseline.MustangVariant {

@@ -67,8 +67,8 @@ const nondetFSM = `
 `
 
 // TestEncodeRejectsNondeterministic: a table whose overlapping rows
-// disagree fails with ErrUnencodable under every algorithm, and in a
-// batch only the bad machine fails.
+// disagree fails with ErrUnencodable under every algorithm and in
+// ConstraintsContext, and in a batch only the bad machine fails.
 func TestEncodeRejectsNondeterministic(t *testing.T) {
 	bad, err := ParseKISSString(nondetFSM)
 	if err != nil {
@@ -87,6 +87,10 @@ func TestEncodeRejectsNondeterministic(t *testing.T) {
 		if k := ErrorKindOf(err); k != ErrKindUnencodable {
 			t.Fatalf("%s: wire kind %q, want %q", alg, k, ErrKindUnencodable)
 		}
+	}
+	states, symIns, err := ConstraintsContext(context.Background(), bad)
+	if !errors.Is(err, ErrUnencodable) || states != nil || symIns != nil || !strings.Contains(err.Error(), why) {
+		t.Fatalf("ConstraintsContext: got (%v, %v, %v), want ErrUnencodable and no constraints", states, symIns, err)
 	}
 
 	good := parseQuick(t)

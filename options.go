@@ -26,9 +26,15 @@ func Algorithms() []Algorithm {
 	}
 }
 
+// maxJoinWidth bounds the tasks of one join — a Random batch's trials or
+// a portfolio roster — so that no request can make a run allocate and
+// schedule an unbounded batch before any work starts.
+const maxJoinWidth = 1 << 16
+
 // Validate checks the Options for values no run could honor: an unknown
-// algorithm, an encoding length outside [0, 64], or a negative budget or
-// worker bound. Every public entry point (Encode, EncodeContext,
+// algorithm, an encoding length outside [0, 64], a negative budget or
+// worker bound, or a Random batch or portfolio roster of more than
+// 1<<16 candidates. Every public entry point (Encode, EncodeContext,
 // EncodeAll) calls it once up front and returns the failure wrapped so
 // that errors.Is(err, ErrBadOptions) matches; zero values are always
 // valid and select the documented defaults.
@@ -47,6 +53,9 @@ func (o Options) Validate() error {
 	}
 	if o.RandomTrials < 0 {
 		return bad("RandomTrials %d is negative", o.RandomTrials)
+	}
+	if o.RandomTrials > maxJoinWidth {
+		return bad("RandomTrials %d exceeds %d", o.RandomTrials, maxJoinWidth)
 	}
 	if o.Parallelism < 0 {
 		return bad("Parallelism %d is negative", o.Parallelism)

@@ -91,6 +91,25 @@ func TestEncodeContextCancellation(t *testing.T) {
 	}
 }
 
+// TestRandomHonorsDeadline: a Random batch as wide as a join may be
+// stops launching trials once its deadline passes, so even a serial run
+// reports ErrCanceled promptly instead of finishing the batch.
+func TestRandomHonorsDeadline(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := nova.EncodeContext(ctx, bench.Get("bbtas"), nova.Options{
+		Algorithm: nova.Random, RandomTrials: 1 << 16, Parallelism: 1,
+	})
+	elapsed := time.Since(start)
+	if !errors.Is(err, nova.ErrCanceled) || errors.Is(err, nova.ErrUnencodable) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	if elapsed > 2*time.Second {
+		t.Fatalf("EncodeContext took %v after a 50ms deadline", elapsed)
+	}
+}
+
 // TestEncodeContextPreCanceled returns immediately on an already-dead
 // context, before any minimization work.
 func TestEncodeContextPreCanceled(t *testing.T) {

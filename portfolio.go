@@ -2,22 +2,18 @@ package nova
 
 // Portfolio mode: instead of picking one algorithm up front, race a
 // roster of algorithm×seed candidates over the run's pool and keep the
-// cheapest cover. The racing engine lives in internal/portfolio; this
-// file owns the public configuration surface, the roster normalization
-// shared with the wire layer, and the translation of roster members into
-// race candidates.
+// cheapest cover. The candidates share the run's prepared machine and
+// join through sched.Cheapest, like Best's; this file owns the public
+// configuration surface, the roster normalization shared with the wire
+// layer, and the translation of roster members into join tasks.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"strconv"
-	"time"
 
-	"nova/internal/encode"
-	"nova/internal/kiss"
 	"nova/internal/obs"
-	"nova/internal/portfolio"
 	"nova/internal/sched"
 )
 
@@ -44,8 +40,7 @@ func (c PortfolioCandidate) label() string {
 }
 
 // PortfolioConfig configures Algorithm Portfolio. The zero value (and a
-// nil Options.Portfolio) selects the default roster with no hedging
-// delay.
+// nil Options.Portfolio) selects the default roster.
 type PortfolioConfig struct {
 	// Roster lists the candidates in pick-priority order: the winner is
 	// the lowest final cover cost (PLA area), ties broken by the lowest
@@ -55,26 +50,19 @@ type PortfolioConfig struct {
 	// of the result-determining inputs: a truncated roster is a
 	// different race.
 	MaxCandidates int
-	// HedgeDelay staggers the backups: the first candidate launches
-	// immediately, the rest after the delay (or as soon as the primary
-	// completes). Purely a scheduling knob — by the determinism rule it
-	// never changes the returned cover, only wall-clock and how much
-	// speculative work the race burns — so it is excluded from the wire
-	// cache key.
-	HedgeDelay time.Duration
 }
 
 // DefaultRoster is the roster a portfolio run races when none is given:
-// the three main NOVA searchers plus the fast greedy heuristic, then
-// seed-split restarts of the two randomized-fallback searchers.
+// the three main NOVA searchers plus the fast greedy heuristic. It holds
+// no seed-split restarts: Seed reaches ihybrid and iohybrid only through
+// the random fallback of a chain that accepts no constraint, so a
+// restart almost always returns its base candidate's assignment.
 func DefaultRoster() []PortfolioCandidate {
 	return []PortfolioCandidate{
 		{Algorithm: IHybrid},
 		{Algorithm: IOHybrid},
 		{Algorithm: IExact},
 		{Algorithm: IGreedy},
-		{Algorithm: IHybrid, SeedSplit: 1},
-		{Algorithm: IOHybrid, SeedSplit: 2},
 	}
 }
 
@@ -103,8 +91,8 @@ func (pc *PortfolioConfig) validate(bad func(format string, args ...any) error) 
 	if pc == nil {
 		return nil
 	}
-	if len(pc.Roster) > portfolio.MaxCandidates {
-		return bad("portfolio roster of %d exceeds %d candidates", len(pc.Roster), portfolio.MaxCandidates)
+	if len(pc.Roster) > maxJoinWidth {
+		return bad("portfolio roster of %d exceeds %d candidates", len(pc.Roster), maxJoinWidth)
 	}
 	for i, c := range pc.Roster {
 		if c.Algorithm == Portfolio {
@@ -120,85 +108,40 @@ func (pc *PortfolioConfig) validate(bad func(format string, args ...any) error) 
 	if pc.MaxCandidates < 0 {
 		return bad("portfolio MaxCandidates %d is negative", pc.MaxCandidates)
 	}
-	if pc.HedgeDelay < 0 {
-		return bad("portfolio HedgeDelay %v is negative", pc.HedgeDelay)
-	}
 	return nil
 }
 
-// areaLowerBound is a sound lower bound on the PLA area any encoding of
-// f can cost: every variable needs at least its minimum code length, and
-// when at least two distinct states appear as next states the minimized
-// cover cannot be empty (distinct codes leave at most one state at
-// code 0, so some specified transition drives a 1). The race uses it to
-// prune candidates a finished sibling has already made pointless; a
-// loose bound only costs pruning opportunities, never correctness.
-func areaLowerBound(f *FSM) int64 {
-	inBits, outBits := 0, 0
-	for _, v := range f.SymIns {
-		inBits += encode.MinLength(len(v.Values))
-	}
-	for _, v := range f.SymOuts {
-		outBits += encode.MinLength(len(v.Values))
-	}
-	cubes := 0
-	next := 0
-	for _, used := range f.NextStateUsage() {
-		if used > 0 {
-			next++
-		}
-	}
-	if next >= 2 {
-		cubes = 1
-	}
-	return int64(kiss.Area(f.NI+inBits, encode.MinLength(f.NumStates()), f.NO+outBits, cubes))
-}
-
-// encodePortfolio races the roster over the run's pool under a shared
-// best-cost bound and returns the deterministic winner: the candidate
-// with the smallest final area, ties broken by roster order. Candidate
-// failures (a gave-up iexact, an unencodable baseline) only lose the
-// race; the run fails when every candidate failed. When the context
-// dies mid-race the already-finished candidates still decide a winner —
-// the hedged-serving "best cover within the deadline" behavior — and
-// only a race with no finished candidate at all returns ErrCanceled.
-func encodePortfolio(ctx context.Context, eng *engine, f *FSM, opt Options) (*Result, error) {
-	pc := opt.Portfolio.normalized()
-	lower := areaLowerBound(f)
+// encodePortfolio joins the normalized roster over the run's pool and
+// returns the winner: the candidate with the smallest final area, ties
+// broken by roster order. Candidate failures (a gave-up iexact, an
+// unencodable baseline) only lose the race; the run fails when every
+// candidate failed. When the context dies mid-race the candidates that
+// already finished still decide a winner — the best cover within the
+// deadline — and only a race with no finished candidate at all returns
+// ErrCanceled.
+func encodePortfolio(ctx context.Context, eng *engine, p *prepared, opt Options) (*Result, error) {
+	roster := opt.Portfolio.normalized().Roster
 	m := obs.MetricsFrom(ctx)
-	cands := make([]portfolio.Candidate[*Result], len(pc.Roster))
-	for i, c := range pc.Roster {
+	out, win := sched.Cheapest(ctx, eng.pool, len(roster), func(ctx context.Context, i int) (*Result, int64, error) {
+		c := roster[i]
 		o := opt
 		o.Algorithm = c.Algorithm
 		o.Portfolio = nil
 		if c.SeedSplit != 0 {
 			o.Seed = sched.SplitSeed(opt.Seed, c.SeedSplit)
 		}
-		label := c.label()
-		cands[i] = portfolio.Candidate[*Result]{
-			Label: label,
-			Lower: lower,
-			Run: func(ctx context.Context) (*Result, int64, error) {
-				sctx, sp := obs.Span(ctx, "portfolio.candidate")
-				sp.SetStr("candidate", label)
-				r, err := encodeWith(sctx, eng, f, o)
-				if sp != nil {
-					sp.SetStr("outcome", outcomeOf(err))
-					if r != nil {
-						sp.SetInt("area", int64(r.Area))
-					}
-					sp.End()
-				}
-				if err != nil {
-					return nil, 0, err
-				}
-				return r, int64(r.Area), nil
-			},
+		m.Add("portfolio.launched", 1)
+		sctx, sp := obs.Span(ctx, "portfolio.candidate")
+		r, err := encodeWith(sctx, eng, p, o)
+		if sp != nil {
+			sp.SetStr("candidate", c.label())
+			sp.SetStr("outcome", outcomeOf(err))
+			if r != nil {
+				sp.SetInt("area", int64(r.Area))
+			}
+			sp.End()
 		}
-	}
-	out, win := portfolio.Race(ctx, eng.pool, cands, portfolio.Options{
-		HedgeDelay: pc.HedgeDelay,
-		Metrics:    m,
+		return costed(r, err)
 	})
 	if win < 0 {
 		if err := ctx.Err(); err != nil {
@@ -206,16 +149,15 @@ func encodePortfolio(ctx context.Context, eng *engine, f *FSM, opt Options) (*Re
 		}
 		errs := make([]error, 0, len(out))
 		for i, o := range out {
-			if o.Err != nil {
-				errs = append(errs, fmt.Errorf("%s: %w", pc.Roster[i].label(), o.Err))
-			}
+			errs = append(errs, fmt.Errorf("%s: %w", roster[i].label(), o.Err))
 		}
 		return nil, fmt.Errorf("nova: portfolio: every candidate failed: %w", errors.Join(errs...))
 	}
 	res := out[win].Value
 	res.Algorithm = Portfolio
-	res.Winner = pc.Roster[win].Algorithm
-	res.WinnerSeedSplit = pc.Roster[win].SeedSplit
-	m.Add("portfolio.winner."+pc.Roster[win].label(), 1)
+	res.Winner = roster[win].Algorithm
+	res.WinnerSeedSplit = roster[win].SeedSplit
+	m.Add("portfolio.won", 1)
+	m.Add("portfolio.winner."+roster[win].label(), 1)
 	return res, nil
 }

@@ -11,7 +11,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"nova"
 	"nova/internal/bench"
@@ -100,7 +99,7 @@ func TestPortfolioMatchesOrBeatsSingles(t *testing.T) {
 
 // TestPortfolioRepeatedRunsIdentical: the race is a pure function of
 // (machine, options) — repeated runs return byte-identical Results even
-// with hedging and parallel workers shuffling completion order.
+// with parallel workers shuffling completion order.
 func TestPortfolioRepeatedRunsIdentical(t *testing.T) {
 	f := bench.Get("train11")
 	opt := nova.Options{
@@ -109,7 +108,7 @@ func TestPortfolioRepeatedRunsIdentical(t *testing.T) {
 		MaxWork:     200_000,
 		KeepPLA:     true,
 		Parallelism: 4,
-		Portfolio:   &nova.PortfolioConfig{HedgeDelay: time.Millisecond},
+		Portfolio:   &nova.PortfolioConfig{},
 	}
 	first, err := nova.Encode(f, opt)
 	if err != nil {
@@ -230,7 +229,6 @@ func TestPortfolioValidate(t *testing.T) {
 			Roster: []nova.PortfolioCandidate{{Algorithm: nova.IHybrid, SeedSplit: -1}},
 		}}, "SeedSplit"},
 		{"negative max", nova.Options{Portfolio: &nova.PortfolioConfig{MaxCandidates: -2}}, "MaxCandidates"},
-		{"negative hedge", nova.Options{Portfolio: &nova.PortfolioConfig{HedgeDelay: -time.Second}}, "HedgeDelay"},
 		{"conflicting algorithm", nova.Options{Algorithm: nova.IHybrid, Portfolio: &nova.PortfolioConfig{}}, "Portfolio config"},
 	}
 	for _, c := range cases {

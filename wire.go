@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 )
 
 // WireVersion is the wire schema revision this build speaks: the value
@@ -58,7 +57,7 @@ type Request struct {
 	// Portfolio configures the portfolio race (Algorithm "portfolio", or
 	// an empty Algorithm with this field set). The normalized roster —
 	// defaults resolved, truncated to max_candidates — is part of the
-	// cache key; the hedging delay is a scheduling knob and is not.
+	// cache key.
 	Portfolio *WirePortfolio `json:"portfolio,omitempty"`
 }
 
@@ -69,8 +68,6 @@ type WirePortfolio struct {
 	Roster []WireCandidate `json:"roster,omitempty"`
 	// MaxCandidates truncates the roster (0 = race everyone).
 	MaxCandidates int `json:"max_candidates,omitempty"`
-	// HedgeDelayMS delays the backup candidates' launch (milliseconds).
-	HedgeDelayMS int64 `json:"hedge_delay_ms,omitempty"`
 }
 
 // WireCandidate is one roster member on the wire.
@@ -84,10 +81,7 @@ func (wp *WirePortfolio) Config() *PortfolioConfig {
 	if wp == nil {
 		return nil
 	}
-	pc := &PortfolioConfig{
-		MaxCandidates: wp.MaxCandidates,
-		HedgeDelay:    time.Duration(wp.HedgeDelayMS) * time.Millisecond,
-	}
+	pc := &PortfolioConfig{MaxCandidates: wp.MaxCandidates}
 	for _, c := range wp.Roster {
 		pc.Roster = append(pc.Roster, PortfolioCandidate{Algorithm: c.Algorithm, SeedSplit: c.SeedSplit})
 	}
@@ -200,9 +194,7 @@ func (rq *Request) CacheKey() (string, error) {
 		rq.FastMinimize, rq.IncludePLA, rq.IncludeTelemetry)
 	if alg == Portfolio {
 		// The normalized roster — defaults resolved, MaxCandidates
-		// folded in — is result-determining; the hedging delay is
-		// scheduling-only and deliberately absent, so hedged and
-		// unhedged races share cache entries.
+		// folded in — is result-determining.
 		pc := rq.Portfolio.Config().normalized()
 		io.WriteString(h, "portfolio=")
 		for i, c := range pc.Roster {

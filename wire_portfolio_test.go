@@ -1,14 +1,14 @@
 package nova
 
 // Wire-layer tests for the portfolio request surface: the roster
-// normalization baked into the cache key, the scheduling-knob exclusion,
-// and the winner metadata on responses.
+// normalization baked into the cache key, the wire rule for the removed
+// hedge_delay_ms field, and the winner metadata on responses.
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
-	"time"
 )
 
 func portfolioKey(t *testing.T, rq Request) string {
@@ -53,11 +53,30 @@ func TestCacheKeyPortfolioNormalization(t *testing.T) {
 		t.Fatal("truncated roster shares the full roster's key")
 	}
 
-	// HedgeDelay is scheduling-only: by the determinism rule it cannot
-	// change the returned cover, so it must not split the cache.
-	hedged := Request{KISS2: quickFSM, Portfolio: &WirePortfolio{HedgeDelayMS: 250}}
-	if portfolioKey(t, hedged) != base {
-		t.Fatal("hedge delay split the cache")
+	// hedge_delay_ms is no longer a field: encoding/json ignores it like
+	// any unknown field, so a request that still sends it decodes,
+	// validates, shares the key of the same request without it and gets
+	// the same response bytes.
+	var hedged, plain Request
+	for _, c := range []struct {
+		rq   *Request
+		body string
+	}{
+		{&hedged, `{"kiss2": ` + jsonString(t, quickFSM) + `, "portfolio": {"hedge_delay_ms": 250}}`},
+		{&plain, `{"kiss2": ` + jsonString(t, quickFSM) + `, "portfolio": {}}`},
+	} {
+		if err := json.Unmarshal([]byte(c.body), c.rq); err != nil {
+			t.Fatalf("%s: %v", c.body, err)
+		}
+		if _, err := c.rq.Validate(); err != nil {
+			t.Fatalf("%s: %v", c.body, err)
+		}
+	}
+	if portfolioKey(t, hedged) != base || portfolioKey(t, plain) != base {
+		t.Fatal("hedge_delay_ms split the cache")
+	}
+	if hb, pb := responseBytes(t, hedged), responseBytes(t, plain); string(hb) != string(pb) {
+		t.Fatalf("hedge_delay_ms changed the response:\n%s\n%s", hb, pb)
 	}
 
 	// A genuinely different roster is a different race.
@@ -74,6 +93,34 @@ func TestCacheKeyPortfolioNormalization(t *testing.T) {
 	}
 }
 
+func jsonString(t *testing.T, s string) string {
+	t.Helper()
+	b, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// responseBytes runs the request the way novad does and returns the
+// serialized Response.
+func responseBytes(t *testing.T, rq Request) []byte {
+	t.Helper()
+	f, err := rq.Validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := EncodeContext(context.Background(), f, rq.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(ResponseOf(f, res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestWirePortfolioConfig: the JSON shape maps onto PortfolioConfig
 // field by field, and a nil wire config stays a nil nova config.
 func TestWirePortfolioConfig(t *testing.T) {
@@ -84,19 +131,18 @@ func TestWirePortfolioConfig(t *testing.T) {
 	wp := &WirePortfolio{
 		Roster:        []WireCandidate{{Algorithm: IExact}, {Algorithm: IHybrid, SeedSplit: 2}},
 		MaxCandidates: 5,
-		HedgeDelayMS:  40,
 	}
 	pc := wp.Config()
 	if len(pc.Roster) != 2 || pc.Roster[1].Algorithm != IHybrid || pc.Roster[1].SeedSplit != 2 {
 		t.Fatalf("roster lost in translation: %+v", pc.Roster)
 	}
-	if pc.MaxCandidates != 5 || pc.HedgeDelay != 40*time.Millisecond {
+	if pc.MaxCandidates != 5 {
 		t.Fatalf("scalar fields lost: %+v", pc)
 	}
 
 	rq := Request{KISS2: quickFSM, Portfolio: wp}
 	opt := rq.Options()
-	if opt.Portfolio == nil || opt.Portfolio.HedgeDelay != 40*time.Millisecond {
+	if opt.Portfolio == nil || opt.Portfolio.MaxCandidates != 5 {
 		t.Fatalf("Request.Options dropped the portfolio config: %+v", opt.Portfolio)
 	}
 
@@ -109,7 +155,7 @@ func TestWirePortfolioConfig(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Portfolio == nil || len(back.Portfolio.Roster) != 2 || back.Portfolio.HedgeDelayMS != 40 {
+	if back.Portfolio == nil || len(back.Portfolio.Roster) != 2 || back.Portfolio.MaxCandidates != 5 {
 		t.Fatalf("request round trip lost the portfolio: %+v", back.Portfolio)
 	}
 }

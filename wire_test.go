@@ -8,10 +8,19 @@ import (
 )
 
 func TestOptionsValidate(t *testing.T) {
+	roster := func(n int) *PortfolioConfig {
+		pc := &PortfolioConfig{Roster: make([]PortfolioCandidate, n)}
+		for i := range pc.Roster {
+			pc.Roster[i].Algorithm = IGreedy
+		}
+		return pc
+	}
 	good := []Options{
 		{},
 		{Algorithm: IExact, Bits: 64, MaxWork: 10, RandomTrials: 3},
 		{Parallelism: 8},
+		{Algorithm: Random, RandomTrials: maxJoinWidth},
+		{Portfolio: roster(maxJoinWidth)},
 	}
 	for _, o := range good {
 		if err := o.Validate(); err != nil {
@@ -25,11 +34,16 @@ func TestOptionsValidate(t *testing.T) {
 		{MaxWork: -1},
 		{RandomTrials: -1},
 		{Parallelism: -1},
+		{Algorithm: Random, RandomTrials: maxJoinWidth + 1},
+		{Portfolio: roster(maxJoinWidth + 1)},
 	}
 	for _, o := range bad {
 		err := o.Validate()
 		if !errors.Is(err, ErrBadOptions) {
 			t.Fatalf("Validate(%+v) = %v, want ErrBadOptions", o, err)
+		}
+		if k := ErrorKindOf(err); k != ErrKindBadRequest {
+			t.Fatalf("Validate(%+v): wire kind %q, want %q", o, k, ErrKindBadRequest)
 		}
 	}
 }
