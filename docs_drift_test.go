@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nova"
+	"nova/internal/bench"
 )
 
 // glossaryKeys parses the "Counter glossary" table of
@@ -136,7 +137,9 @@ func TestGlossaryCountersAppearInTracedRun(t *testing.T) {
 	// One portfolio race (algo.*, portfolio.won, portfolio.winner.*),
 	// then a parallel ihybrid encode on the same tracer twice (espresso,
 	// tautology memo including hits, arenas including reuses, searcher
-	// work/backtracks/checks, pool tasks/depths).
+	// work/backtracks/checks, pool tasks/depths), then an ihybrid encode
+	// of dk17, whose chain has steps no face embedding can satisfy
+	// (search.refuted).
 	if _, err := nova.Encode(f, nova.Options{Algorithm: nova.Portfolio, Tracer: tracer}); err != nil {
 		t.Fatal(err)
 	}
@@ -146,6 +149,9 @@ func TestGlossaryCountersAppearInTracedRun(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, err := nova.Encode(bench.Get("dk17"), nova.Options{Algorithm: nova.IHybrid, Tracer: tracer}); err != nil {
+		t.Fatal(err)
 	}
 	got := tracer.Metrics().Counters()
 

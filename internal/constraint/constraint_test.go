@@ -145,11 +145,11 @@ func TestCategoriesMatchPaperExample3311(t *testing.T) {
 }
 
 func TestMinCubeDimPaperExample(t *testing.T) {
-	// Example 3.3.2.2.1: count_cond1/2 give 3, count_cond3 raises to 4.
+	// Example 3.3.2.2.1: the 3-cube fails the counting arguments, the
+	// 4-cube passes them.
 	g := BuildGraph(7, paperIC())
-	k12 := g.countCond2(g.countCond1())
-	if k12 != 3 {
-		t.Fatalf("count_cond1+2 = %d, want 3", k12)
+	if g.Fits(3) || !g.Fits(4) {
+		t.Fatalf("Fits(3)=%v Fits(4)=%v, want false, true", g.Fits(3), g.Fits(4))
 	}
 	if got := g.MinCubeDim(); got != 4 {
 		t.Fatalf("MinCubeDim = %d, want 4", got)

@@ -65,13 +65,22 @@ func TestSlackVectorsEmpty(t *testing.T) {
 }
 
 func TestIExactProvenOnEasyInstance(t *testing.T) {
-	// The paper instance completes exhaustively: minimality is proven.
-	res := IExact(7, paperIC(), ExactOptions{})
-	if res.GaveUp || !res.Proven {
-		t.Fatalf("gaveUp=%v proven=%v", res.GaveUp, res.Proven)
-	}
-	if res.Enc.Bits != 4 {
-		t.Fatalf("bits = %d", res.Enc.Bits)
+	// Each instance completes exhaustively at 4 bits: minimality is
+	// proven. iexact starts at mincube_dim, so a bound above the true
+	// minimum, as the paper's count_cond2/3 give on the two instances
+	// with unused codes, would return 5 bits marked Proven.
+	for name, inst := range map[string]func() (int, []constraint.Constraint){
+		"paper":        func() (int, []constraint.Constraint) { return 7, paperIC() },
+		"unused-code":  unusedCodeInstance,
+		"father-count": fatherCountInstance,
+	} {
+		n, ics := inst()
+		res := IExact(n, ics, ExactOptions{})
+		if res.GaveUp || !res.Proven || res.Enc.Bits != 4 {
+			t.Fatalf("%s: bits=%d proven=%v gaveUp=%v, want 4 bits proven",
+				name, res.Enc.Bits, res.Proven, res.GaveUp)
+		}
+		checkAllSatisfied(t, res.Enc, ics)
 	}
 }
 
@@ -117,4 +126,44 @@ func TestIExactSemanticConditions(t *testing.T) {
 	if res.Enc.Bits != 3 {
 		t.Fatalf("bits = %d, want 3", res.Enc.Bits)
 	}
+}
+
+// unusedCodeInstance: 15 states, state s at code s+1, so code 0000 is
+// unused; one constraint {e_i, e_j, e_i|e_j} per i<j<4. All six faces
+// meet at the unused code, and all six fit the 4-cube.
+func unusedCodeInstance() (int, []constraint.Constraint) {
+	const n = 15
+	var ics []constraint.Constraint
+	for i := 0; i < 4; i++ {
+		for j := i + 1; j < 4; j++ {
+			s := constraint.NewSet(n)
+			for _, code := range []int{1 << i, 1 << j, 1<<i | 1<<j} {
+				s.Add(code - 1)
+			}
+			ics = append(ics, constraint.Constraint{Set: s, Weight: 1})
+		}
+	}
+	return n, ics
+}
+
+// fatherCountInstance: 8 states with a 4-bit embedding, where the unused
+// codes let a node have more fathers than free directions.
+func fatherCountInstance() (int, []constraint.Constraint) {
+	var ics []constraint.Constraint
+	for _, v := range []string{"01010000", "01000111", "00101101", "01010100", "00110110"} {
+		ics = append(ics, constraint.Constraint{Set: constraint.MustFromString(v), Weight: 1})
+	}
+	return 8, ics
+}
+
+// TestIHybridKeepsUnusedCodeFaces: refuting a semiexact step must never
+// reject one the search would accept. ihybrid satisfies all six
+// constraints of the unused-code instance at 4 bits.
+func TestIHybridKeepsUnusedCodeFaces(t *testing.T) {
+	n, ics := unusedCodeInstance()
+	res := IHybrid(n, ics, 0, HybridOptions{})
+	if res.Enc.Bits != 4 || len(res.Unsatisfied) != 0 {
+		t.Fatalf("bits=%d unsatisfied=%v, want all six satisfied at 4 bits", res.Enc.Bits, res.Unsatisfied)
+	}
+	checkAllSatisfied(t, res.Enc, ics)
 }

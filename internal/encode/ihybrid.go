@@ -24,8 +24,9 @@ type HybridOptions struct {
 	Ctx context.Context
 	// NoPrune disables the search-tree pruning added on top of the
 	// seed searcher: second-placement symmetry breaking, the
-	// failed-embedding memo, and the infeasible-constraint skip. For
-	// A/B comparison and the equivalence suite.
+	// failed-embedding memo, the infeasible-constraint skip, and the
+	// refutation of steps that fail the mincube_dim counting arguments.
+	// For A/B comparison and the equivalence suite.
 	NoPrune bool
 }
 
@@ -61,7 +62,10 @@ type semiexactOut struct {
 // probe happens before the intersection-closure graph is even built, so
 // a hit skips BuildGraph and the search entirely. Only pruning-enabled
 // runs probe or record — the memo then never mixes the two searcher
-// behaviors.
+// behaviors. A pruning-enabled miss whose graph fails the mincube_dim
+// counting arguments at cubeDim (constraint.Graph.Fits) is refuted
+// without a search: a failure with no work and no budget hit, memoized
+// like an exhaustive one.
 func semiexactRun(ctx context.Context, n int, sic []constraint.Constraint, cubeDim, maxWork int, oc []OCEdge, noPrune bool) semiexactOut {
 	sctx, sp := obs.Span(ctx, "search.semiexact")
 	sp.SetInt("constraints", int64(len(sic)))
@@ -75,15 +79,24 @@ func semiexactRun(ctx context.Context, n int, sic []constraint.Constraint, cubeD
 		}
 	}
 	if s == nil {
-		s = newSearcher(constraint.BuildGraph(n, sic), cubeDim)
-		s.allLevels = false
-		s.maxWork = maxWork
-		s.oc = oc
-		s.noPrune = noPrune
-		s.ctx = sctx
-		s.solved = s.solve(nil)
+		g := constraint.BuildGraph(n, sic)
+		if !noPrune && !g.Fits(cubeDim) {
+			// The search could only fail; OC edges only add requirements.
+			s = &searcher{refuted: true}
+		} else {
+			s = newSearcher(g, cubeDim)
+			s.allLevels = false
+			s.maxWork = maxWork
+			s.oc = oc
+			s.noPrune = noPrune
+			s.ctx = sctx
+			s.solved = s.solve(nil)
+		}
 	}
 	sp.SetInt("work", int64(s.work))
+	if s.refuted {
+		sp.SetInt("refuted", 1)
+	}
 	sp.End()
 	out := semiexactOut{ok: s.solved, work: s.work, s: s}
 	if s.solved {

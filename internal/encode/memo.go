@@ -40,6 +40,7 @@ var searchMemo = lru.New[searchVerdict](searchMemoEntries, nil)
 type searchVerdict struct {
 	ok         bool // embedding found
 	budget     bool // run stopped on its work budget
+	refuted    bool // rejected by Graph.Fits without a search
 	cap        int  // the maxWork the run was produced under (0 = unbounded)
 	work       int
 	backtracks int
@@ -117,6 +118,7 @@ func recordSearch(key string, s *searcher, enc encoding.Encoding, ok bool) {
 	v := searchVerdict{
 		ok:         ok,
 		budget:     s.budget,
+		refuted:    s.refuted,
 		cap:        s.maxWork,
 		work:       s.work,
 		backtracks: s.backtracks,
@@ -144,6 +146,7 @@ func replaySearcher(v searchVerdict) *searcher {
 		checksFail: v.checksFail,
 		symPruned:  v.symPruned,
 		budget:     v.budget,
+		refuted:    v.refuted,
 		solved:     v.ok,
 		memoHit:    true,
 		memoHits:   1,

@@ -175,6 +175,35 @@ func TestMemoBudgetRegimes(t *testing.T) {
 	}
 }
 
+// TestSemiexactRefutation: the four 3-state subsets of four states,
+// among 7 states in the 3-cube, each need the one unused code inside
+// their face, and only three 2-faces meet at a code. The pruned run is
+// refuted without a search, memoized, and replayed at any budget; the
+// unpruned run searches and fails.
+func TestSemiexactRefutation(t *testing.T) {
+	searchMemoReset()
+	defer searchMemoReset()
+	var ics []constraint.Constraint
+	for _, v := range []string{"1110000", "1101000", "1011000", "0111000"} {
+		ics = append(ics, constraint.Constraint{Set: constraint.MustFromString(v), Weight: 1})
+	}
+
+	np := semiexactRun(nil, 7, ics, 3, 0, nil, true)
+	if np.ok || np.s.refuted || np.work == 0 {
+		t.Fatalf("noPrune run: ok=%v refuted=%v work=%d, want a searched failure", np.ok, np.s.refuted, np.work)
+	}
+	live := semiexactRun(nil, 7, ics, 3, 0, nil, false)
+	if live.ok || !live.s.refuted || live.work != 0 || live.s.budget || live.s.memoHit {
+		t.Fatalf("pruned run: ok=%v refuted=%v work=%d budget=%v memoHit=%v, want a fresh refutation",
+			live.ok, live.s.refuted, live.work, live.s.budget, live.s.memoHit)
+	}
+	replay := semiexactRun(nil, 7, ics, 3, 1, nil, false)
+	if replay.ok || !replay.s.refuted || !replay.s.memoHit {
+		t.Fatalf("replay at budget 1: ok=%v refuted=%v memoHit=%v, want a replayed refutation",
+			replay.ok, replay.s.refuted, replay.s.memoHit)
+	}
+}
+
 // TestChainKeyDiscriminates makes sure the key covers every input that
 // changes the searcher's behavior.
 func TestChainKeyDiscriminates(t *testing.T) {

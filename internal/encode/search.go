@@ -114,6 +114,7 @@ type searcher struct {
 	work    int
 	budget  bool // set when the work bound fired
 	solved  bool // solve's verdict, kept with the searcher (runVector, semiexactRun)
+	refuted bool // semiexactRun rejected the run by Graph.Fits, without a search
 
 	// Telemetry accumulated in plain ints (the searcher is single-owner);
 	// flushMetrics pushes the totals into a run's obs.Metrics, if any.
@@ -849,6 +850,9 @@ func (s *searcher) flushMetrics(m *obs.Metrics) {
 	m.SearchChecksFail.Add(int64(s.checksFail))
 	if s.symPruned > 0 {
 		m.Add("search.symmetry.pruned", int64(s.symPruned))
+	}
+	if s.refuted {
+		m.Add("search.refuted", 1)
 	}
 	if s.memoHits > 0 {
 		m.Add("search.memo.hit", int64(s.memoHits))

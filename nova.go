@@ -141,8 +141,10 @@ type Options struct {
 	MaxWork int
 	// DisableSearchPruning turns off the search-tree pruning layered on
 	// the embedding searcher — constraint infeasibility skips, hypercube
-	// symmetry breaking beyond the first placement, and the
-	// failed-embedding memo — reverting to the exhaustive enumeration.
+	// symmetry breaking beyond the first placement, the failed-embedding
+	// memo, and the refutation of semiexact steps that fail the
+	// mincube_dim counting arguments — reverting to the exhaustive
+	// enumeration.
 	// The encodings produced are equivalent (same area and cube count;
 	// see the pruning pipeline section of docs/ALGORITHMS.md); the knob
 	// exists for A/B measurement and the equivalence suite.

@@ -59,3 +59,49 @@ func TestSearchBacktrackCeiling(t *testing.T) {
 		})
 	}
 }
+
+// chainCeilings pin the serial ihybrid chain (Parallelism 1, default
+// MaxWork) on machines where semiexact steps are refuted without a
+// search: a search.work ceiling ~1.5x the measured value, below the
+// work the chain spent before the refutation existed (bbsse 203,037,
+// dk512 200,662, scud 47,198), and the exact search.refuted count.
+var chainCeilings = []struct {
+	name          string
+	work, refuted int64
+}{
+	{"bbsse", 65_000, 4},  // measured 43,033
+	{"dk512", 121_000, 3}, // measured 80,659
+	{"scud", 22_000, 10},  // measured 14,819
+}
+
+// TestSearchChainCeiling encodes each machine twice in one process. The
+// second encode replays its semiexact verdicts from the memo, and a
+// replay must count search.work and search.refuted as if executed.
+func TestSearchChainCeiling(t *testing.T) {
+	for _, want := range chainCeilings {
+		t.Run(want.name, func(t *testing.T) {
+			for run := 1; run <= 2; run++ {
+				tracer := nova.NewTracer()
+				if _, err := nova.Encode(bench.Get(want.name), nova.Options{
+					Algorithm:   nova.IHybrid,
+					Parallelism: 1,
+					Tracer:      tracer,
+				}); err != nil {
+					t.Fatalf("encode: %v", err)
+				}
+				c := tracer.Metrics().Counters()
+				work, refuted := c["search.work"], c["search.refuted"]
+				t.Logf("run %d: search.work=%d (ceiling %d) search.refuted=%d", run, work, want.work, refuted)
+				if work > want.work {
+					t.Errorf("run %d: search.work=%d exceeds committed ceiling %d", run, work, want.work)
+				}
+				if refuted != want.refuted {
+					t.Errorf("run %d: search.refuted=%d, want %d", run, refuted, want.refuted)
+				}
+				if run == 2 && c["search.memo.hit"] == 0 {
+					t.Error("the second encode did not replay from the search memo")
+				}
+			}
+		})
+	}
+}
