@@ -1,197 +1,237 @@
 package main
 
-// The -compare mode: diff two BENCH_<date>.json snapshots and fail (exit
-// 1) on regressions — encoded area growing past -area-tol, or table
-// wall-clock growing past -time-tol. Area regressions are the signal
-// (encodes are deterministic, so any growth is a real quality change);
-// wall-clock carries scheduling noise, hence the generous default
-// tolerance and the non-blocking CI job that runs this against the
-// committed baseline.
+// The -compare mode: diff two benchmark records written by
+// scripts/bench_record.sh. A record is {"runs":[{"meta":…,"result":…},…]},
+// perfbench's meta and result lines as printed, one run per (workload,
+// seed, seconds). area_total and cubes_total are deterministic for such a
+// key, so they must match exactly. The other end-to-end metrics are
+// timings and memory from whatever host recorded each file, so they are
+// printed against their BENCHMARK.json bounds and never change the exit
+// code; paired runs on one host are the timing gate.
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"sort"
+	"slices"
 	"strings"
-
-	"nova"
 )
 
-// compareReport is the outcome of one snapshot diff: human-readable
-// lines for everything compared, plus the subset that regressed.
-type compareReport struct {
-	lines       []string
-	regressions []string
+// exactMetrics are the end-to-end metrics a run key fixes exactly.
+var exactMetrics = []string{"area_total", "cubes_total"}
+
+// sides names the two records, baseline first.
+var sides = [2]string{"baseline", "candidate"}
+
+// benchRun is one perfbench run of a record.
+type benchRun struct {
+	Meta struct {
+		Workload string  `json:"workload"`
+		Seed     int64   `json:"seed"`
+		Seconds  float64 `json:"seconds"`
+	} `json:"meta"`
+	Result struct {
+		Correct bool              `json:"correct"`
+		Failed  int               `json:"failed"`
+		Metrics map[string]metric `json:"metrics"`
+	} `json:"result"`
 }
 
-func (r *compareReport) notef(format string, args ...any) {
-	r.lines = append(r.lines, fmt.Sprintf(format, args...))
+type metric struct {
+	Value float64 `json:"value"`
 }
 
-func (r *compareReport) regressf(format string, args ...any) {
-	s := fmt.Sprintf(format, args...)
-	r.lines = append(r.lines, "REGRESSION "+s)
-	r.regressions = append(r.regressions, s)
+// runKey identifies a run: the same key fixes the same inputs and work.
+type runKey struct {
+	workload string
+	seed     int64
+	seconds  float64
 }
 
-func readSnapshot(path string) (*benchSnapshot, error) {
+func (k runKey) String() string {
+	return fmt.Sprintf("%s seed %d (%gs)", k.workload, k.seed, k.seconds)
+}
+
+// benchSpec is the part of BENCHMARK.json the compare reads.
+type benchSpec struct {
+	Workloads []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
+	EndToEnd []struct {
+		Name   string  `json:"name"`
+		Better string  `json:"better"`
+		Bound  float64 `json:"bound"`
+	} `json:"end_to_end"`
+}
+
+func readJSON(path string, v any) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
+}
+
+// readRecord reads a record's runs by key.
+func readRecord(path string) (map[runKey]benchRun, error) {
+	var rec struct {
+		Runs []benchRun `json:"runs"`
+	}
+	if err := readJSON(path, &rec); err != nil {
 		return nil, err
 	}
-	var snap benchSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	if len(rec.Runs) == 0 {
+		return nil, fmt.Errorf("%s: no runs (not a scripts/bench_record.sh record)", path)
 	}
-	return &snap, nil
+	runs := make(map[runKey]benchRun, len(rec.Runs))
+	for _, r := range rec.Runs {
+		k := runKey{r.Meta.Workload, r.Meta.Seed, r.Meta.Seconds}
+		if _, dup := runs[k]; dup {
+			return nil, fmt.Errorf("%s: %v recorded twice", path, k)
+		}
+		runs[k] = r
+	}
+	return runs, nil
 }
 
-// pctDelta is the growth of cur over base in percent (positive = worse
-// for costs like area and wall-clock).
-func pctDelta(base, cur int64) float64 {
-	if base <= 0 {
-		return 0
-	}
-	return float64(cur-base) / float64(base) * 100
-}
-
-// compareSnapshots diffs new against old. Sections absent from either
-// snapshot are skipped with a note: the committed baseline may predate
-// -portfolio, and a tables-only baseline still gates the table timings.
-func compareSnapshots(oldSnap, newSnap *benchSnapshot, areaTolPct, timeTolPct float64) *compareReport {
-	r := &compareReport{}
-	r.notef("baseline %s (%s) vs candidate %s (%s)",
-		oldSnap.Date, oldSnap.GoVersion, newSnap.Date, newSnap.GoVersion)
-
-	compareTables(r, oldSnap.Tables, newSnap.Tables, timeTolPct)
-	compareResults(r, oldSnap.Results, newSnap.Results, areaTolPct)
-	comparePortfolio(r, oldSnap.Portfolio, newSnap.Portfolio, areaTolPct)
-	return r
-}
-
-func compareTables(r *compareReport, oldT, newT []tableBench, timeTolPct float64) {
-	if len(oldT) == 0 || len(newT) == 0 {
-		r.notef("tables: skipped (baseline has %d, candidate has %d)", len(oldT), len(newT))
-		return
-	}
-	base := make(map[string]tableBench, len(oldT))
-	for _, tb := range oldT {
-		base[tb.Table] = tb
-	}
-	for _, tb := range newT {
-		ob, ok := base[tb.Table]
-		if !ok {
-			r.notef("%s: new table, no baseline", tb.Table)
-			continue
-		}
-		d := pctDelta(ob.SerialNsOp, tb.SerialNsOp)
-		if d > timeTolPct {
-			r.regressf("%s serial wall-clock %+.1f%% (%.3fs -> %.3fs, tol %.0f%%)",
-				tb.Table, d, float64(ob.SerialNsOp)/1e9, float64(tb.SerialNsOp)/1e9, timeTolPct)
-		} else {
-			r.notef("%s serial wall-clock %+.1f%% (%.3fs -> %.3fs)",
-				tb.Table, d, float64(ob.SerialNsOp)/1e9, float64(tb.SerialNsOp)/1e9)
-		}
-	}
-}
-
-func compareResults(r *compareReport, oldR, newR []nova.Response, areaTolPct float64) {
-	if len(oldR) == 0 || len(newR) == 0 {
-		r.notef("results: skipped (baseline has %d, candidate has %d)", len(oldR), len(newR))
-		return
-	}
-	base := make(map[string]nova.Response, len(oldR))
-	for _, resp := range oldR {
-		if resp.Error == "" {
-			base[resp.Machine+"/"+string(resp.Algorithm)] = resp
-		}
-	}
-	keys := make([]string, 0, len(newR))
-	byKey := make(map[string]nova.Response, len(newR))
-	for _, resp := range newR {
-		if resp.Error != "" {
-			continue
-		}
-		k := resp.Machine + "/" + string(resp.Algorithm)
+// sortedKeys returns the keys of runs ordered by workload, seed, seconds.
+func sortedKeys(runs map[runKey]benchRun) []runKey {
+	keys := make([]runKey, 0, len(runs))
+	for k := range runs {
 		keys = append(keys, k)
-		byKey[k] = resp
 	}
-	sort.Strings(keys)
-	worse, better, same := 0, 0, 0
-	for _, k := range keys {
-		ob, ok := base[k]
-		if !ok {
-			continue
-		}
-		resp := byKey[k]
-		d := pctDelta(int64(ob.Area), int64(resp.Area))
-		switch {
-		case d > areaTolPct:
-			worse++
-			r.regressf("%s area %+.1f%% (%d -> %d, tol %.1f%%)", k, d, ob.Area, resp.Area, areaTolPct)
-		case resp.Area < ob.Area:
-			better++
-		default:
-			same++
-		}
-	}
-	r.notef("results: %d compared, %d improved, %d unchanged, %d regressed",
-		worse+better+same, better, same, worse)
+	slices.SortFunc(keys, func(a, b runKey) int {
+		return cmp.Or(strings.Compare(a.workload, b.workload), cmp.Compare(a.seed, b.seed), cmp.Compare(a.seconds, b.seconds))
+	})
+	return keys
 }
 
-func comparePortfolio(r *compareReport, oldP, newP []portfolioRow, areaTolPct float64) {
-	if len(oldP) == 0 || len(newP) == 0 {
-		r.notef("portfolio: skipped (baseline has %d, candidate has %d)", len(oldP), len(newP))
-		return
-	}
-	base := make(map[string]portfolioRow, len(oldP))
-	for _, row := range oldP {
-		base[row.Machine] = row
-	}
-	for _, row := range newP {
-		ob, ok := base[row.Machine]
-		if !ok {
-			continue
-		}
-		d := pctDelta(int64(ob.Area), int64(row.Area))
-		if d > areaTolPct {
-			r.regressf("portfolio %s area %+.1f%% (%d -> %d, tol %.1f%%)",
-				row.Machine, d, ob.Area, row.Area, areaTolPct)
-		} else {
-			r.notef("portfolio %s area %+.1f%% (%d -> %d, winner %s -> %s)",
-				row.Machine, d, ob.Area, row.Area, ob.Winner, row.Winner)
+// quartiles returns the first quartile, median and third quartile of xs,
+// interpolating linearly between the closest ranks as perfbench does.
+func quartiles(xs []float64) [3]float64 {
+	slices.Sort(xs)
+	var q [3]float64
+	for i, p := range []float64{0.25, 0.5, 0.75} {
+		pos := p * float64(len(xs)-1)
+		lo := int(pos)
+		q[i] = xs[lo]
+		if lo+1 < len(xs) {
+			q[i] += (pos - float64(lo)) * (xs[lo+1] - xs[lo])
 		}
 	}
+	return q
 }
 
-// compareMain implements -compare OLD.json,NEW.json. Exit status 0 means
-// no regression past the tolerances; 1 means regressions (listed on
-// stdout); 2 means the snapshots could not be read.
-func compareMain(arg string, areaTolPct, timeTolPct float64) int {
+// compareMain implements -compare OLD.json,NEW.json against the bounds in
+// specPath, writing its report to w. Exit status 0: every run passed and
+// the exact metrics match. 1: a run failed, a workload of the spec is
+// missing, or an exact metric differs. 2: the input could not be read, or
+// the two records hold different runs.
+func compareMain(arg, specPath string, w io.Writer) int {
 	oldPath, newPath, ok := strings.Cut(arg, ",")
 	if !ok || oldPath == "" || newPath == "" {
-		fmt.Fprintln(os.Stderr, "novabench: -compare wants OLD.json,NEW.json")
+		fmt.Fprintln(w, "novabench: -compare wants OLD.json,NEW.json")
 		return 2
 	}
-	oldSnap, err := readSnapshot(oldPath)
+	var spec benchSpec
+	var oldRuns, newRuns map[runKey]benchRun
+	err := readJSON(specPath, &spec)
+	if err == nil {
+		oldRuns, err = readRecord(oldPath)
+	}
+	if err == nil {
+		newRuns, err = readRecord(newPath)
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "novabench:", err)
+		fmt.Fprintln(w, "novabench:", err)
 		return 2
 	}
-	newSnap, err := readSnapshot(newPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "novabench:", err)
+	return compareRecords(w, spec, oldRuns, newRuns)
+}
+
+// compareRecords reports on two records read by compareMain and returns
+// its exit status.
+func compareRecords(w io.Writer, spec benchSpec, oldRuns, newRuns map[runKey]benchRun) int {
+	records := [2]map[runKey]benchRun{oldRuns, newRuns}
+	mismatch := false
+	for i, runs := range records {
+		for _, k := range sortedKeys(runs) {
+			if _, ok := records[1-i][k]; !ok {
+				fmt.Fprintf(w, "novabench: %v only in the %s\n", k, sides[i])
+				mismatch = true
+			}
+		}
+	}
+	if mismatch {
 		return 2
 	}
-	r := compareSnapshots(oldSnap, newSnap, areaTolPct, timeTolPct)
-	for _, line := range r.lines {
-		fmt.Println(line)
+
+	keys := sortedKeys(oldRuns)
+	var failures []string
+	for _, wl := range spec.Workloads {
+		if !slices.ContainsFunc(keys, func(k runKey) bool { return k.workload == wl.Name }) {
+			failures = append(failures, "workload "+wl.Name+" has no runs")
+		}
 	}
-	if len(r.regressions) > 0 {
-		fmt.Printf("FAIL: %d regression(s)\n", len(r.regressions))
+	for _, k := range keys {
+		o, n := oldRuns[k], newRuns[k]
+		for i, r := range [2]benchRun{o, n} {
+			if res := r.Result; res.Failed > 0 || !res.Correct {
+				failures = append(failures, fmt.Sprintf("%v: %s run failed %d operations (correct %v)", k, sides[i], res.Failed, res.Correct))
+			}
+		}
+		for _, m := range exactMetrics {
+			ov, oOK := o.Result.Metrics[m]
+			nv, nOK := n.Result.Metrics[m]
+			if !oOK || !nOK || ov != nv {
+				failures = append(failures, fmt.Sprintf("%v: %s %g -> %g", k, m, ov.Value, nv.Value))
+			}
+		}
+	}
+
+	fmt.Fprintf(w, "%d runs in both records; %s must match on each\n", len(keys), strings.Join(exactMetrics, " and "))
+	fmt.Fprintln(w, "advisory, never failing the compare: median [q1, q3] over seeds, baseline -> candidate")
+	for _, wl := range spec.Workloads {
+		for _, m := range spec.EndToEnd {
+			if slices.Contains(exactMetrics, m.Name) {
+				continue
+			}
+			var ov, nv []float64
+			for _, k := range keys {
+				if k.workload == wl.Name {
+					ov = append(ov, oldRuns[k].Result.Metrics[m.Name].Value)
+					nv = append(nv, newRuns[k].Result.Metrics[m.Name].Value)
+				}
+			}
+			if len(ov) == 0 {
+				continue
+			}
+			oq, nq := quartiles(ov), quartiles(nv)
+			change := nq[1]/oq[1] - 1
+			worse := change
+			if m.Better == "higher" {
+				worse = -change
+			}
+			note := ""
+			if worse > m.Bound {
+				note = "  past bound"
+			}
+			fmt.Fprintf(w, "  %-12s %-12s %9.4g [%.4g, %.4g] -> %9.4g [%.4g, %.4g]  %+6.1f%% (bound %.0f%%, %s is better)%s\n",
+				wl.Name, m.Name, oq[1], oq[0], oq[2], nq[1], nq[0], nq[2], 100*change, 100*m.Bound, m.Better, note)
+		}
+	}
+
+	for _, f := range failures {
+		fmt.Fprintln(w, "FAIL", f)
+	}
+	if len(failures) > 0 {
 		return 1
 	}
-	fmt.Println("OK: no regressions past tolerance")
+	fmt.Fprintln(w, "OK: every run passed and", strings.Join(exactMetrics, " and "), "match on every run")
 	return 0
 }

@@ -4,27 +4,19 @@
 // Usage:
 //
 //	novabench [-table N] [-only name,name] [-skip-huge] [-fast] [-seed S]
-//	          [-json] [-portfolio] [-count N] [-phase-table] [-trace out.json]
-//	          [-cpuprofile f] [-memprofile f]
-//	novabench -compare OLD.json,NEW.json [-area-tol 0] [-time-tol 25]
-//	novabench -serve-url http://host:8089 [-client-alg igreedy] [-client-hedge 20ms]
-//	          [-client-priority low|high] [-only name,name] [-skip-huge] [-count N]
-//
-// -serve-url switches novabench into a client-mode load generator: the
-// benchmark corpus is sent to a running novad through the resilient
-// nova/client package (retries, optional hedging, circuit breaker) and
-// the run report includes the client's resilience counters. Pair it
-// with novad -fault-inject for reproducible chaos runs.
+//	          [-phase-table] [-trace out.json] [-cpuprofile f] [-memprofile f]
+//	novabench -compare OLD.json,NEW.json
 //
 // With no -table flag every experiment runs in order. Table numbers follow
 // the paper: 1-7 are Tables I-VII, 8-10 are the plot series the paper
 // prints as Tables VIII-X.
 //
-// -compare diffs two BENCH_<date>.json snapshots (written by -json /
-// -portfolio) and exits 1 when the candidate regressed: encoded area
-// grown past -area-tol percent on any machine/algorithm pair, or table
-// wall-clock grown past -time-tol percent. CI runs it non-blocking
-// against the committed baseline.
+// -compare diffs two benchmark records written by scripts/bench_record.sh
+// against the bounds in BENCHMARK.json (read from the current directory,
+// so run it from the repository root). It exits 1 when a run failed, a
+// workload is missing, or area_total or cubes_total differ on any
+// (workload, seed); 2 when the files cannot be read or cover different
+// runs. Timing metrics are printed as advisory lines only.
 //
 // -phase-table prints a per-machine breakdown of where the wall time went
 // (espresso / search / symbolic / mvmin) after the tables, -trace streams
@@ -45,40 +37,47 @@ import (
 	"time"
 
 	"nova"
+	"nova/internal/bench"
 	"nova/internal/experiments"
 )
 
 func main() {
-	os.Exit(realMain())
+	os.Exit(realMain(os.Args[1:]))
 }
 
-func realMain() int {
-	table := flag.Int("table", 0, "table/figure to regenerate (1..10, 0 = all)")
-	only := flag.String("only", "", "comma-separated benchmark names to restrict to")
-	skipHuge := flag.Bool("skip-huge", false, "skip the time-intensive machines (scf, tbk)")
-	fast := flag.Bool("fast", false, "use the faster single-pass minimizer")
-	seed := flag.Int64("seed", 1, "seed for the random baselines")
-	par := flag.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS)")
-	jsonSnap := flag.Bool("json", false, "measure tables II/IV/VI and write BENCH_<date>.json")
-	pfSnap := flag.Bool("portfolio", false, "measure the portfolio race vs single algorithms and write BENCH_<date>.json (combines with -json)")
-	count := flag.Int("count", 1, "repetitions per -json table measurement; the snapshot reports the mean (what -compare reads) and the min")
-	exactBudget := flag.Int("exact-budget", 1_500_000, "iexact work budget per machine (0 = library default)")
-	timeout := flag.Duration("timeout", 0, "abort the whole run after this long (0 = no limit)")
-	phaseTable := flag.Bool("phase-table", false, "print a per-machine phase time breakdown after the tables")
-	tracePath := flag.String("trace", "", "write a JSON-lines phase trace to this file")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile taken after the sweep to this file")
-	serveURL := flag.String("serve-url", "", "drive a running novad at this URL instead of encoding in-process (client-mode load generator; honors -only, -skip-huge, -count)")
-	clientAlg := flag.String("client-alg", "igreedy", "algorithm requested per machine in -serve-url mode")
-	clientHedge := flag.Duration("client-hedge", 0, "hedge delay in -serve-url mode (0 = hedging off)")
-	clientPriority := flag.String("client-priority", "", "X-Nova-Priority in -serve-url mode (low or high)")
-	compare := flag.String("compare", "", "OLD.json,NEW.json: diff two BENCH snapshots and exit 1 on area/wall-clock regressions")
-	areaTol := flag.Float64("area-tol", 0, "allowed area growth in percent before -compare fails (encodes are deterministic; default 0)")
-	timeTol := flag.Float64("time-tol", 25, "allowed table wall-clock growth in percent before -compare fails")
-	flag.Parse()
+func realMain(args []string) int {
+	fs := flag.NewFlagSet("novabench", flag.ContinueOnError)
+	table := fs.Int("table", 0, "table/figure to regenerate (1..10, 0 = all)")
+	only := fs.String("only", "", "comma-separated benchmark names to restrict to")
+	skipHuge := fs.Bool("skip-huge", false, "skip the time-intensive machines (scf, tbk)")
+	fast := fs.Bool("fast", false, "use the faster single-pass minimizer")
+	seed := fs.Int64("seed", 1, "seed for the random baselines")
+	par := fs.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS)")
+	exactBudget := fs.Int("exact-budget", 1_500_000, "iexact work budget per machine (0 = library default)")
+	timeout := fs.Duration("timeout", 0, "abort the whole run after this long (0 = no limit)")
+	phaseTable := fs.Bool("phase-table", false, "print a per-machine phase time breakdown after the tables")
+	tracePath := fs.String("trace", "", "write a JSON-lines phase trace to this file")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile taken after the sweep to this file")
+	compare := fs.String("compare", "", "OLD.json,NEW.json: diff two scripts/bench_record.sh records; exit 1 on a failed run or any area/cube difference")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *compare != "" {
-		return compareMain(*compare, *areaTol, *timeTol)
+		return compareMain(*compare, "BENCHMARK.json", os.Stdout)
+	}
+
+	var names []string
+	if *only != "" {
+		names = strings.Split(*only, ",")
+		if bad := unknownMachines(names); len(bad) > 0 {
+			fmt.Fprintln(os.Stderr, "novabench: -only names unknown machines:", strings.Join(bad, ", "))
+			return 2
+		}
 	}
 
 	// ^C (or the -timeout deadline) cancels in-flight encodes promptly:
@@ -89,22 +88,6 @@ func realMain() int {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
-	}
-
-	if *serveURL != "" {
-		cf := clientFlags{
-			url:       *serveURL,
-			algorithm: *clientAlg,
-			skipHuge:  *skipHuge,
-			hedge:     *clientHedge,
-			priority:  *clientPriority,
-			budget:    2 * time.Minute,
-			count:     *count,
-		}
-		if *only != "" {
-			cf.only = strings.Split(*only, ",")
-		}
-		return clientMain(ctx, cf)
 	}
 
 	if *cpuprofile != "" {
@@ -144,17 +127,7 @@ func realMain() int {
 		Parallel:     *par,
 		ExactBudget:  *exactBudget,
 		Observe:      *phaseTable,
-	}
-	if *only != "" {
-		opts.Only = strings.Split(*only, ",")
-	}
-	if *jsonSnap || *pfSnap {
-		name, err := writeBenchJSON(opts, *count, *jsonSnap, *pfSnap)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Println("wrote", name)
-		return 0
+		Only:         names,
 	}
 	var traceFile *os.File
 	var traceBuf *bufio.Writer
@@ -269,4 +242,16 @@ func realMain() int {
 func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "novabench:", err)
 	return 1
+}
+
+// unknownMachines returns the names that are not in the benchmark suite,
+// in the order given.
+func unknownMachines(names []string) []string {
+	var bad []string
+	for _, n := range names {
+		if bench.Get(n) == nil {
+			bad = append(bad, n)
+		}
+	}
+	return bad
 }

@@ -93,17 +93,6 @@ func (o RunOpts) tableI(list []bench.Entry) []bench.Entry {
 	return out
 }
 
-// Machines returns the benchmark machines this run covers (after the
-// SkipHuge / Only filtering), in suite order.
-func (o RunOpts) Machines() []*kiss.FSM {
-	entries := o.entries()
-	out := make([]*kiss.FSM, len(entries))
-	for i, e := range entries {
-		out[i] = e.F
-	}
-	return out
-}
-
 // Runner caches per-machine results across tables.
 type Runner struct {
 	Opts RunOpts
@@ -206,16 +195,6 @@ func (r *Runner) gaveUpAt(name string, alg nova.Algorithm, bits int) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.gaveUp[fmt.Sprintf("%s/%s/%d", name, alg, bits)]
-}
-
-// Memoized returns the cached result of (machine, algorithm, bits) from
-// an earlier Run/Prewarm, or nil — the hook the machine-readable
-// reporters (novabench -json) use to serialize already-computed results
-// through the wire types without re-encoding.
-func (r *Runner) Memoized(name string, alg nova.Algorithm, bits int) *nova.Result {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.memo[fmt.Sprintf("%s/%s/%d", name, alg, bits)]
 }
 
 // Prewarm encodes every benchmark machine of the run with each of the

@@ -1,8 +1,8 @@
 package nova
 
 // The wire-stable request/response API: one pair of JSON-tagged types
-// shared by the library, the CLI tools (novabench -json) and the novad
-// server, so every serialization of an encode goes through the same
+// shared by the library, the nova/client package and the novad server,
+// so every serialization of an encode goes through the same
 // schema. The field names below are a compatibility contract — add new
 // fields freely, never rename or repurpose existing ones.
 //
