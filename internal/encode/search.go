@@ -33,10 +33,32 @@ const ctxCheckInterval = 64
 // minimization graph G).
 type OCEdge struct{ U, V int }
 
-// faceKey identifies a face for injectivity checks.
-type faceKey struct{ val, x uint64 }
+// wordDim is the largest cube dimension whose vertex sets fit one 64-bit
+// word (2^6 = 64 vertices). Searchers at k <= wordDim keep vertex bitmaps
+// of the assigned faces and run the forward check as word arithmetic.
+const wordDim = 6
 
-func keyOf(f face.Face) faceKey { return faceKey{f.Val &^ f.X, f.X} }
+// coordOnes[i] is the set of vertices of the 6-cube whose coordinate i
+// is 1, as a bitmap indexed by vertex.
+var coordOnes = [wordDim]uint64{
+	0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
+}
+
+// vertexMask returns the vertices of f (f.K <= wordDim) as a bitmap: bit v
+// is set iff vertex v lies in f.
+func vertexMask(f face.Face) uint64 {
+	m := ^uint64(0) >> (64 - (1 << uint(f.K)))
+	for bound := lowMask(f.K) &^ f.X; bound != 0; bound &= bound - 1 {
+		i := bits.TrailingZeros64(bound)
+		if f.Val&(1<<uint(i)) != 0 {
+			m &= coordOnes[i]
+		} else {
+			m &^= coordOnes[i]
+		}
+	}
+	return m
+}
 
 // orbitKey is the canonical signature of a face's orbit under the
 // stabilizer of {full cube, f0} in the k-cube's automorphism group,
@@ -119,8 +141,8 @@ type searcher struct {
 	// Telemetry accumulated in plain ints (the searcher is single-owner);
 	// flushMetrics pushes the totals into a run's obs.Metrics, if any.
 	backtracks int // solution-path undos in solve
-	checksOK   int // checkFace probes that passed
-	checksFail int // checkFace probes that failed
+	checksOK   int // checkFace probes that passed (fitsWord counts as if probing)
+	checksFail int // checkFace probes that failed (likewise)
 	symPruned  int // candidate faces skipped by the orbit break
 
 	// Memo bookkeeping. A replayed searcher (memoHit) carries no graph:
@@ -138,17 +160,27 @@ type searcher struct {
 	canceled bool
 
 	// The assignment, indexed by Node.Index: aface[i] is node i's face,
-	// valid iff ahave[i]. alist is the set of assigned nodes in
-	// insertion order (universe first) — the searcher's verdicts are
-	// independent of iteration order, so unassign swap-removes through
-	// apos. single caches Card()==1 per node.
-	aface  []face.Face
-	ahave  []bool
-	apos   []int32
-	alist  []*constraint.Node
-	single []bool
-	used   map[faceKey]*constraint.Node
+	// valid iff ahave[i]. stack holds the assigned nodes in assignment
+	// order, universe first; the search undoes in LIFO order, so a
+	// placement's undo trail is just the stack height before it. The
+	// assigned node indices are also kept split by kind: codes holds the
+	// singletons (their faces are vertices, the state codes) and wides
+	// every other node, universe first.
+	aface []face.Face
+	ahave []bool
+	stack []*constraint.Node
+	codes []int
+	wides []int
 
+	// word is set when k <= wordDim: vbits[i] is then the vertex bitmap
+	// of assigned non-singleton i's face, and usedCodes the bitmap of
+	// the assigned codes.
+	word      bool
+	vbits     []uint64
+	usedCodes uint64
+
+	card       []int              // Set.Card() per node
+	cat2       []*constraint.Node // non-singleton category-2 nodes, in node order
 	oc         []OCEdge
 	singletons []*constraint.Node // per symbol
 
@@ -170,20 +202,27 @@ type searcher struct {
 func newSearcher(g *constraint.Graph, k int) *searcher {
 	nn := len(g.Nodes)
 	s := &searcher{
-		g:      g,
-		k:      k,
-		aface:  make([]face.Face, nn),
-		ahave:  make([]bool, nn),
-		apos:   make([]int32, nn),
-		single: make([]bool, nn),
-		alist:  make([]*constraint.Node, 0, nn),
-		used:   make(map[faceKey]*constraint.Node, nn),
+		g:          g,
+		k:          k,
+		word:       k <= wordDim,
+		aface:      make([]face.Face, nn),
+		ahave:      make([]bool, nn),
+		stack:      make([]*constraint.Node, 0, nn),
+		codes:      make([]int, 0, g.N),
+		wides:      make([]int, 0, nn-g.N+1),
+		card:       make([]int, nn),
+		singletons: make([]*constraint.Node, g.N),
 	}
-	s.singletons = make([]*constraint.Node, g.N)
+	if s.word {
+		s.vbits = make([]uint64, nn)
+	}
 	for i, nd := range g.Nodes {
-		if nd.Set.Card() == 1 {
-			s.single[i] = true
+		s.card[i] = nd.Set.Card()
+		switch {
+		case s.card[i] == 1:
 			s.singletons[nd.Set.Members()[0]] = nd
+		case nd.Cat() == constraint.Cat2:
+			s.cat2 = append(s.cat2, nd)
 		}
 	}
 	// The universe is pre-assigned the full face.
@@ -207,26 +246,35 @@ func (s *searcher) assign(nd *constraint.Node, f face.Face) {
 	i := nd.Index
 	s.aface[i] = f
 	s.ahave[i] = true
-	s.apos[i] = int32(len(s.alist))
-	s.alist = append(s.alist, nd)
-	s.used[keyOf(f)] = nd
-}
-
-func (s *searcher) unassign(nd *constraint.Node) {
-	i := nd.Index
-	if !s.ahave[i] {
+	s.stack = append(s.stack, nd)
+	if s.card[i] == 1 {
+		s.codes = append(s.codes, i)
+		if s.word {
+			s.usedCodes |= 1 << f.Val
+		}
 		return
 	}
-	s.ahave[i] = false
-	delete(s.used, keyOf(s.aface[i]))
-	p := s.apos[i]
-	last := len(s.alist) - 1
-	if int(p) != last {
-		moved := s.alist[last]
-		s.alist[p] = moved
-		s.apos[moved.Index] = p
+	s.wides = append(s.wides, i)
+	if s.word {
+		s.vbits[i] = vertexMask(f)
 	}
-	s.alist = s.alist[:last]
+}
+
+// undo unassigns the nodes above stack height mark, last assigned first.
+func (s *searcher) undo(mark int) {
+	for len(s.stack) > mark {
+		i := s.stack[len(s.stack)-1].Index
+		s.stack = s.stack[:len(s.stack)-1]
+		s.ahave[i] = false
+		if s.card[i] != 1 {
+			s.wides = s.wides[:len(s.wides)-1]
+			continue
+		}
+		s.codes = s.codes[:len(s.codes)-1]
+		if s.word {
+			s.usedCodes &^= 1 << s.aface[i].Val
+		}
+	}
 }
 
 // faceOf returns nd's assigned face, if any (tests and reporting).
@@ -238,7 +286,7 @@ func (s *searcher) faceOf(nd *constraint.Node) (face.Face, bool) {
 }
 
 // assignedCount returns the number of assigned nodes, universe included.
-func (s *searcher) assignedCount() int { return len(s.alist) }
+func (s *searcher) assignedCount() int { return len(s.stack) }
 
 // verify implements the incremental correctness checks of Section 3.4.3
 // for a face f proposed for nd, against every assigned node:
@@ -246,7 +294,7 @@ func (s *searcher) assignedCount() int { return len(s.alist) }
 //	input poset:  the single father's face must include f (guaranteed by
 //	              construction for categories 1 and 3: candidates are
 //	              generated inside the father's face); category-2 faces are
-//	              the exact intersection of their fathers' faces (place).
+//	              the exact intersection of their fathers' faces (propagate).
 //	face poset:   (1) injectivity; (2) face inclusion implies proper set
 //	              inclusion, both directions; (3) faces that intersect must
 //	              have intersecting constraints.
@@ -284,57 +332,59 @@ func (s *searcher) checkFace(nd *constraint.Node, f face.Face) bool {
 	return ok
 }
 
+// checkFaceConds decides the conditions for nd -> f. The defining
+// condition of FACE HYPERCUBE EMBEDDING relates constraint faces to state
+// codes: f(ic) ∩ f(s) ≠ Φ ⇔ s ∈ ic. Between two non-singleton faces no
+// relation is required — the auxiliary closure faces may overlap as long
+// as the eventually placed codes respect every original constraint, which
+// the singleton checks enforce. So a singleton probe walks the assigned
+// non-singleton faces and a non-singleton probe the assigned codes.
+//
+// Injectivity (two different constraints sharing a face always break the
+// final encoding — some differing member's code would sit in a face whose
+// constraint excludes it — so rejecting early is sound) is one compare
+// against the other list: only singletons hold level-0 faces (they are
+// probed at vertices, and every other node has at least two members so
+// fails the cardinality check there), hence a vertex can only collide
+// with an assigned code and a wider face with an assigned wider face, the
+// universe's full face included. Distinct singletons never intersect, so
+// injectivity is all their pairs require.
 func (s *searcher) checkFaceConds(nd *constraint.Node, f face.Face) bool {
-	if f.Cardinality() < nd.Set.Card() {
+	if f.Cardinality() < s.card[nd.Index] {
 		return false
 	}
-	// Injectivity. (Two different constraints sharing a face always break
-	// the final encoding — some differing member's code would sit in a
-	// face whose constraint excludes it — so rejecting early is sound.)
-	if _, dup := s.used[keyOf(f)]; dup {
-		return false
-	}
-	ndSingle := s.single[nd.Index]
 	rel := s.g.Rel[nd.Index*len(s.g.Nodes):]
-	for _, jc := range s.alist {
-		j := jc.Index
-		jcSingle := s.single[j]
-		// The defining condition of FACE HYPERCUBE EMBEDDING relates
-		// constraint faces to state codes: f(ic) ∩ f(s) ≠ Φ ⇔ s ∈ ic.
-		// Between two non-singleton faces no relation is required — the
-		// auxiliary closure faces may overlap as long as the eventually
-		// placed codes respect every original constraint, which the
-		// singleton checks below enforce.
-		if !ndSingle && !jcSingle {
-			continue
-		}
-		nonempty := f.Intersects(s.aface[j])
-		r := rel[j]
-		if r&constraint.RelIntersects == 0 {
-			if nonempty {
+	if s.card[nd.Index] == 1 {
+		for _, j := range s.codes {
+			if s.aface[j].Val == f.Val {
 				return false
 			}
-			continue
 		}
-		// A singleton inside a constraint must lie inside its face: the
-		// father-chain generation guarantees it for ancestors, and for
-		// non-ancestors membership still requires the vertex inside.
-		if ndSingle && !jcSingle && r&constraint.RelSubset != 0 && !nonempty {
-			return false
+		// A singleton lies inside a constraint's face iff the state is a
+		// member (for ancestors the father-chain generation guarantees it).
+		for _, j := range s.wides {
+			if f.Intersects(s.aface[j]) != (rel[j]&constraint.RelIntersects != 0) {
+				return false
+			}
 		}
-		if jcSingle && !ndSingle && r&constraint.RelSuperset != 0 && !nonempty {
+		// Output covering constraints between encoded singletons.
+		return len(s.oc) == 0 || s.ocOK(nd, f)
+	}
+	for _, j := range s.wides {
+		if g := s.aface[j]; g.X == f.X && (g.Val^f.Val)&^f.X == 0 {
 			return false
 		}
 	}
-	// Output covering constraints between encoded singletons. Codes are
-	// the Val vertices of the singleton faces.
-	if len(s.oc) > 0 && !s.ocOK(nd, f) {
-		return false
+	for _, j := range s.codes {
+		if f.Intersects(s.aface[j]) != (rel[j]&constraint.RelIntersects != 0) {
+			return false
+		}
 	}
 	return true
 }
 
-// ocOK checks the active output covering edges assuming nd gets face f.
+// ocOK checks the active output covering edges assuming singleton nd gets
+// vertex f. Codes are the Val vertices of the singleton faces.
 func (s *searcher) ocOK(nd *constraint.Node, f face.Face) bool {
 	codeOf := func(sym int) (uint64, bool) {
 		sg := s.singletons[sym]
@@ -345,9 +395,6 @@ func (s *searcher) ocOK(nd *constraint.Node, f face.Face) bool {
 			return s.aface[sg.Index].Val, true
 		}
 		return 0, false
-	}
-	if nd.Set.Card() != 1 {
-		return true
 	}
 	for _, e := range s.oc {
 		cu, okU := codeOf(e.U)
@@ -362,38 +409,34 @@ func (s *searcher) ocOK(nd *constraint.Node, f face.Face) bool {
 	return true
 }
 
-// trail records one assignment step for undo: the selected node plus the
-// forced category-2 nodes assigned alongside it.
-type trail struct {
-	nodes []*constraint.Node
-}
-
-func (s *searcher) undo(t trail) {
-	for _, nd := range t.nodes {
-		s.unassign(nd)
-	}
-}
-
 // place assigns f to nd after verification, then propagates forced
-// category-2 assignments to fixpoint. It returns the undo trail and true,
-// or an empty trail and false when any step fails (the partial work is
-// rolled back).
-func (s *searcher) place(nd *constraint.Node, f face.Face) (trail, bool) {
-	var t trail
+// category-2 assignments to fixpoint and runs the forward check. It
+// returns the undo mark (the stack height before the placement) and
+// true, or false when any step fails (the partial work is rolled back).
+func (s *searcher) place(nd *constraint.Node, f face.Face) (int, bool) {
+	mark := len(s.stack)
 	if !s.verify(nd, f) {
-		return trail{}, false
+		return mark, false
 	}
 	s.assign(nd, f)
-	t.nodes = append(t.nodes, nd)
-	// Forced assignments: any unassigned non-singleton cat-2 node whose
-	// fathers are all assigned receives the intersection of its fathers'
-	// faces (D(ic) of assign_face, taken to fixpoint). Singletons are not
-	// forced: they are selected and enumerated as vertices inside their
-	// fathers' intersection, so the backtracking can revisit the choice.
+	if !s.propagate() || !s.forwardCheck() {
+		s.undo(mark)
+		return mark, false
+	}
+	return mark, true
+}
+
+// propagate makes the forced assignments: any unassigned non-singleton
+// cat-2 node whose fathers are all assigned receives the intersection of
+// its fathers' faces (D(ic) of assign_face, taken to fixpoint). Singletons
+// are not forced: they are selected and enumerated as vertices inside
+// their fathers' intersection, so the backtracking can revisit the
+// choice. It reports false when a forced face is empty or fails verify.
+func (s *searcher) propagate() bool {
 	for {
 		var next *constraint.Node
-		for _, cand := range s.g.Nodes {
-			if s.ahave[cand.Index] || cand.Cat() != constraint.Cat2 || s.single[cand.Index] {
+		for _, cand := range s.cat2 {
+			if s.ahave[cand.Index] {
 				continue
 			}
 			ready := true
@@ -409,34 +452,32 @@ func (s *searcher) place(nd *constraint.Node, f face.Face) (trail, bool) {
 			}
 		}
 		if next == nil {
-			break
+			return true
 		}
 		fi := s.aface[next.Fathers[0].Index]
-		okI := true
 		for _, fa := range next.Fathers[1:] {
-			fi, okI = fi.Intersect(s.aface[fa.Index])
-			if !okI {
-				break
+			var ok bool
+			if fi, ok = fi.Intersect(s.aface[fa.Index]); !ok {
+				return false
 			}
 		}
-		if !okI {
-			s.undo(t)
-			return trail{}, false
-		}
 		if !s.verify(next, fi) {
-			s.undo(t)
-			return trail{}, false
+			return false
 		}
 		s.assign(next, fi)
-		t.nodes = append(t.nodes, next)
 	}
-	// Forward check: every unassigned singleton whose fathers are all
-	// assigned must still have at least one feasible vertex; otherwise
-	// this branch is dead and pruning now avoids deep thrashing. Probing
-	// is bounded: singletons whose fathers' intersection spans more than
-	// 2^forwardCheckMaxLevel vertices are skipped (plenty of room there,
-	// and enumerating the vertices would dominate the search).
-	const forwardCheckMaxLevel = 6
+}
+
+// forwardCheckMaxLevel bounds the per-vertex forward check of cubes wider
+// than wordDim: singletons whose fathers' intersection spans more than
+// 2^forwardCheckMaxLevel vertices are skipped (plenty of room there, and
+// enumerating the vertices would dominate the search).
+const forwardCheckMaxLevel = 6
+
+// forwardCheck reports whether every unassigned singleton whose fathers
+// are all assigned still has at least one feasible vertex; otherwise this
+// branch is dead and pruning now avoids deep thrashing.
+func (s *searcher) forwardCheck() bool {
 	for _, sg := range s.singletons {
 		if sg == nil || s.ahave[sg.Index] {
 			continue
@@ -448,34 +489,72 @@ func (s *searcher) place(nd *constraint.Node, f face.Face) (trail, bool) {
 				break
 			}
 			var ok bool
-			fi, ok = fi.Intersect(s.aface[fa.Index])
-			if !ok {
-				// All fathers assigned with an empty intersection: the
+			if fi, ok = fi.Intersect(s.aface[fa.Index]); !ok {
+				// All fathers assigned so far meet in nothing: the
 				// singleton has nowhere to go.
-				s.undo(t)
-				return trail{}, false
+				return false
 			}
 		}
-		if !ready || fi.Level() > forwardCheckMaxLevel {
+		if !ready {
 			continue
 		}
-		feasible := false
-		stop := false
-		fi.Vertices(func(v uint64) {
-			if stop {
-				return
+		if s.word {
+			if !s.fitsWord(sg, fi) {
+				return false
 			}
-			if s.checkFace(sg, face.Vertex(s.k, v)) {
-				feasible = true
-				stop = true
-			}
-		})
-		if !feasible {
-			s.undo(t)
-			return trail{}, false
+		} else if fi.Level() <= forwardCheckMaxLevel && !s.fitsProbe(sg, fi) {
+			return false
 		}
 	}
-	return t, true
+	return true
+}
+
+// fitsProbe reports whether singleton sg has a feasible vertex in fi,
+// probing fi's vertices in Face.Vertices order with checkFace up to the
+// first that passes.
+func (s *searcher) fitsProbe(sg *constraint.Node, fi face.Face) bool {
+	feasible := false
+	fi.Vertices(func(v uint64) {
+		if !feasible && s.checkFace(sg, face.Vertex(s.k, v)) {
+			feasible = true
+		}
+	})
+	return feasible
+}
+
+// fitsWord is fitsProbe on one-word vertex bitmaps (k <= wordDim), with
+// the same verdict and tallies. A vertex of fi passes checkFace iff it is
+// no assigned code, lies in the faces of the assigned constraints that
+// contain the state and outside the others' (cardinality holds at level
+// 0), and meets the output covering edges, which are tested only on the
+// vertices that survive the rest. Face.Vertices enumerates in ascending
+// vertex order, so the probe loop would have failed on every vertex of
+// fi below the first feasible one, then passed once — or failed on all
+// of fi.
+func (s *searcher) fitsWord(sg *constraint.Node, fi face.Face) bool {
+	all := vertexMask(fi)
+	cand := all &^ s.usedCodes
+	rel := s.g.Rel[sg.Index*len(s.g.Nodes):]
+	for _, j := range s.wides {
+		if cand == 0 {
+			break
+		}
+		if rel[j]&constraint.RelIntersects != 0 {
+			cand &= s.vbits[j]
+		} else {
+			cand &^= s.vbits[j]
+		}
+	}
+	for ; cand != 0; cand &= cand - 1 {
+		v := uint64(bits.TrailingZeros64(cand))
+		if len(s.oc) == 0 || s.ocOK(sg, face.Vertex(s.k, v)) {
+			s.checksFail += bits.OnesCount64(all & (1<<v - 1))
+			s.checksOK++
+			return true
+		}
+	}
+	s.checksFail += bits.OnesCount64(all)
+	return false
 }
 
 // selectable reports whether nd can be chosen by next_to_code now:
@@ -492,7 +571,7 @@ func (s *searcher) selectable(nd *constraint.Node) bool {
 	case constraint.Cat3:
 		return s.ahave[nd.Fathers[0].Index]
 	case constraint.Cat2:
-		if !s.single[nd.Index] {
+		if s.card[nd.Index] != 1 {
 			return false
 		}
 		for _, fa := range nd.Fathers {
@@ -514,7 +593,7 @@ func (s *searcher) selectable(nd *constraint.Node) bool {
 // until buf's next reuse.
 func (s *searcher) feasibleLevels(nd *constraint.Node, buf []int) []int {
 	out := buf[:0]
-	if nd.Set.Card() == 1 {
+	if s.card[nd.Index] == 1 {
 		return append(out, 0) // states take vertices
 	}
 	ml := minLevel(nd)
@@ -652,7 +731,7 @@ func (s *searcher) nextToCode(lic *constraint.Node) *constraint.Node {
 // generated inside the father's face; singletons are vertices of the
 // intersection of their assigned fathers' faces.
 func (s *searcher) candidates(nd *constraint.Node, emit func(face.Face) bool) {
-	if nd.Set.Card() == 1 {
+	if s.card[nd.Index] == 1 {
 		// Intersection of all assigned fathers' faces (the universe face
 		// for category 1).
 		fi := s.aface[nd.Fathers[0].Index]
@@ -752,19 +831,19 @@ func (s *searcher) candidates(nd *constraint.Node, emit func(face.Face) bool) {
 func (s *searcher) solve(lic *constraint.Node) bool {
 	nd := s.nextToCode(lic)
 	if nd == nil {
-		return len(s.alist) == len(s.g.Nodes)
+		return len(s.stack) == len(s.g.Nodes)
 	}
-	first := len(s.alist) == 1 && len(s.oc) == 0 // only the universe placed
+	first := len(s.stack) == 1 && len(s.oc) == 0 // only the universe placed
 	var orbitSeen map[orbitKey]bool
 	var x0 uint64
 	var orbit2Seen map[orbitKey2]bool
 	var cls2 [6]uint64
-	if !s.noPrune && len(s.oc) == 0 && len(s.alist) == 2 {
-		// Second placement: alist is {universe, f0's node}. The orbit
+	if !s.noPrune && len(s.oc) == 0 && len(s.stack) == 2 {
+		// Second placement: the stack is {universe, f0's node}. The orbit
 		// argument needs f0 canonical (guaranteed by genface order via
 		// the first-placement break; checked defensively — forced
 		// assignments or a non-first surviving candidate void it).
-		f0 := s.aface[s.alist[1].Index]
+		f0 := s.aface[s.stack[1].Index]
 		if f0.Val&^f0.X == 0 && f0.X == lowMask(f0.Level()) {
 			x0 = f0.X
 			if s.orbitBuf == nil {
@@ -776,11 +855,11 @@ func (s *searcher) solve(lic *constraint.Node) bool {
 			orbitSeen = s.orbitBuf
 		}
 	}
-	if !s.noPrune && len(s.oc) == 0 && len(s.alist) == 3 {
+	if !s.noPrune && len(s.oc) == 0 && len(s.stack) == 3 {
 		// Third placement: f0 must again be canonical; f1 is arbitrary.
-		f0 := s.aface[s.alist[1].Index]
+		f0 := s.aface[s.stack[1].Index]
 		if f0.Val&^f0.X == 0 && f0.X == lowMask(f0.Level()) {
-			f1 := s.aface[s.alist[2].Index]
+			f1 := s.aface[s.stack[2].Index]
 			full := lowMask(s.k)
 			fx0, x1 := f0.X, f1.X
 			v1 := f1.Val &^ f1.X
@@ -878,8 +957,8 @@ func (s *searcher) extract() encoding.Encoding {
 // Faces returns a copy of the face assignment keyed by constraint vector,
 // for reporting and tests.
 func (s *searcher) Faces() map[string]face.Face {
-	out := make(map[string]face.Face, len(s.alist))
-	for _, nd := range s.alist {
+	out := make(map[string]face.Face, len(s.stack))
+	for _, nd := range s.stack {
 		out[nd.Set.String()] = s.aface[nd.Index]
 	}
 	return out

@@ -1,6 +1,7 @@
 package encode
 
 import (
+	"math/rand"
 	"testing"
 
 	"nova/internal/constraint"
@@ -251,5 +252,130 @@ func TestNextLex(t *testing.T) {
 	}
 	if seq[15] != [4]int{3, 3, 3, 3} {
 		t.Fatalf("last vector %v", seq[15])
+	}
+}
+
+// TestVertexMask checks the one-word vertex bitmap against HasVertex on
+// every face of the k-cube, k <= wordDim (k = 6 fills the whole word).
+func TestVertexMask(t *testing.T) {
+	for k := 1; k <= wordDim; k++ {
+		for l := 0; l <= k; l++ {
+			g := face.NewGen(k, l)
+			for f, ok := g.Next(); ok; f, ok = g.Next() {
+				var want uint64
+				for v := uint64(0); v < 1<<uint(k); v++ {
+					if f.HasVertex(v) {
+						want |= 1 << v
+					}
+				}
+				if got := vertexMask(f); got != want {
+					t.Fatalf("vertexMask(%s) = %#x, want %#x", f, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestFitsWordMatchesProbe is the differential test of the forward
+// check: on random constraint graphs (N <= 12, k from MinLength to
+// wordDim, with and without output covering edges) and at every partial
+// assignment a random walk of the searcher reaches, the one-word check
+// must give the per-vertex probe's verdict and add the same checks_ok
+// and checks_fail. The states compared are exactly those place's forward
+// check sees: a verified face assigned and the forced nodes propagated.
+func TestFitsWordMatchesProbe(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	var compared, level0, k6, withOC, feasible, dead int
+	check := func(s *searcher) {
+		for _, sg := range s.singletons {
+			if s.ahave[sg.Index] {
+				continue
+			}
+			fi, ok := face.Full(s.k), true
+			for _, fa := range sg.Fathers {
+				if !s.ahave[fa.Index] {
+					ok = false
+					break
+				}
+				if fi, ok = fi.Intersect(s.aface[fa.Index]); !ok {
+					break
+				}
+			}
+			if !ok {
+				continue
+			}
+			okBefore, failBefore := s.checksOK, s.checksFail
+			word := s.fitsWord(sg, fi)
+			wordOK, wordFail := s.checksOK-okBefore, s.checksFail-failBefore
+			s.checksOK, s.checksFail = okBefore, failBefore
+			probe := s.fitsProbe(sg, fi)
+			probeOK, probeFail := s.checksOK-okBefore, s.checksFail-failBefore
+			if word != probe || wordOK != probeOK || wordFail != probeFail {
+				t.Fatalf("N=%d k=%d oc=%v singleton %s in %s: word (%v, ok+%d, fail+%d), probe (%v, ok+%d, fail+%d)",
+					s.g.N, s.k, s.oc, sg.Set, fi, word, wordOK, wordFail, probe, probeOK, probeFail)
+			}
+			compared++
+			if fi.X == 0 {
+				level0++
+			}
+			if s.k == wordDim {
+				k6++
+			}
+			if len(s.oc) > 0 {
+				withOC++
+			}
+			if word {
+				feasible++
+			} else {
+				dead++
+			}
+		}
+	}
+	for trial := 0; trial < 400; trial++ {
+		n := 2 + rng.Intn(11)
+		k := MinLength(n) + rng.Intn(wordDim-MinLength(n)+1)
+		g := constraint.BuildGraph(n, randomInstance(rng, n, 1+rng.Intn(6)))
+		s := newSearcher(g, k)
+		s.allLevels = rng.Intn(2) == 0
+		if rng.Intn(2) == 0 {
+			for e := 1 + rng.Intn(3); e > 0; e-- {
+				u, v := rng.Intn(n), rng.Intn(n)
+				if u != v {
+					s.oc = append(s.oc, OCEdge{U: u, V: v})
+				}
+			}
+		}
+		var lic *constraint.Node
+		for nd := s.nextToCode(nil); nd != nil; nd = s.nextToCode(lic) {
+			var cands []face.Face
+			s.candidates(nd, func(f face.Face) bool {
+				cands = append(cands, f)
+				return len(cands) < 32
+			})
+			rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+			advanced := false
+			for _, f := range cands {
+				mark := len(s.stack)
+				if s.verify(nd, f) {
+					s.assign(nd, f)
+					if s.propagate() {
+						check(s)
+					}
+				}
+				s.undo(mark)
+				if _, advanced = s.place(nd, f); advanced {
+					break
+				}
+			}
+			if !advanced {
+				break
+			}
+			lic = nd
+		}
+	}
+	t.Logf("compared %d forward checks: %d at level 0, %d at k=6, %d with OC edges, %d feasible, %d dead",
+		compared, level0, k6, withOC, feasible, dead)
+	if level0 == 0 || k6 == 0 || withOC == 0 || feasible == 0 || dead == 0 {
+		t.Fatal("the random walks missed a case the differential test must cover")
 	}
 }
