@@ -385,6 +385,43 @@ func BenchmarkExpand(b *testing.B) {
 	}
 }
 
+// BenchmarkReduce measures the REDUCE step in isolation on planet's MV
+// cover after one EXPAND, on a fresh copy each iteration (REDUCE mutates
+// its argument).
+func BenchmarkReduce(b *testing.B) {
+	p := mvProblem(b, "planet")
+	expanded := p.On.Copy()
+	espresso.Expand(expanded, p.Dc)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		f := expanded.Copy()
+		b.StartTimer()
+		espresso.Reduce(f, p.Dc)
+		benchSink = f.Len()
+	}
+}
+
+// BenchmarkMinimizeEncoded measures the final ESPRESSO: the whole
+// minimization of planet's encoded PLA under one fixed igreedy
+// assignment, as every encode ends with.
+func BenchmarkMinimizeEncoded(b *testing.B) {
+	f := bench.Get("planet")
+	res, err := nova.Encode(f, nova.Options{Algorithm: nova.IGreedy, Parallelism: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := mvmin.EncodePLA(f, res.Assignment)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = e.Minimize(espresso.Options{}).Len()
+	}
+}
+
 func BenchmarkIHybridKeyb(b *testing.B) {
 	skipShort(b)
 	f := bench.Get("keyb")

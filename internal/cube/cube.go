@@ -33,12 +33,12 @@ import (
 // per-field operations (emptiness, fullness, counting, cofactor) run
 // word-parallel instead of bit by bit.
 //
-// For the emptiness tests (IsEmpty, Intersects) it also keeps, per cube
-// word, one mask bmask holding the low part of every binary field that
-// lies whole in that word, so all those fields are tested with one word
-// operation (ESPRESSO-MV's cdist0). The fields it cannot cover — more
-// than two parts, one part, or straddling a word boundary — are listed in
-// other and tested one by one.
+// For the emptiness tests (IsEmpty, Intersects, DistanceAtMostOne) it
+// also keeps, per cube word, one mask bmask holding the low part of
+// every binary field that lies whole in that word, so all those fields
+// are tested with one word operation (ESPRESSO-MV's cdist0). The fields
+// it cannot cover — more than two parts, one part, or straddling a word
+// boundary — are listed in other and tested one by one.
 type Structure struct {
 	sizes   []int // parts per variable
 	offsets []int // first bit index of each variable
@@ -342,6 +342,29 @@ func (s *Structure) Intersects(a, b Cube) bool {
 	for _, v := range s.other {
 		if s.varDisjoint(a, b, v) {
 			return false
+		}
+	}
+	return true
+}
+
+// DistanceAtMostOne reports whether a and b have an empty intersection in
+// at most one variable: Distance(a, b) <= 1, counted word-parallel over
+// the binary fields like Intersects and stopped at the second conflict.
+func (s *Structure) DistanceAtMostOne(a, b Cube) bool {
+	d := 0
+	for w, m := range s.bmask {
+		x := a[w] & b[w]
+		if e := m &^ (x | x>>1); e != 0 {
+			if d += bits.OnesCount64(e); d > 1 {
+				return false
+			}
+		}
+	}
+	for _, v := range s.other {
+		if s.varDisjoint(a, b, v) {
+			if d++; d > 1 {
+				return false
+			}
 		}
 	}
 	return true

@@ -238,26 +238,28 @@ func restrictedCube(s *Structure, rng *rand.Rand) Cube {
 	return c
 }
 
+// propertyLayouts are the layouts the word-parallel predicates are
+// checked on: binary fields packed into the word mask, fields left to the
+// per-field fallback, and both mixed over several words.
+var propertyLayouts = []struct {
+	name  string
+	sizes []int
+	other []int // variables the word mask cannot cover
+}{
+	{"binary", []int{2, 2, 2, 2, 2, 2, 2}, nil},
+	{"binary-two-words", repeatSize(2, 40), nil},
+	{"mv-only", []int{3, 5, 4, 7}, []int{0, 1, 2, 3}},
+	{"mixed", []int{2, 2, 3}, []int{2}},
+	{"binary-straddles-63-64", []int{63, 2, 2, 2}, []int{0, 1}},
+	{"one-part-field", []int{2, 1, 2, 3, 1}, []int{1, 3, 4}},
+	{"multi-word", []int{2, 2, 121, 60}, []int{2, 3}},
+}
+
 // Property: Intersects and IsEmpty agree with the per-field VarEmpty
 // reference on every layout, and the intersection is the largest cube
-// contained in both operands. The layouts cover binary fields packed into
-// the word mask, fields left to the per-field fallback, and both mixed
-// over several words.
+// contained in both operands.
 func TestIntersectionProperty(t *testing.T) {
-	layouts := []struct {
-		name  string
-		sizes []int
-		other []int // variables the word mask cannot cover
-	}{
-		{"binary", []int{2, 2, 2, 2, 2, 2, 2}, nil},
-		{"binary-two-words", repeatSize(2, 40), nil},
-		{"mv-only", []int{3, 5, 4, 7}, []int{0, 1, 2, 3}},
-		{"mixed", []int{2, 2, 3}, []int{2}},
-		{"binary-straddles-63-64", []int{63, 2, 2, 2}, []int{0, 1}},
-		{"one-part-field", []int{2, 1, 2, 3, 1}, []int{1, 3, 4}},
-		{"multi-word", []int{2, 2, 121, 60}, []int{2, 3}},
-	}
-	for _, l := range layouts {
+	for _, l := range propertyLayouts {
 		t.Run(l.name, func(t *testing.T) {
 			s := NewStructure(l.sizes...)
 			if fmt.Sprint(s.other) != fmt.Sprint(l.other) {
@@ -291,6 +293,34 @@ func TestIntersectionProperty(t *testing.T) {
 			}
 			if seen[true] == 0 || seen[false] == 0 {
 				t.Fatalf("draws never exercised both outcomes: %v", seen)
+			}
+		})
+	}
+}
+
+// Property: DistanceAtMostOne agrees with the per-field Distance on every
+// layout, for cubes at distance 0, 1 and more.
+func TestDistanceAtMostOneProperty(t *testing.T) {
+	for _, l := range propertyLayouts {
+		t.Run(l.name, func(t *testing.T) {
+			s := NewStructure(l.sizes...)
+			rng := rand.New(rand.NewSource(1))
+			seen := map[int]int{}
+			for i := 0; i < 4000; i++ {
+				var a, b Cube
+				if i%2 == 0 {
+					a, b = randomCube(s, rng), randomCube(s, rng)
+				} else {
+					a, b = restrictedCube(s, rng), restrictedCube(s, rng)
+				}
+				d := s.Distance(a, b)
+				if got := s.DistanceAtMostOne(a, b); got != (d <= 1) {
+					t.Fatalf("DistanceAtMostOne(%s, %s) = %v, Distance %d", s.String(a), s.String(b), got, d)
+				}
+				seen[min(d, 2)]++
+			}
+			if seen[0] == 0 || seen[1] == 0 || seen[2] == 0 {
+				t.Fatalf("draws never exercised distances 0, 1 and 2+: %v", seen)
 			}
 		})
 	}

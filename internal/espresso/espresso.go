@@ -217,8 +217,10 @@ func Expand(f, dc *cube.Cover) {
 func expandWith(f, dc *cube.Cover, a *cube.Arena) {
 	s := f.S
 	// Snapshot the function: expansion is validated against the original
-	// on∪dc, which must not alias the cubes being mutated. The snapshot
-	// copies come from the arena and are recycled on exit.
+	// on∪dc, which must not alias the cubes being mutated. It holds each
+	// cube's own copy, so every cube lies in it, as expandCubeWith
+	// requires. The snapshot copies come from the arena and are recycled
+	// on exit.
 	all := a.NewCover()
 	for _, c := range f.Cubes {
 		all.Cubes = append(all.Cubes, a.CopyCube(c))
@@ -285,6 +287,13 @@ type raiseCand struct{ v, p, w int }
 // expandCubeWith raises the lowered parts of c in place, highest weight
 // first, keeping each raise for which c remains an implicant of all. The
 // scratch slice is reused across calls and returned for the next one.
+//
+// c must lie in all. A raise of part p of variable v then adds exactly
+// the slice of c with v pinned to p, so the raise is kept iff that slice
+// lies in all. Only a cube of all within distance one of c can meet the
+// slice (it must meet c on every variable but v), so the slice is
+// checked against near, those cubes in all's order. c only grows, so
+// near only grows too, and is rebuilt after each accepted raise.
 func expandCubeWith(s *cube.Structure, c cube.Cube, all *cube.Cover, weights []int, a *cube.Arena, scratch []raiseCand) []raiseCand {
 	cands := scratch[:0]
 	for v := 0; v < s.NumVars(); v++ {
@@ -296,13 +305,32 @@ func expandCubeWith(s *cube.Structure, c cube.Cube, all *cube.Cover, weights []i
 		}
 	}
 	sort.SliceStable(cands, func(x, y int) bool { return cands[x].w > cands[y].w })
+	near := a.NewCover()
+	nearCubes(near, all, c)
+	slice := a.NewCube()
 	for _, cd := range cands {
-		s.Set(c, cd.v, cd.p)
-		if !all.ContainsCube(c) && !all.CoversCubeWith(a, c) {
-			s.Clear(c, cd.v, cd.p)
+		copy(slice, c)
+		s.ClearAll(slice, cd.v)
+		s.Set(slice, cd.v, cd.p)
+		if near.ContainsCube(slice) || near.CoversCubeWith(a, slice) {
+			s.Set(c, cd.v, cd.p)
+			nearCubes(near, all, c)
 		}
 	}
+	a.FreeCube(slice)
+	a.FreeCover(near) // its cubes alias all's
 	return cands
+}
+
+// nearCubes refills near with the cubes of all within distance one of c,
+// in all's order.
+func nearCubes(near, all *cube.Cover, c cube.Cube) {
+	near.Cubes = near.Cubes[:0]
+	for _, q := range all.Cubes {
+		if all.S.DistanceAtMostOne(q, c) {
+			near.Cubes = append(near.Cubes, q)
+		}
+	}
 }
 
 // Irredundant removes redundant cubes: cubes covered by the union of the
@@ -370,10 +398,20 @@ func reduceWith(f, dc *cube.Cover, a *cube.Arena) {
 	slice := a.NewCube()
 	for _, i := range order {
 		c := f.Cubes[i]
+		// Every slice checked below lies in c, and c only shrinks, so
+		// the cubes of the rest of f and of dc that miss c now can never
+		// meet one: rest keeps the others, in the same order.
 		rest.Cubes = rest.Cubes[:0]
-		rest.Cubes = append(rest.Cubes, f.Cubes[:i]...)
-		rest.Cubes = append(rest.Cubes, f.Cubes[i+1:]...)
-		rest.Cubes = append(rest.Cubes, dc.Cubes...)
+		for j, q := range f.Cubes {
+			if j != i && s.Intersects(q, c) {
+				rest.Cubes = append(rest.Cubes, q)
+			}
+		}
+		for _, q := range dc.Cubes {
+			if s.Intersects(q, c) {
+				rest.Cubes = append(rest.Cubes, q)
+			}
+		}
 		for v := 0; v < s.NumVars(); v++ {
 			if s.VarCount(c, v) < 2 {
 				continue
@@ -398,15 +436,6 @@ func reduceWith(f, dc *cube.Cover, a *cube.Arena) {
 	}
 	a.FreeCube(slice)
 	a.FreeCover(rest)
-}
-
-// MakePrime expands a single cube to a prime-like implicant of on∪dc.
-func MakePrime(s *cube.Structure, c cube.Cube, on, dc *cube.Cover) {
-	all := on.Copy().Append(dc)
-	weights := make([]int, s.Bits())
-	a := cube.GetArena(s)
-	expandCubeWith(s, c, all, weights, a, nil)
-	cube.PutArena(a)
 }
 
 // Verify reports whether cover f is a correct implementation of the
