@@ -227,9 +227,8 @@ func runVector(ctx context.Context, g *constraint.Graph, k int,
 	s.maxWork = maxWork
 	s.noPrune = noPrune
 	s.ctx = ctx
-	s.levels = map[*constraint.Node]int{}
 	for i, nd := range primaries {
-		s.levels[nd] = dimvect[i]
+		s.setLevel(nd, dimvect[i])
 	}
 	s.solved = s.solve(nil)
 	if !noPrune {

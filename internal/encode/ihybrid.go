@@ -87,7 +87,7 @@ func semiexactRun(ctx context.Context, n int, sic []constraint.Constraint, cubeD
 			s = newSearcher(g, cubeDim)
 			s.allLevels = false
 			s.maxWork = maxWork
-			s.oc = oc
+			s.setOC(oc)
 			s.noPrune = noPrune
 			s.ctx = sctx
 			s.solved = s.solve(nil)

@@ -117,10 +117,6 @@ type searcher struct {
 	g *constraint.Graph
 	k int
 
-	// level of the face to use per cat-1 non-singleton node (the primary
-	// level vector); nil selects the minimum feasible level everywhere.
-	levels map[*constraint.Node]int
-
 	// allLevels lets cat-3 constraints range over every feasible level
 	// (true for iexact); false restricts them to the minimum level
 	// (semiexact).
@@ -136,7 +132,7 @@ type searcher struct {
 	work    int
 	budget  bool // set when the work bound fired
 	solved  bool // solve's verdict, kept with the searcher (runVector, semiexactRun)
-	refuted bool // semiexactRun rejected the run by Graph.Fits, without a search
+	refuted bool // semiexactRun rejected the run without a search
 
 	// Telemetry accumulated in plain ints (the searcher is single-owner);
 	// flushMetrics pushes the totals into a run's obs.Metrics, if any.
@@ -173,22 +169,30 @@ type searcher struct {
 	wides []int
 
 	// word is set when k <= wordDim: vbits[i] is then the vertex bitmap
-	// of assigned non-singleton i's face, and usedCodes the bitmap of
-	// the assigned codes.
-	word      bool
-	vbits     []uint64
-	usedCodes uint64
+	// of assigned non-singleton i's face, usedCodes the bitmap of the
+	// assigned codes and full that of the whole cube. allow[st] holds
+	// the vertices state st may still take: inside the face of every
+	// assigned wider node whose set holds st and outside every other's.
+	// assign of a wider node pushes all N masks on allowTrail before
+	// narrowing them, and undo pops them back.
+	word       bool
+	vbits      []uint64
+	usedCodes  uint64
+	full       uint64
+	allow      []uint64
+	allowTrail []uint64
 
-	card       []int              // Set.Card() per node
+	// info holds the per-node tables, filled once by newSearcher (setLevel
+	// overrides a primary's level); kids holds each node's children as a
+	// bitset over node indices, kidWords words per node.
+	info     []nodeInfo
+	kids     []uint64
+	kidWords int
+
 	cat2       []*constraint.Node // non-singleton category-2 nodes, in node order
 	oc         []OCEdge
+	ocAt       [][]OCEdge         // per state: the OC edges with an end at it
 	singletons []*constraint.Node // per symbol
-
-	// Scratch buffers reused across next_to_code calls. Both are consumed
-	// before the search recurses (nextToCode returns a single node, and
-	// its level probes are read immediately), so plain reuse is safe.
-	lvbuf    []int
-	candsBuf []*constraint.Node
 
 	// orbitBuf / orbitBuf2 are the seen-orbit sets of the second- and
 	// third-placement breaks. Only one solve frame can ever observe a
@@ -199,8 +203,18 @@ type searcher struct {
 	orbitBuf2 map[orbitKey2]bool
 }
 
+// nodeInfo is what the search reads of one node on every probe.
+type nodeInfo struct {
+	card  int32 // Set.Card()
+	sym   int32 // a singleton's state; -1 for every other node
+	cat   uint8 // Node.Cat()
+	minLv uint8 // minLevel: ceil(log2(card))
+	lv    uint8 // category 1: the level of its face (minLv unless setLevel)
+}
+
 func newSearcher(g *constraint.Graph, k int) *searcher {
 	nn := len(g.Nodes)
+	kw := (nn + 63) / 64
 	s := &searcher{
 		g:          g,
 		k:          k,
@@ -210,24 +224,61 @@ func newSearcher(g *constraint.Graph, k int) *searcher {
 		stack:      make([]*constraint.Node, 0, nn),
 		codes:      make([]int, 0, g.N),
 		wides:      make([]int, 0, nn-g.N+1),
-		card:       make([]int, nn),
+		info:       make([]nodeInfo, nn),
+		kids:       make([]uint64, nn*kw),
+		kidWords:   kw,
 		singletons: make([]*constraint.Node, g.N),
 	}
 	if s.word {
 		s.vbits = make([]uint64, nn)
+		s.full = ^uint64(0) >> (64 - (1 << uint(k)))
+		s.allow = make([]uint64, g.N)
+		for st := range s.allow {
+			s.allow[st] = s.full
+		}
+		s.allowTrail = make([]uint64, 0, (nn-g.N+1)*g.N)
 	}
 	for i, nd := range g.Nodes {
-		s.card[i] = nd.Set.Card()
+		ml := minLevel(nd)
+		in := nodeInfo{card: int32(nd.Set.Card()), sym: -1, cat: uint8(nd.Cat()), minLv: uint8(ml), lv: uint8(ml)}
 		switch {
-		case s.card[i] == 1:
-			s.singletons[nd.Set.Members()[0]] = nd
-		case nd.Cat() == constraint.Cat2:
+		case in.card == 1:
+			st := nd.Set.Members()[0]
+			in.sym = int32(st)
+			s.singletons[st] = nd
+		case in.cat == constraint.Cat2:
 			s.cat2 = append(s.cat2, nd)
+		}
+		s.info[i] = in
+		row := s.kids[i*kw : (i+1)*kw]
+		for _, c := range nd.Children {
+			row[c.Index>>6] |= 1 << uint(c.Index&63)
 		}
 	}
 	// The universe is pre-assigned the full face.
 	s.assign(g.Universe, face.Full(k))
 	return s
+}
+
+// setLevel fixes the level of category-1 node nd's face: one entry of
+// iexact's primary level vector. Without it a primary takes its minimum
+// level.
+func (s *searcher) setLevel(nd *constraint.Node, l int) { s.info[nd.Index].lv = uint8(l) }
+
+// setOC installs the output covering edges and indexes them by state, so
+// a probe of a code walks only the edges at its own state.
+func (s *searcher) setOC(oc []OCEdge) {
+	s.oc, s.ocAt = oc, nil
+	if len(oc) == 0 {
+		return
+	}
+	s.ocAt = make([][]OCEdge, s.g.N)
+	for _, e := range oc {
+		s.ocAt[e.U] = append(s.ocAt[e.U], e)
+		if e.V != e.U {
+			s.ocAt[e.V] = append(s.ocAt[e.V], e)
+		}
+	}
 }
 
 // minLevel returns ceil(log2(card(nd))), the minimum feasible face level.
@@ -247,7 +298,7 @@ func (s *searcher) assign(nd *constraint.Node, f face.Face) {
 	s.aface[i] = f
 	s.ahave[i] = true
 	s.stack = append(s.stack, nd)
-	if s.card[i] == 1 {
+	if s.info[i].card == 1 {
 		s.codes = append(s.codes, i)
 		if s.word {
 			s.usedCodes |= 1 << f.Val
@@ -255,8 +306,19 @@ func (s *searcher) assign(nd *constraint.Node, f face.Face) {
 		return
 	}
 	s.wides = append(s.wides, i)
-	if s.word {
-		s.vbits[i] = vertexMask(f)
+	if !s.word {
+		return
+	}
+	vb := vertexMask(f)
+	s.vbits[i] = vb
+	s.allowTrail = append(s.allowTrail, s.allow...)
+	rel := s.g.Rel[i*len(s.g.Nodes):]
+	for st, sg := range s.singletons {
+		if rel[sg.Index]&constraint.RelIntersects != 0 {
+			s.allow[st] &= vb
+		} else {
+			s.allow[st] &^= vb
+		}
 	}
 }
 
@@ -266,8 +328,13 @@ func (s *searcher) undo(mark int) {
 		i := s.stack[len(s.stack)-1].Index
 		s.stack = s.stack[:len(s.stack)-1]
 		s.ahave[i] = false
-		if s.card[i] != 1 {
+		if s.info[i].card != 1 {
 			s.wides = s.wides[:len(s.wides)-1]
+			if s.word {
+				top := len(s.allowTrail) - len(s.allow)
+				copy(s.allow, s.allowTrail[top:])
+				s.allowTrail = s.allowTrail[:top]
+			}
 			continue
 		}
 		s.codes = s.codes[:len(s.codes)-1]
@@ -349,22 +416,35 @@ func (s *searcher) checkFace(nd *constraint.Node, f face.Face) bool {
 // with an assigned code and a wider face with an assigned wider face, the
 // universe's full face included. Distinct singletons never intersect, so
 // injectivity is all their pairs require.
+//
+// With one-word bitmaps the singleton probe is two bit tests: the vertex
+// is no assigned code (usedCodes), and it lies in allow, which assign
+// keeps equal to the walk over the wider faces.
 func (s *searcher) checkFaceConds(nd *constraint.Node, f face.Face) bool {
-	if f.Cardinality() < s.card[nd.Index] {
+	in := &s.info[nd.Index]
+	if f.Cardinality() < int(in.card) {
 		return false
 	}
 	rel := s.g.Rel[nd.Index*len(s.g.Nodes):]
-	if s.card[nd.Index] == 1 {
-		for _, j := range s.codes {
-			if s.aface[j].Val == f.Val {
+	if in.card == 1 {
+		if s.word {
+			bit := uint64(1) << f.Val
+			if s.usedCodes&bit != 0 || s.allow[in.sym]&bit == 0 {
 				return false
 			}
-		}
-		// A singleton lies inside a constraint's face iff the state is a
-		// member (for ancestors the father-chain generation guarantees it).
-		for _, j := range s.wides {
-			if f.Intersects(s.aface[j]) != (rel[j]&constraint.RelIntersects != 0) {
-				return false
+		} else {
+			for _, j := range s.codes {
+				if s.aface[j].Val == f.Val {
+					return false
+				}
+			}
+			// A singleton lies inside a constraint's face iff the state
+			// is a member (for ancestors the father-chain generation
+			// guarantees it).
+			for _, j := range s.wides {
+				if f.Intersects(s.aface[j]) != (rel[j]&constraint.RelIntersects != 0) {
+					return false
+				}
 			}
 		}
 		// Output covering constraints between encoded singletons.
@@ -383,20 +463,23 @@ func (s *searcher) checkFaceConds(nd *constraint.Node, f face.Face) bool {
 	return true
 }
 
-// ocOK checks the active output covering edges assuming singleton nd gets
-// vertex f. Codes are the Val vertices of the singleton faces.
+// ocOK checks the output covering edges at singleton nd's state assuming
+// nd gets vertex f: where the edge's other end is placed, the code of U
+// must cover the code of V bitwise and differ from it. Edges between two
+// other placed states need no check: the later of the two was placed
+// through this check, and undo only removes codes.
 func (s *searcher) ocOK(nd *constraint.Node, f face.Face) bool {
+	st := int(s.info[nd.Index].sym)
 	codeOf := func(sym int) (uint64, bool) {
-		sg := s.singletons[sym]
-		if sg == nd {
+		if sym == st {
 			return f.Val, true
 		}
-		if s.ahave[sg.Index] {
+		if sg := s.singletons[sym]; s.ahave[sg.Index] {
 			return s.aface[sg.Index].Val, true
 		}
 		return 0, false
 	}
-	for _, e := range s.oc {
+	for _, e := range s.ocAt[st] {
 		cu, okU := codeOf(e.U)
 		cv, okV := codeOf(e.V)
 		if !okU || !okV {
@@ -476,10 +559,30 @@ const forwardCheckMaxLevel = 6
 
 // forwardCheck reports whether every unassigned singleton whose fathers
 // are all assigned still has at least one feasible vertex; otherwise this
-// branch is dead and pruning now avoids deep thrashing.
+// branch is dead and pruning now avoids deep thrashing. It also fails
+// when the fathers assigned before a singleton's first unassigned father
+// already meet in nothing.
 func (s *searcher) forwardCheck() bool {
 	for _, sg := range s.singletons {
 		if sg == nil || s.ahave[sg.Index] {
+			continue
+		}
+		if s.word {
+			// Two faces meet iff their vertex bitmaps share a bit, so the
+			// fathers' intersection is the AND of their bitmaps.
+			m, ready := s.full, true
+			for _, fa := range sg.Fathers {
+				if !s.ahave[fa.Index] {
+					ready = false
+					break
+				}
+				if m &= s.vbits[fa.Index]; m == 0 {
+					return false
+				}
+			}
+			if ready && !s.fitsWord(sg, m) {
+				return false
+			}
 			continue
 		}
 		fi, ready := face.Full(s.k), true
@@ -495,14 +598,7 @@ func (s *searcher) forwardCheck() bool {
 				return false
 			}
 		}
-		if !ready {
-			continue
-		}
-		if s.word {
-			if !s.fitsWord(sg, fi) {
-				return false
-			}
-		} else if fi.Level() <= forwardCheckMaxLevel && !s.fitsProbe(sg, fi) {
+		if ready && fi.Level() <= forwardCheckMaxLevel && !s.fitsProbe(sg, fi) {
 			return false
 		}
 	}
@@ -523,28 +619,16 @@ func (s *searcher) fitsProbe(sg *constraint.Node, fi face.Face) bool {
 }
 
 // fitsWord is fitsProbe on one-word vertex bitmaps (k <= wordDim), with
-// the same verdict and tallies. A vertex of fi passes checkFace iff it is
-// no assigned code, lies in the faces of the assigned constraints that
-// contain the state and outside the others' (cardinality holds at level
-// 0), and meets the output covering edges, which are tested only on the
-// vertices that survive the rest. Face.Vertices enumerates in ascending
-// vertex order, so the probe loop would have failed on every vertex of
-// fi below the first feasible one, then passed once — or failed on all
-// of fi.
-func (s *searcher) fitsWord(sg *constraint.Node, fi face.Face) bool {
-	all := vertexMask(fi)
-	cand := all &^ s.usedCodes
-	rel := s.g.Rel[sg.Index*len(s.g.Nodes):]
-	for _, j := range s.wides {
-		if cand == 0 {
-			break
-		}
-		if rel[j]&constraint.RelIntersects != 0 {
-			cand &= s.vbits[j]
-		} else {
-			cand &^= s.vbits[j]
-		}
-	}
+// the same verdict and tallies; all is the vertex bitmap of the face fi
+// fitsProbe would walk. A vertex of fi passes checkFace iff it is no
+// assigned code, lies in the state's allow mask (cardinality holds at
+// level 0), and meets the output covering edges, which are tested only
+// on the vertices that survive the rest. Face.Vertices enumerates in
+// ascending vertex order, so the probe loop would have failed on every
+// vertex of fi below the first feasible one, then passed once — or
+// failed on all of fi.
+func (s *searcher) fitsWord(sg *constraint.Node, all uint64) bool {
+	cand := all &^ s.usedCodes & s.allow[s.info[sg.Index].sym]
 	for ; cand != 0; cand &= cand - 1 {
 		v := uint64(bits.TrailingZeros64(cand))
 		if len(s.oc) == 0 || s.ocOK(sg, face.Vertex(s.k, v)) {
@@ -565,13 +649,14 @@ func (s *searcher) selectable(nd *constraint.Node) bool {
 	if s.ahave[nd.Index] {
 		return false
 	}
-	switch nd.Cat() {
+	in := &s.info[nd.Index]
+	switch in.cat {
 	case constraint.Cat1:
 		return true
 	case constraint.Cat3:
 		return s.ahave[nd.Fathers[0].Index]
 	case constraint.Cat2:
-		if s.card[nd.Index] != 1 {
+		if in.card != 1 {
 			return false
 		}
 		for _, fa := range nd.Fathers {
@@ -585,49 +670,35 @@ func (s *searcher) selectable(nd *constraint.Node) bool {
 	}
 }
 
-// feasibleLevels appends the candidate face levels for nd to buf[:0],
-// best (largest) first, respecting the primary level vector for cat-1
-// constraints and the father's face for cat-3 constraints. Callers pass
-// a scratch buffer (stack array or the searcher's lvbuf) so the hot
-// next_to_code probes never allocate; the returned slice is only valid
-// until buf's next reuse.
-func (s *searcher) feasibleLevels(nd *constraint.Node, buf []int) []int {
-	out := buf[:0]
-	if s.card[nd.Index] == 1 {
-		return append(out, 0) // states take vertices
-	}
-	ml := minLevel(nd)
-	switch nd.Cat() {
-	case constraint.Cat1:
-		if s.levels != nil {
-			if l, ok := s.levels[nd]; ok {
-				return append(out, l)
-			}
-		}
-		return append(out, ml)
-	case constraint.Cat3:
-		fl := s.aface[nd.Fathers[0].Index].Level()
+// levelRange returns the levels of nd's candidate faces as the range
+// [lo, hi], empty when lo > hi; candidates tries them in ascending order.
+// A singleton takes level 0 (states take vertices), a category-1 node
+// its primary level, and a category-3 node, whose father must be
+// assigned, its minimum level, or with allLevels every level from it to
+// one below the father's face.
+func (s *searcher) levelRange(nd *constraint.Node) (lo, hi int) {
+	in := &s.info[nd.Index]
+	switch {
+	case in.card == 1:
+		return 0, 0
+	case in.cat == constraint.Cat1:
+		return int(in.lv), int(in.lv)
+	case in.cat == constraint.Cat3:
+		lo, hi = int(in.minLv), s.aface[nd.Fathers[0].Index].Level()-1
 		if !s.allLevels {
-			if ml <= fl-1 {
-				return append(out, ml)
-			}
-			return nil
+			hi = min(hi, lo)
 		}
-		for l := ml; l <= fl-1; l++ {
-			out = append(out, l)
-		}
-		return out
+		return lo, hi
 	}
-	return nil
+	return 1, 0
 }
 
-// shares reports whether two nodes share a child.
-func shares(a, b *constraint.Node) bool {
-	for _, ca := range a.Children {
-		for _, cb := range b.Children {
-			if ca == cb {
-				return true
-			}
+// sharesChild reports whether nd has a child in the bitset kids.
+func (s *searcher) sharesChild(nd *constraint.Node, kids []uint64) bool {
+	row := s.kids[nd.Index*s.kidWords:]
+	for w, m := range kids {
+		if row[w]&m != 0 {
+			return true
 		}
 	}
 	return false
@@ -635,103 +706,109 @@ func shares(a, b *constraint.Node) bool {
 
 // nextToCode implements the priority branching scheme of Section 3.4.1,
 // with lic the most recently selected node (nil at the start, in which
-// case the cat-1 node of largest minimum level is taken).
+// case the selectable node of largest feasible level is taken, the first
+// in graph order on ties). Otherwise, with cur the level of f(lic), the
+// branches in priority order are: (1) a category-1 node that can take
+// level cur and shares a child with lic; (2) a category-1 node that can
+// take cur; (3) any node that can take cur and shares a child with lic;
+// (4) any node that can take cur; (5) the category-1 node, then (6) any
+// node, with the largest feasible level below cur; else the first
+// selectable node. Within a branch the first node in graph order wins,
+// so one pass over the nodes decides them all.
 func (s *searcher) nextToCode(lic *constraint.Node) *constraint.Node {
-	cands := s.candsBuf[:0]
+	var first, widest *constraint.Node
+	widestL := -1
+	var same [3]*constraint.Node  // branches 2-4; branch 1 returns at once
+	var below [2]*constraint.Node // branches 5-6
+	belowL := [2]int{-1, -1}
+	cur := -1
+	var licKids []uint64
+	if lic != nil {
+		cur = s.aface[lic.Index].Level()
+		licKids = s.kids[lic.Index*s.kidWords : (lic.Index+1)*s.kidWords]
+	}
 	for _, nd := range s.g.Nodes {
-		if s.selectable(nd) {
-			cands = append(cands, nd)
+		if !s.selectable(nd) {
+			continue
 		}
-	}
-	s.candsBuf = cands
-	if len(cands) == 0 {
-		return nil
-	}
-	maxFeasible := func(nd *constraint.Node) int {
-		ls := s.feasibleLevels(nd, s.lvbuf)
-		s.lvbuf = ls[:0]
-		if len(ls) == 0 {
-			return -1
-		}
-		best := ls[0]
-		for _, l := range ls {
-			if l > best {
-				best = l
+		lo, hi := s.levelRange(nd)
+		if lic == nil {
+			top := hi
+			if lo > hi {
+				top = -1
 			}
-		}
-		return best
-	}
-	if lic == nil {
-		best := cands[0]
-		for _, nd := range cands[1:] {
-			if maxFeasible(nd) > maxFeasible(best) {
-				best = nd
+			if widest == nil || top > widestL {
+				widest, widestL = nd, top
 			}
+			continue
 		}
-		return best
-	}
-	cur := s.aface[lic.Index].Level()
-	canLevel := func(nd *constraint.Node, l int) bool {
-		ls := s.feasibleLevels(nd, s.lvbuf)
-		s.lvbuf = ls[:0]
-		for _, fl := range ls {
-			if fl == l {
-				return true
-			}
+		if first == nil {
+			first = nd
 		}
-		return false
-	}
-	// Branches 1-4: same level as f(lic).
-	type pred func(nd *constraint.Node) bool
-	branches := []pred{
-		func(nd *constraint.Node) bool {
-			return nd.Cat() == constraint.Cat1 && canLevel(nd, cur) && shares(nd, lic)
-		},
-		func(nd *constraint.Node) bool { return nd.Cat() == constraint.Cat1 && canLevel(nd, cur) },
-		func(nd *constraint.Node) bool { return canLevel(nd, cur) && shares(nd, lic) },
-		func(nd *constraint.Node) bool { return canLevel(nd, cur) },
-	}
-	for _, br := range branches {
-		for _, nd := range cands {
-			if br(nd) {
-				return nd
-			}
-		}
-	}
-	// Branches 5-6: maximum level below f(lic)'s, cat-1 first.
-	pick := func(cat1Only bool) *constraint.Node {
-		var best *constraint.Node
-		bestL := -1
-		for _, nd := range cands {
-			if cat1Only && nd.Cat() != constraint.Cat1 {
-				continue
-			}
-			ls := s.feasibleLevels(nd, s.lvbuf)
-			s.lvbuf = ls[:0]
-			for _, l := range ls {
-				if l < cur && l > bestL {
-					best, bestL = nd, l
+		cat1 := s.info[nd.Index].cat == constraint.Cat1
+		if lo <= cur && cur <= hi {
+			if cat1 || same[1] == nil {
+				shared := s.sharesChild(nd, licKids)
+				if cat1 && shared {
+					return nd
+				}
+				if shared && same[1] == nil {
+					same[1] = nd
 				}
 			}
+			if cat1 && same[0] == nil {
+				same[0] = nd
+			}
+			if same[2] == nil {
+				same[2] = nd
+			}
 		}
-		return best
+		if l := min(hi, cur-1); l >= lo {
+			if cat1 && l > belowL[0] {
+				below[0], belowL[0] = nd, l
+			}
+			if l > belowL[1] {
+				below[1], belowL[1] = nd, l
+			}
+		}
 	}
-	if nd := pick(true); nd != nil {
-		return nd
+	if lic == nil {
+		return widest
 	}
-	if nd := pick(false); nd != nil {
-		return nd
+	for _, nd := range same {
+		if nd != nil {
+			return nd
+		}
 	}
-	// Fall back: any selectable node (levels above the current one).
-	return cands[0]
+	for _, nd := range below {
+		if nd != nil {
+			return nd
+		}
+	}
+	return first
 }
 
 // candidates enumerates the faces to try for nd, in the paper's genface
-// order (x-patterns lexicographic, then values). Category-3 faces are
-// generated inside the father's face; singletons are vertices of the
-// intersection of their assigned fathers' faces.
+// order (x-patterns lexicographic, then values), level by level in
+// levelRange's ascending order. Category-3 faces are generated inside
+// the father's face; singletons are vertices of the intersection of
+// their assigned fathers' faces, in ascending vertex order.
 func (s *searcher) candidates(nd *constraint.Node, emit func(face.Face) bool) {
-	if s.card[nd.Index] == 1 {
+	if s.info[nd.Index].card == 1 {
+		if s.word {
+			m := s.vbits[nd.Fathers[0].Index]
+			for _, fa := range nd.Fathers[1:] {
+				if s.ahave[fa.Index] {
+					m &= s.vbits[fa.Index]
+				}
+			}
+			for ; m != 0; m &= m - 1 {
+				if !emit(face.Vertex(s.k, uint64(bits.TrailingZeros64(m)))) {
+					return
+				}
+			}
+			return
+		}
 		// Intersection of all assigned fathers' faces (the universe face
 		// for category 1).
 		fi := s.aface[nd.Fathers[0].Index]
@@ -755,13 +832,10 @@ func (s *searcher) candidates(nd *constraint.Node, emit func(face.Face) bool) {
 		})
 		return
 	}
-	// The level slices here must survive the recursion inside emit (the
-	// search re-enters nextToCode and its scratch buffers), so each
-	// candidates frame keeps its own stack buffer instead of s.lvbuf.
-	var lb [16]int
-	switch nd.Cat() {
+	lo, hi := s.levelRange(nd)
+	switch s.info[nd.Index].cat {
 	case constraint.Cat1:
-		for _, l := range s.feasibleLevels(nd, lb[:0]) {
+		for l := lo; l <= hi; l++ {
 			g := face.NewGen(s.k, l)
 			for f, ok := g.Next(); ok; f, ok = g.Next() {
 				if !emit(f) {
@@ -779,7 +853,7 @@ func (s *searcher) candidates(nd *constraint.Node, emit func(face.Face) bool) {
 			}
 		}
 		m := len(free)
-		for _, l := range s.feasibleLevels(nd, lb[:0]) {
+		for l := lo; l <= hi; l++ {
 			g := face.NewGen(m, l)
 			for sub, ok := g.Next(); ok; sub, ok = g.Next() {
 				// Map the m-dimensional subface into the father's face.

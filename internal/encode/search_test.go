@@ -22,10 +22,11 @@ func TestPosEquivPaperInstance(t *testing.T) {
 	g := paperGraph()
 	s := newSearcher(g, 4)
 	s.allLevels = true
-	s.levels = map[*constraint.Node]int{}
+	levels := map[*constraint.Node]int{}
 	for _, nd := range g.Primaries() {
 		if nd.Set.Card() > 1 {
-			s.levels[nd] = 2
+			levels[nd] = 2
+			s.setLevel(nd, 2)
 		}
 	}
 	if !s.solve(nil) {
@@ -45,7 +46,7 @@ func TestPosEquivPaperInstance(t *testing.T) {
 		}
 	}
 	// Faces must respect the level vector for primaries.
-	for nd, l := range s.levels {
+	for nd, l := range levels {
 		f, as := s.faceOf(nd)
 		if !as {
 			t.Fatalf("primary %s unassigned", nd.Set)
@@ -156,12 +157,15 @@ func TestFeasibleLevels(t *testing.T) {
 	s := newSearcher(g, 4)
 	s.allLevels = true
 	prim := g.Lookup(constraint.MustFromString("1110000"))
-	if ls := s.feasibleLevels(prim, nil); len(ls) != 1 || ls[0] != 2 {
-		t.Fatalf("primary min levels = %v, want [2]", ls)
+	if lo, hi := s.levelRange(prim); lo != 2 || hi != 2 {
+		t.Fatalf("primary min levels = [%d, %d], want [2, 2]", lo, hi)
 	}
-	s.levels = map[*constraint.Node]int{prim: 3}
-	if ls := s.feasibleLevels(prim, nil); len(ls) != 1 || ls[0] != 3 {
-		t.Fatalf("primary vector levels = %v, want [3]", ls)
+	s.setLevel(prim, 3)
+	if lo, hi := s.levelRange(prim); lo != 3 || hi != 3 {
+		t.Fatalf("primary vector levels = [%d, %d], want [3, 3]", lo, hi)
+	}
+	if lo, hi := s.levelRange(g.Lookup(constraint.MustFromString("0000010"))); lo != 0 || hi != 0 {
+		t.Fatalf("singleton levels = [%d, %d], want [0, 0]", lo, hi)
 	}
 	// cat-3 node 0011000 under father 0111000 placed at level 2: levels
 	// 1 (all levels mode) only, since min level of a 2-set is 1.
@@ -173,8 +177,22 @@ func TestFeasibleLevels(t *testing.T) {
 	if c3.Cat() != constraint.Cat3 {
 		t.Fatalf("0011000 category = %d", c3.Cat())
 	}
-	if ls := s.feasibleLevels(c3, nil); len(ls) != 1 || ls[0] != 1 {
-		t.Fatalf("cat3 levels = %v, want [1]", ls)
+	if lo, hi := s.levelRange(c3); lo != 1 || hi != 1 {
+		t.Fatalf("cat3 levels = [%d, %d], want [1, 1]", lo, hi)
+	}
+	// Under a level-3 father, all-levels mode admits levels 1 and 2 in
+	// ascending order; semiexact keeps the minimum alone.
+	s = newSearcher(g, 4)
+	s.allLevels = true
+	if _, ok := s.place(fa, face.FromString("xx0x")); !ok {
+		t.Fatal("place at level 3 failed")
+	}
+	if lo, hi := s.levelRange(c3); lo != 1 || hi != 2 {
+		t.Fatalf("cat3 levels under a level-3 father = [%d, %d], want [1, 2]", lo, hi)
+	}
+	s.allLevels = false
+	if lo, hi := s.levelRange(c3); lo != 1 || hi != 1 {
+		t.Fatalf("semiexact cat3 levels = [%d, %d], want [1, 1]", lo, hi)
 	}
 }
 
@@ -305,7 +323,7 @@ func TestFitsWordMatchesProbe(t *testing.T) {
 				continue
 			}
 			okBefore, failBefore := s.checksOK, s.checksFail
-			word := s.fitsWord(sg, fi)
+			word := s.fitsWord(sg, vertexMask(fi))
 			wordOK, wordFail := s.checksOK-okBefore, s.checksFail-failBefore
 			s.checksOK, s.checksFail = okBefore, failBefore
 			probe := s.fitsProbe(sg, fi)
@@ -338,12 +356,14 @@ func TestFitsWordMatchesProbe(t *testing.T) {
 		s := newSearcher(g, k)
 		s.allLevels = rng.Intn(2) == 0
 		if rng.Intn(2) == 0 {
+			var oc []OCEdge
 			for e := 1 + rng.Intn(3); e > 0; e-- {
 				u, v := rng.Intn(n), rng.Intn(n)
 				if u != v {
-					s.oc = append(s.oc, OCEdge{U: u, V: v})
+					oc = append(oc, OCEdge{U: u, V: v})
 				}
 			}
+			s.setOC(oc)
 		}
 		var lic *constraint.Node
 		for nd := s.nextToCode(nil); nd != nil; nd = s.nextToCode(lic) {
