@@ -24,9 +24,11 @@ type HybridOptions struct {
 	Ctx context.Context
 	// NoPrune disables the search-tree pruning added on top of the
 	// seed searcher: second-placement symmetry breaking, the
-	// failed-embedding memo, the infeasible-constraint skip, and the
-	// refutation of steps that fail the mincube_dim counting arguments.
-	// For A/B comparison and the equivalence suite.
+	// failed-embedding memo, the infeasible-constraint skip, and both
+	// refutations of a step without a search — graphs that fail the
+	// mincube_dim counting arguments (constraint.Graph.Fits) and graphs
+	// that cannot place their nodes at semiexact's minimum levels
+	// (minLevelsFit). For A/B comparison and the equivalence suite.
 	NoPrune bool
 }
 
@@ -63,9 +65,10 @@ type semiexactOut struct {
 // a hit skips BuildGraph and the search entirely. Only pruning-enabled
 // runs probe or record — the memo then never mixes the two searcher
 // behaviors. A pruning-enabled miss whose graph fails the mincube_dim
-// counting arguments at cubeDim (constraint.Graph.Fits) is refuted
-// without a search: a failure with no work and no budget hit, memoized
-// like an exhaustive one.
+// counting arguments at cubeDim (constraint.Graph.Fits), or cannot
+// place its nodes at the minimum levels semiexact uses (minLevelsFit),
+// is refuted without a search: a failure with no work and no budget
+// hit, memoized like an exhaustive one.
 func semiexactRun(ctx context.Context, n int, sic []constraint.Constraint, cubeDim, maxWork int, oc []OCEdge, noPrune bool) semiexactOut {
 	sctx, sp := obs.Span(ctx, "search.semiexact")
 	sp.SetInt("constraints", int64(len(sic)))
@@ -80,7 +83,7 @@ func semiexactRun(ctx context.Context, n int, sic []constraint.Constraint, cubeD
 	}
 	if s == nil {
 		g := constraint.BuildGraph(n, sic)
-		if !noPrune && !g.Fits(cubeDim) {
+		if !noPrune && (!g.Fits(cubeDim) || !minLevelsFit(g, cubeDim)) {
 			// The search could only fail; OC edges only add requirements.
 			s = &searcher{refuted: true}
 		} else {
@@ -108,6 +111,49 @@ func semiexactRun(ctx context.Context, n int, sic []constraint.Constraint, cubeD
 	}
 	s.flushMetrics(obs.MetricsFrom(ctx))
 	return out
+}
+
+// minLevelsFit reports whether the nodes of g can take faces of the
+// k-cube at the levels semiexact allows, where every category-1 and
+// category-3 node sits at exactly its minimum level ml = ceil(log2 #(ic)).
+// A category-3 face lies strictly inside its father's face. A
+// category-2 face is the intersection of its fathers' faces, and verify
+// rejects it when it equals one of them (injectivity), so it too lies
+// strictly inside each father's face. Walking g.Nodes in order visits
+// fathers first (they are strictly larger), keeping an upper bound U on
+// each node's face level: U = k for the universe; a node with one father
+// needs ml <= U(father) - 1 and gets U = ml; a non-singleton category-2
+// node gets U = min over its fathers of U - 1 and needs ml <= U.
+// Category-2 singletons take a vertex of their fathers' intersection
+// and father no node, so they need no bound. A node that fails its test
+// has no face at any step of the search, so the search can only fail.
+//
+// iexact's runs are not refuted this way: they range category-3 nodes
+// over every level below the father's and primaries over a level vector.
+func minLevelsFit(g *constraint.Graph, k int) bool {
+	up := make([]int, len(g.Nodes))
+	for _, nd := range g.Nodes {
+		ml := minLevel(nd)
+		switch {
+		case nd == g.Universe:
+			up[nd.Index] = k
+		case len(nd.Fathers) == 1:
+			if ml > up[nd.Fathers[0].Index]-1 {
+				return false
+			}
+			up[nd.Index] = ml
+		case nd.Set.Card() > 1:
+			u := k
+			for _, fa := range nd.Fathers {
+				u = min(u, up[fa.Index]-1)
+			}
+			if ml > u {
+				return false
+			}
+			up[nd.Index] = u
+		}
+	}
+	return true
 }
 
 // chainResult is what the stage-1 greedy semiexact cycle produces.

@@ -40,7 +40,7 @@ var searchMemo = lru.New[searchVerdict](searchMemoEntries, nil)
 type searchVerdict struct {
 	ok         bool // embedding found
 	budget     bool // run stopped on its work budget
-	refuted    bool // rejected by Graph.Fits without a search
+	refuted    bool // rejected without a search (Graph.Fits or minLevelsFit)
 	cap        int  // the maxWork the run was produced under (0 = unbounded)
 	work       int
 	backtracks int

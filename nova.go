@@ -143,7 +143,8 @@ type Options struct {
 	// the embedding searcher — constraint infeasibility skips, hypercube
 	// symmetry breaking beyond the first placement, the failed-embedding
 	// memo, and the refutation of semiexact steps that fail the
-	// mincube_dim counting arguments — reverting to the exhaustive
+	// mincube_dim counting arguments or cannot place their constraints
+	// at semiexact's minimum levels — reverting to the exhaustive
 	// enumeration.
 	// The encodings produced are equivalent (same area and cube count;
 	// see the pruning pipeline section of docs/ALGORITHMS.md); the knob
