@@ -422,20 +422,6 @@ func BenchmarkMinimizeEncoded(b *testing.B) {
 	}
 }
 
-func BenchmarkIHybridKeyb(b *testing.B) {
-	skipShort(b)
-	f := bench.Get("keyb")
-	p, err := mvmin.Build(f)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ics := p.Constraints(p.Minimize(espresso.Options{})).States
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		encode.IHybrid(f.NumStates(), ics, 0, encode.HybridOptions{})
-	}
-}
-
 func BenchmarkIGreedyPlanet(b *testing.B) {
 	skipShort(b)
 	f := bench.Get("planet")
