@@ -128,8 +128,10 @@ func semiexactRun(ctx context.Context, n int, sic []constraint.Constraint, cubeD
 // and father no node, so they need no bound. A node that fails its test
 // has no face at any step of the search, so the search can only fail.
 //
-// iexact's runs are not refuted this way: they range category-3 nodes
-// over every level below the father's and primaries over a level vector.
+// iexact's vector runs are not refuted this way. They range category-3
+// nodes over every level below the father's, and refuting a vector run
+// that now stops on the budget would change Proven and the returned
+// length.
 func minLevelsFit(g *constraint.Graph, k int) bool {
 	up := make([]int, len(g.Nodes))
 	for _, nd := range g.Nodes {
