@@ -319,8 +319,10 @@ func mvProblem(b *testing.B, name string) *mvmin.Problem {
 // question IRREDUNDANT asks for every cube: "does the rest of the cover,
 // plus the don't-care set, cover this cube?" — i.e. tautology of the
 // cofactored cover. The rest-covers are prebuilt so the timed region is
-// the recursion itself. Steady state is memo-hit heavy — the shared
-// tautology memo answers repeats.
+// the covering check itself, the cofactor and the tautology call on it.
+// No verdict is cached between calls, so every iteration does the same
+// work. On planet the checks before the first split settle each of
+// these 24 questions (24 tautology calls per iteration).
 func BenchmarkTautology(b *testing.B) {
 	p := mvProblem(b, "planet")
 	on, dc := p.On, p.Dc

@@ -136,7 +136,7 @@ func TestGlossaryCountersAppearInTracedRun(t *testing.T) {
 
 	// One portfolio race (algo.*, portfolio.won, portfolio.winner.*),
 	// then a parallel ihybrid encode on the same tracer twice (espresso,
-	// tautology memo including hits, arenas including reuses, searcher
+	// tautology calls, arenas including reuses, searcher
 	// work/backtracks/checks, pool tasks/depths), then an ihybrid encode
 	// of dk17, whose chain has steps no face embedding can satisfy
 	// (search.refuted).

@@ -1,14 +1,11 @@
 package cube
 
-import "sort"
-
 // Arena is a scratch allocator for the unate-recursion hot path: a free
-// list of cubes and cover containers tied to one Structure layout, plus
-// scratch for tautology-memo keys. The recursion of Tautology /
-// CoversCube / Complement allocates one cofactor cover per node; with an
-// arena those buffers are recycled instead of handed to the garbage
-// collector, which removes the dominant allocation cost of the ESPRESSO
-// passes.
+// list of cubes and cover containers tied to one Structure layout. The
+// recursion of Tautology / CoversCube / Complement allocates one cofactor
+// cover per node; with an arena those buffers are recycled instead of
+// handed to the garbage collector, which removes the dominant allocation
+// cost of the ESPRESSO passes.
 //
 // An Arena is NOT safe for concurrent use. Obtain one with GetArena and
 // return it with PutArena; the backing sync.Pool hands each worker its own
@@ -18,11 +15,6 @@ type Arena struct {
 	cubes  []Cube
 	covers []*Cover
 
-	// memoIdx/memoBuf are reusable scratch for building keys into the
-	// process-wide tautology memo (see memo.go).
-	memoIdx []int
-	memoBuf []byte
-
 	// stat accumulates hot-loop telemetry in plain ints — the arena is
 	// single-owner, so no atomics are needed here. Callers that trace
 	// snapshot Stats() before and after a phase and flush the delta into
@@ -31,25 +23,21 @@ type Arena struct {
 	reused bool // true when GetArena served this arena from the pool
 }
 
-// ArenaStats counts arena and tautology-memo activity. Values are
-// cumulative over the arena's lifetime (across pool reuses); use Sub to
-// form per-phase deltas.
+// ArenaStats counts arena and tautology activity. Values are cumulative
+// over the arena's lifetime (across pool reuses); use Sub to form
+// per-phase deltas.
 type ArenaStats struct {
-	TautCalls       int64 // tautology / covering queries answered
-	TautMemoLookups int64 // memo probes (covers >= memoMinCubes)
-	TautMemoHits    int64
-	CubesAlloc      int64 // NewCube calls that hit make()
-	CubesReused     int64 // NewCube calls served from the free list
+	TautCalls   int64 // tautology / covering queries answered
+	CubesAlloc  int64 // NewCube calls that hit make()
+	CubesReused int64 // NewCube calls served from the free list
 }
 
 // Sub returns s - o, the activity between two snapshots.
 func (s ArenaStats) Sub(o ArenaStats) ArenaStats {
 	return ArenaStats{
-		TautCalls:       s.TautCalls - o.TautCalls,
-		TautMemoLookups: s.TautMemoLookups - o.TautMemoLookups,
-		TautMemoHits:    s.TautMemoHits - o.TautMemoHits,
-		CubesAlloc:      s.CubesAlloc - o.CubesAlloc,
-		CubesReused:     s.CubesReused - o.CubesReused,
+		TautCalls:   s.TautCalls - o.TautCalls,
+		CubesAlloc:  s.CubesAlloc - o.CubesAlloc,
+		CubesReused: s.CubesReused - o.CubesReused,
 	}
 }
 
@@ -57,13 +45,8 @@ func (s ArenaStats) Sub(o ArenaStats) ArenaStats {
 func (a *Arena) Stats() ArenaStats { return a.stat }
 
 // Reused reports whether this arena came out of the pool warm (with its
-// free lists and key scratch from a previous owner) rather than freshly
-// built.
+// free lists from a previous owner) rather than freshly built.
 func (a *Arena) Reused() bool { return a.reused }
-
-// memoMinCubes is the smallest cover worth memoizing: below this the
-// recursion is cheaper than the key construction.
-const memoMinCubes = 4
 
 // NewArena returns an empty arena for structure s.
 func NewArena(s *Structure) *Arena { return &Arena{s: s} }
@@ -71,7 +54,7 @@ func NewArena(s *Structure) *Arena { return &Arena{s: s} }
 // GetArena checks an arena for s's layout out of the shared pool. The
 // caller has exclusive use of it until PutArena.
 func GetArena(s *Structure) *Arena {
-	if v := s.layout.pool.Get(); v != nil {
+	if v := s.pool.Get(); v != nil {
 		a := v.(*Arena)
 		a.s = s // equal layout: masks and widths are interchangeable
 		a.reused = true
@@ -85,7 +68,7 @@ func PutArena(a *Arena) {
 	if a == nil {
 		return
 	}
-	a.s.layout.pool.Put(a)
+	a.s.pool.Put(a)
 }
 
 // NewCube returns a zeroed cube, recycled when possible.
@@ -144,43 +127,4 @@ func (a *Arena) Release(f *Cover) {
 		a.FreeCube(c)
 	}
 	a.FreeCover(f)
-}
-
-// coverKey builds the canonical content key of f: cube indices sorted
-// lexicographically by words, then all words serialized little-endian.
-// Two covers of one layout get the same key iff they contain the same
-// multiset of cubes. The returned slice aliases arena scratch — it is
-// valid only until the next coverKey call on this arena (the memo only
-// reads it during a lookup; an insert stores a copy).
-func (a *Arena) coverKey(f *Cover) []byte {
-	n := len(f.Cubes)
-	if cap(a.memoIdx) < n {
-		a.memoIdx = make([]int, n)
-	}
-	idx := a.memoIdx[:n]
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(x, y int) bool {
-		cx, cy := f.Cubes[idx[x]], f.Cubes[idx[y]]
-		for w := range cx {
-			if cx[w] != cy[w] {
-				return cx[w] < cy[w]
-			}
-		}
-		return false
-	})
-	need := n * a.s.nwords * 8
-	if cap(a.memoBuf) < need {
-		a.memoBuf = make([]byte, need)
-	}
-	buf := a.memoBuf[:0]
-	for _, i := range idx {
-		for _, w := range f.Cubes[i] {
-			buf = append(buf, byte(w), byte(w>>8), byte(w>>16), byte(w>>24),
-				byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))
-		}
-	}
-	a.memoBuf = buf
-	return buf
 }

@@ -169,9 +169,7 @@ func (f *Cover) Tautology() bool {
 }
 
 // TautologyWith is Tautology with caller-provided scratch. The recursion
-// allocates cofactor covers from the arena and recycles them per node, and
-// consults the process-wide tautology memo for covers of at least
-// memoMinCubes cubes.
+// allocates cofactor covers from the arena and recycles them per node.
 func (f *Cover) TautologyWith(a *Arena) bool {
 	a.stat.TautCalls++
 	if len(f.Cubes) == 0 {
@@ -212,14 +210,6 @@ func (f *Cover) TautologyWith(a *Arena) bool {
 	if f.singleActiveVar(v) {
 		return true
 	}
-	useMemo := len(f.Cubes) >= memoMinCubes
-	if useMemo {
-		a.stat.TautMemoLookups++
-		if v, ok := tautologyMemo.GetBytes(a.coverKey(f)); ok && v.layout == s.layout.id {
-			a.stat.TautMemoHits++
-			return v.taut
-		}
-	}
 	res := true
 	sel := a.CopyCube(s.full)
 	for p := 0; p < s.Size(v); p++ {
@@ -234,11 +224,6 @@ func (f *Cover) TautologyWith(a *Arena) bool {
 		}
 	}
 	a.FreeCube(sel)
-	// The child recursion reuses the arena's key scratch, so the key is
-	// rebuilt here.
-	if useMemo {
-		tautologyMemo.Put(string(a.coverKey(f)), memoVerdict{s.layout.id, res})
-	}
 	return res
 }
 

@@ -192,3 +192,175 @@ func TestWithout(t *testing.T) {
 		t.Fatal("Without removed the wrong cube")
 	}
 }
+
+// tautologyLayouts are small enough to enumerate every minterm: binary
+// fields, multiple-valued fields only, both mixed, fields of one part, a
+// layout over two words, and (2,2,2) and (3,3), which both fit one word
+// so the same words are a cover of each.
+var tautologyLayouts = []struct {
+	name  string
+	sizes []int
+}{
+	{"binary", []int{2, 2, 2, 2, 2}},
+	{"mv-only", []int{3, 4, 3}},
+	{"mixed", []int{2, 3, 2, 4}},
+	{"one-part-field", []int{2, 1, 3, 1, 2}},
+	{"two-words", []int{2, 3, 61}},
+	{"2-2-2", []int{2, 2, 2}},
+	{"3-3", []int{3, 3}},
+}
+
+// carve narrows c so that it no longer contains minterm m, by clearing
+// m's part in one field of c that holds other parts too. It reports false
+// when c is m itself, which nothing narrows without emptying it.
+func carve(s *Structure, c, m Cube, rng *rand.Rand) bool {
+	if !Contains(c, m) {
+		return true
+	}
+	var wide []int
+	for v := 0; v < s.NumVars(); v++ {
+		if s.VarCount(c, v) > 1 {
+			wide = append(wide, v)
+		}
+	}
+	if len(wide) == 0 {
+		return false
+	}
+	v := wide[rng.Intn(len(wide))]
+	s.Clear(c, v, s.VarParts(m, v)[0])
+	return true
+}
+
+// tautologyCase returns a random cover of 4 to 15 cubes of s. When taut
+// is set it is a tautology by construction: the universe split into
+// disjoint cubes, some of them widened, plus copies of them and random
+// cubes. Otherwise up to three random minterms are then carved out of
+// every cube that holds them, so the cover misses each of them.
+func tautologyCase(s *Structure, taut bool, rng *rand.Rand) *Cover {
+	n := 4 + rng.Intn(12)
+	cubes := []Cube{s.FullCube()}
+	for tries := 0; len(cubes) < n && tries < 100; tries++ {
+		c := cubes[rng.Intn(len(cubes))]
+		v := rng.Intn(s.NumVars())
+		parts := s.VarParts(c, v)
+		if len(parts) < 2 {
+			continue
+		}
+		rng.Shuffle(len(parts), func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
+		d := c.Copy()
+		cut := 1 + rng.Intn(len(parts)-1)
+		for _, p := range parts[:cut] {
+			s.Clear(d, v, p)
+		}
+		for _, p := range parts[cut:] {
+			s.Clear(c, v, p)
+		}
+		cubes = append(cubes, d)
+	}
+	for _, c := range cubes {
+		if rng.Intn(3) == 0 {
+			v := rng.Intn(s.NumVars())
+			s.Set(c, v, rng.Intn(s.Size(v)))
+		}
+	}
+	for len(cubes) < n {
+		if rng.Intn(3) == 0 {
+			cubes = append(cubes, cubes[rng.Intn(len(cubes))].Copy())
+		} else {
+			cubes = append(cubes, randomCube(s, rng))
+		}
+	}
+	if !taut {
+		holes := make([]Cube, 1+rng.Intn(3))
+		for i := range holes {
+			holes[i] = s.NewCube()
+			for v := 0; v < s.NumVars(); v++ {
+				s.Set(holes[i], v, rng.Intn(s.Size(v)))
+			}
+		}
+		carveAll := func(cs []Cube) []Cube {
+			kept := cs[:0]
+		next:
+			for _, c := range cs {
+				for _, m := range holes {
+					if !carve(s, c, m, rng) {
+						continue next
+					}
+				}
+				kept = append(kept, c)
+			}
+			return kept
+		}
+		cubes = carveAll(cubes)
+		for len(cubes) < 4 {
+			cubes = append(cubes, carveAll([]Cube{randomCube(s, rng)})...)
+		}
+	}
+	rng.Shuffle(len(cubes), func(i, j int) { cubes[i], cubes[j] = cubes[j], cubes[i] })
+	return coverOf(s, cubes...)
+}
+
+// TestTautologyOracle checks TautologyWith and ComplementWith against
+// minterm enumeration on random covers of every tautologyLayouts layout,
+// tautologies and non-tautologies in turn, through one arena per layout
+// as the minimizer holds one. The four words below are fixed inputs:
+// under (2,2,2) they leave x0=x1=1, x2=0 uncovered, and under (3,3) they
+// cover every minterm.
+func TestTautologyOracle(t *testing.T) {
+	s222 := NewStructure(2, 2, 2)
+	fixed := []Cube{
+		parse(s222, "10", "10", "10"),
+		parse(s222, "01", "10", "10"),
+		parse(s222, "10", "01", "10"),
+		parse(s222, "11", "11", "01"),
+	}
+	fixedTaut := map[string]bool{"2-2-2": false, "3-3": true}
+	for _, l := range tautologyLayouts {
+		t.Run(l.name, func(t *testing.T) {
+			s := NewStructure(l.sizes...)
+			space := 1
+			for _, n := range l.sizes {
+				space *= n
+			}
+			a := NewArena(s)
+			rng := rand.New(rand.NewSource(3))
+			check := func(f *Cover) bool {
+				t.Helper()
+				on := mintermSet(f)
+				want := len(on) == space
+				if got := f.TautologyWith(a); got != want {
+					t.Fatalf("TautologyWith = %v, enumeration %v\nF:\n%s", got, want, f)
+				}
+				comp := mintermSet(f.ComplementWith(a))
+				if len(comp)+len(on) != space {
+					t.Fatalf("complement spans %d minterms, want %d\nF:\n%s", len(comp), space-len(on), f)
+				}
+				for k := range comp {
+					if on[k] {
+						t.Fatalf("complement meets F\nF:\n%s", f)
+					}
+				}
+				return want
+			}
+			if want, ok := fixedTaut[l.name]; ok {
+				f := NewCover(s)
+				for _, c := range fixed {
+					f.Add(c.Copy())
+				}
+				if got := check(f); got != want {
+					t.Fatalf("fixed cover: tautology = %v, want %v", got, want)
+				}
+			}
+			for i := 0; i < 600; i++ {
+				taut := i%2 == 0
+				f := tautologyCase(s, taut, rng)
+				if n := f.Len(); n < 4 || n > 15 {
+					t.Fatalf("generator returned %d cubes, want 4 to 15", n)
+				}
+				if got := check(f); got != taut {
+					t.Fatalf("generator built tautology = %v, enumeration says %v\nF:\n%s", taut, got, f)
+				}
+			}
+		})
+	}
+}

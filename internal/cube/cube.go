@@ -21,7 +21,6 @@ import (
 	"math/bits"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Structure describes the variable layout shared by all cubes of a cover:
@@ -51,7 +50,7 @@ type Structure struct {
 	bmask    Cube   // per word: low part of each whole-in-word binary field
 	other    []int  // variables bmask does not cover, in variable order
 
-	layout *layout // state shared by every Structure of this layout
+	pool *sync.Pool // arena pool shared by every Structure of this layout
 }
 
 // NewStructure returns a Structure for variables with the given part counts.
@@ -96,39 +95,30 @@ func NewStructure(sizes ...int) *Structure {
 	for i := 0; i < s.nbits; i++ {
 		s.full.setBit(i)
 	}
-	s.layout = layoutFor(s.sizes)
+	s.pool = arenaPoolFor(s.sizes)
 	return s
 }
 
-// layout is what every Structure of one variable layout shares: the
-// arena pool, so scratch buffers survive across calls and across the
-// equal-layout Structure values the per-candidate encoders create, and
-// the id that tags the layout's verdicts in the tautology memo.
-type layout struct {
-	id   uint32
-	pool sync.Pool
-}
+// arenaPools maps a serialized sizes vector to the *sync.Pool of arenas
+// that every Structure of that layout shares, so scratch buffers survive
+// across calls and across the equal-layout Structure values the
+// per-candidate encoders create. Entries are never removed; each is a
+// few hundred bytes.
+var arenaPools sync.Map
 
-// layouts maps a serialized sizes vector to its *layout. Entries are
-// never removed; each is a few hundred bytes.
-var (
-	layouts      sync.Map
-	nextLayoutID atomic.Uint32
-)
-
-// layoutFor returns the registered layout of sizes, registering it with
-// a fresh id on first sight.
-func layoutFor(sizes []int) *layout {
+// arenaPoolFor returns the arena pool of sizes, registering it on first
+// sight.
+func arenaPoolFor(sizes []int) *sync.Pool {
 	var b strings.Builder
 	for _, n := range sizes {
 		fmt.Fprintf(&b, "%d.", n)
 	}
 	key := b.String()
-	if l, ok := layouts.Load(key); ok {
-		return l.(*layout)
+	if p, ok := arenaPools.Load(key); ok {
+		return p.(*sync.Pool)
 	}
-	l, _ := layouts.LoadOrStore(key, &layout{id: nextLayoutID.Add(1)})
-	return l.(*layout)
+	p, _ := arenaPools.LoadOrStore(key, new(sync.Pool))
+	return p.(*sync.Pool)
 }
 
 // NumVars returns the number of variables.

@@ -12,17 +12,14 @@ import (
 // for a given code length. It computes all intersections of the input
 // constraints and encodes going upwards from the deepest of them, giving
 // priority to common subconstraints; earlier choices are never undone, so
-// some encoding space may remain unused. bits <= 0 selects the minimum
-// code length.
+// some encoding space may remain unused. bits below the minimum code
+// length (bits <= 0 included) selects the minimum.
 func IGreedy(n int, ics []constraint.Constraint, bits int) Result {
 	// Preprocessing without a code length: merge/drop only. The
 	// infeasible filter would be unsound here — tryNode may legitimately
 	// claim the full cube for a constraint covering every placed state.
 	ics = constraint.Preprocess(0, ics).ICs
-	if bits <= 0 {
-		bits = MinLength(n)
-	}
-	k := bits
+	k := max(bits, MinLength(n))
 	g := constraint.BuildGraph(n, ics)
 
 	var res Result

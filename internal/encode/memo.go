@@ -22,12 +22,12 @@ import (
 // so a memo hit is observationally identical to re-running the search:
 // counters and Result fields read "as if executed".
 //
-// Like the cube package's tautology memo, the cache is one process-wide
-// LRU. Only a run that found no usable verdict is recorded, and it
-// replaces the verdict held under its key (say, an exhaustive run after a
-// budget-truncated one), so each key holds its latest verdict; usable
-// still guards every replay. A hit's codes slice is shared with the
-// memo: callers must not mutate it (extract copies it out).
+// The cache is one process-wide LRU. Only a run that found no usable
+// verdict is recorded, and it replaces the verdict held under its key
+// (say, an exhaustive run after a budget-truncated one), so each key
+// holds its latest verdict; usable still guards every replay. A hit's
+// codes slice is shared with the memo: callers must not mutate it
+// (extract copies it out).
 
 // searchMemoEntries bounds the search memo. Entries carry the winning
 // code vector (a handful of words), so the memo stays small even when

@@ -12,8 +12,9 @@
 package espresso
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"nova/internal/cube"
 	"nova/internal/obs"
@@ -45,10 +46,9 @@ type Options struct {
 // The input covers are not modified.
 func Minimize(on, dc *cube.Cover, opt Options) *cube.Cover {
 	// One scratch arena serves the whole call: every pass recycles cofactor
-	// buffers through it and shares its tautology memo across iterations.
-	// The backing pool is keyed by structure layout, so repeated calls over
-	// equal layouts (the per-candidate evaluation loop) reuse the same
-	// buffers and memo without any coordination by the caller.
+	// buffers through it. The backing pool is keyed by structure layout,
+	// so repeated calls over equal layouts (the per-candidate evaluation
+	// loop) reuse the same buffers without any coordination by the caller.
 	a := cube.GetArena(on.S)
 	defer cube.PutArena(a)
 	if m := obs.MetricsFrom(opt.Ctx); m != nil {
@@ -62,7 +62,7 @@ func Minimize(on, dc *cube.Cover, opt Options) *cube.Cover {
 
 // MinimizeWith is Minimize with caller-provided scratch, for callers that
 // run many minimizations over one layout and want to hold a single arena
-// (and its tautology memo) across the whole batch.
+// across the whole batch.
 func MinimizeWith(on, dc *cube.Cover, opt Options, a *cube.Arena) *cube.Cover {
 	if opt.MaxIterations <= 0 {
 		opt.MaxIterations = 16
@@ -128,8 +128,6 @@ func finishMinimize(msp *obs.ActiveSpan, m *obs.Metrics, a *cube.Arena, base cub
 		msp.SetInt("cubes_out", int64(f.Len()))
 		d := a.Stats().Sub(base)
 		m.TautCalls.Add(d.TautCalls)
-		m.TautMemoLookups.Add(d.TautMemoLookups)
-		m.TautMemoHits.Add(d.TautMemoHits)
 		m.CubesAlloc.Add(d.CubesAlloc)
 		m.CubesReused.Add(d.CubesReused)
 	}
@@ -232,8 +230,8 @@ func expandWith(f, dc *cube.Cover, a *cube.Arena) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(x, y int) bool {
-		return f.Cubes[order[x]].PopCount() > f.Cubes[order[y]].PopCount()
+	slices.SortStableFunc(order, func(x, y int) int {
+		return cmp.Compare(f.Cubes[y].PopCount(), f.Cubes[x].PopCount())
 	})
 
 	// Column weights: how often each part is set across the cover. Raising
@@ -304,7 +302,7 @@ func expandCubeWith(s *cube.Structure, c cube.Cube, all *cube.Cover, weights []i
 			}
 		}
 	}
-	sort.SliceStable(cands, func(x, y int) bool { return cands[x].w > cands[y].w })
+	slices.SortStableFunc(cands, func(x, y raiseCand) int { return cmp.Compare(y.w, x.w) })
 	near := a.NewCover()
 	nearCubes(near, all, c)
 	slice := a.NewCube()
@@ -347,8 +345,8 @@ func irredundantWith(f, dc *cube.Cover, a *cube.Arena) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(x, y int) bool {
-		return f.Cubes[order[x]].PopCount() < f.Cubes[order[y]].PopCount()
+	slices.SortStableFunc(order, func(x, y int) int {
+		return cmp.Compare(f.Cubes[x].PopCount(), f.Cubes[y].PopCount())
 	})
 	removed := make([]bool, len(f.Cubes))
 	rest := a.NewCover()
@@ -391,8 +389,8 @@ func reduceWith(f, dc *cube.Cover, a *cube.Arena) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(x, y int) bool {
-		return f.Cubes[order[x]].PopCount() > f.Cubes[order[y]].PopCount()
+	slices.SortStableFunc(order, func(x, y int) int {
+		return cmp.Compare(f.Cubes[y].PopCount(), f.Cubes[x].PopCount())
 	})
 	rest := a.NewCover()
 	slice := a.NewCube()

@@ -76,8 +76,9 @@ func phaseRow(machine string, snap *nova.TelemetrySnapshot) PhaseRow {
 }
 
 // FormatPhaseTable renders the rows as an aligned text table with a
-// footer of aggregate counters (tautology memo hit rate, searcher
-// backtracks and check satisfaction ratio, arena reuse, pool activity).
+// footer of aggregate counters (tautology calls, arena reuse, searcher
+// work and backtracks, search pruning and its memo hit rate, face-check
+// satisfaction ratio, pool activity).
 func FormatPhaseTable(rows []PhaseRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %10s %10s %10s %10s %10s %10s %10s\n",
@@ -103,8 +104,7 @@ func FormatPhaseTable(rows []PhaseRow) string {
 
 	b.WriteString("\ncounters:\n")
 	fmt.Fprintf(&b, "  espresso iterations      %d\n", agg["espresso.iterations"])
-	fmt.Fprintf(&b, "  tautology calls          %d (memo hit rate %s)\n",
-		agg["tautology.calls"], ratio(agg["tautology.memo_hits"], agg["tautology.memo_lookups"]))
+	fmt.Fprintf(&b, "  tautology calls          %d\n", agg["tautology.calls"])
 	fmt.Fprintf(&b, "  arena gets               %d (reuse rate %s)\n",
 		agg["arena.gets"], ratio(agg["arena.reuses"], agg["arena.gets"]))
 	fmt.Fprintf(&b, "  searcher work            %d (backtracks %d)\n",

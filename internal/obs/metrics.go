@@ -21,10 +21,8 @@ type Metrics struct {
 	// espresso loop
 	EspressoIters atomic.Int64 // EXPAND/IRREDUNDANT/REDUCE round trips
 
-	// tautology memo (hit rate = hits / lookups)
-	TautCalls       atomic.Int64
-	TautMemoLookups atomic.Int64
-	TautMemoHits    atomic.Int64
+	// unate-recursion tautology checks
+	TautCalls atomic.Int64
 
 	// scratch arenas (reuse rate = reuses / gets)
 	ArenaGets   atomic.Int64
@@ -168,8 +166,6 @@ func (m *Metrics) Counters() map[string]int64 {
 	}
 	put("espresso.iterations", m.EspressoIters.Load())
 	put("tautology.calls", m.TautCalls.Load())
-	put("tautology.memo_lookups", m.TautMemoLookups.Load())
-	put("tautology.memo_hits", m.TautMemoHits.Load())
 	put("arena.gets", m.ArenaGets.Load())
 	put("arena.reuses", m.ArenaReuses.Load())
 	put("arena.cubes_alloc", m.CubesAlloc.Load())

@@ -202,8 +202,7 @@ func TestConcurrentEndsWriteWholeLines(t *testing.T) {
 func TestMetricsCounters(t *testing.T) {
 	var m Metrics
 	m.EspressoIters.Add(3)
-	m.TautMemoLookups.Add(10)
-	m.TautMemoHits.Add(4)
+	m.TautCalls.Add(10)
 	m.Add("algo.ok.iexact", 2)
 	m.Max("pool.max_depth", 3)
 	m.Max("pool.max_depth", 1) // must not lower
@@ -211,9 +210,8 @@ func TestMetricsCounters(t *testing.T) {
 	m.Observe("search.work", 3)
 
 	c := m.Counters()
-	if c["espresso.iterations"] != 3 || c["tautology.memo_lookups"] != 10 ||
-		c["tautology.memo_hits"] != 4 || c["algo.ok.iexact"] != 2 ||
-		c["pool.max_depth"] != 3 {
+	if c["espresso.iterations"] != 3 || c["tautology.calls"] != 10 ||
+		c["algo.ok.iexact"] != 2 || c["pool.max_depth"] != 3 {
 		t.Fatalf("counters = %v", c)
 	}
 	if _, ok := c["search.backtracks"]; ok {

@@ -213,8 +213,8 @@ func AnalyzeMinimized(p *mvmin.Problem, c *cube.Cover, opt Options) *Output {
 	}
 
 	// All per-state minimizations run over the same reduced layout: hold
-	// one scratch arena across the loop so cofactor buffers and the
-	// tautology memo are shared between stages.
+	// one scratch arena across the loop so cofactor buffers are shared
+	// between stages.
 	arena := cube.GetArena(rs)
 	defer cube.PutArena(arena)
 

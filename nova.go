@@ -132,9 +132,10 @@ const (
 type Options struct {
 	// Algorithm defaults to Best.
 	Algorithm Algorithm
-	// Bits is the total state-encoding length; 0 selects the minimum.
-	// Lengths above the minimum let ihybrid/iohybrid run their projection
-	// phase (Section 4.2).
+	// Bits is the total state-encoding length; 0, or any value below the
+	// minimum MinLength(#states), selects the minimum. Lengths above the
+	// minimum let ihybrid/iohybrid run their projection phase (Section
+	// 4.2).
 	Bits int
 	// MaxWork bounds each bounded-backtracking call (paper's max_work);
 	// 0 selects the default.

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"nova/internal/bench"
 )
 
 const quickFSM = `
@@ -268,6 +270,33 @@ func TestBitsAboveMinimumHelpsSatisfaction(t *testing.T) {
 	}
 	if bigRes.WSat < minRes.WSat {
 		t.Fatalf("more bits lost satisfaction: %d < %d", bigRes.WSat, minRes.WSat)
+	}
+}
+
+// TestBitsBelowMinimumSelectMinimum: a code length below MinLength of
+// the state count selects the minimum, so every algorithm returns what it
+// returns at Bits = 0.
+func TestBitsBelowMinimumSelectMinimum(t *testing.T) {
+	for _, name := range []string{"bbara", "dk17", "lion"} {
+		f := bench.Get(name)
+		for _, alg := range Algorithms() {
+			t.Run(name+"/"+string(alg), func(t *testing.T) {
+				opt := Options{Algorithm: alg, Parallelism: 1}
+				want, err := Encode(f, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt.Bits = MinLength(f.NumStates()) - 1
+				got, err := Encode(f, opt)
+				if err != nil {
+					t.Fatalf("Bits %d: %v", opt.Bits, err)
+				}
+				if got.Bits != want.Bits || got.Cubes != want.Cubes || got.Area != want.Area {
+					t.Fatalf("Bits %d: bits/cubes/area %d/%d/%d, want %d/%d/%d as at Bits 0",
+						opt.Bits, got.Bits, got.Cubes, got.Area, want.Bits, want.Cubes, want.Area)
+				}
+			})
+		}
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 
 // Tracer collects the telemetry of one encoding run (or one EncodeAll
 // batch): span-style phase timings and the counters that explain NOVA's
-// behavior (espresso iterations, tautology memo hit rate, searcher
-// backtracks, pool scheduling). Create one with NewTracer, set it on
+// behavior (espresso iterations, tautology calls, searcher backtracks,
+// pool scheduling). Create one with NewTracer, set it on
 // Options.Tracer, and read Result.Telemetry (or Tracer.Snapshot) after
 // the run. A Tracer may be shared by several runs to aggregate them;
 // there is no global tracer — runs without one record nothing and pay

@@ -47,7 +47,8 @@ func TestNoopSpanZeroAlloc(t *testing.T) {
 
 // TestTautologyZeroAllocWithTelemetry replays the BenchmarkTautology
 // kernel (rest-cover CoversCube on planet) and requires the baseline 0
-// allocs/op to survive the arena stat counters added for telemetry.
+// allocs/op to survive the arena stat counters added for telemetry. No
+// verdict is cached, so every counted call does the whole check.
 func TestTautologyZeroAllocWithTelemetry(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are noise under the race detector (its runtime allocates); enforced by the non-race runs")
@@ -90,8 +91,9 @@ func TestMinimizeAllocParityWithoutTracer(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A held (non-pooled) arena keeps sync.Pool GC churn out of the
-	// measurement; the memo reaches steady state during the warm-up run
-	// AllocsPerRun performs before counting. The minimum of three
+	// measurement; its free lists fill during the warm-up run
+	// AllocsPerRun performs before counting, so each counted run pays for
+	// the whole recursion, not its scratch. The minimum of three
 	// measurements discards stray runtime allocations (GC bookkeeping)
 	// that land in individual runs.
 	a := cube.NewArena(p.S)
@@ -178,8 +180,104 @@ func TestTelemetrySnapshotContents(t *testing.T) {
 			t.Errorf("counter %q is zero", key)
 		}
 	}
-	if snap.Counters["tautology.memo_hits"] > snap.Counters["tautology.memo_lookups"] {
-		t.Error("memo hits exceed memo lookups")
+}
+
+// historyFSM is encoded by TestMinimizerTalliesIgnoreProcessHistory
+// alone, so no earlier test in the process has minimized its covers.
+const historyFSM = `
+.i 2
+.o 2
+.s 8
+.r h0
+00 h0 h2 00
+01 h0 h7 00
+1- h0 h5 00
+00 h1 h4 01
+01 h1 h2 10
+1- h1 h0 11
+00 h2 h6 00
+01 h2 h1 01
+1- h2 h5 10
+00 h3 h6 10
+01 h3 h4 10
+1- h3 h6 01
+00 h4 h0 11
+01 h4 h4 11
+1- h4 h2 11
+00 h5 h6 01
+01 h5 h6 10
+1- h5 h1 11
+00 h6 h1 11
+01 h6 h0 00
+1- h6 h6 00
+00 h7 h7 00
+01 h7 h0 11
+1- h7 h2 11
+.e
+`
+
+// historyTallies keeps the tallies of the first execution of
+// TestMinimizerTalliesIgnoreProcessHistory in this process; under
+// -count=2 the second execution runs in a process the first one warmed,
+// and must read them again.
+var historyTallies map[string][2]int64
+
+// TestMinimizerTalliesIgnoreProcessHistory pins that the minimizer's work
+// on a machine depends on the machine alone: tautology.calls and
+// espresso.iterations of igreedy and of Best at Parallelism 1 and 2 are
+// the same on a machine no earlier run has seen, again after two suite
+// machines were encoded, and in every later count of the test.
+func TestMinimizerTalliesIgnoreProcessHistory(t *testing.T) {
+	f, err := nova.ParseKISSString(historyFSM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := []struct {
+		name string
+		opt  nova.Options
+	}{
+		{"igreedy", nova.Options{Algorithm: nova.IGreedy, Parallelism: 1}},
+		{"best-p1", nova.Options{Algorithm: nova.Best, Parallelism: 1}},
+		{"best-p2", nova.Options{Algorithm: nova.Best, Parallelism: 2}},
+	}
+	tallies := func(opt nova.Options) [2]int64 {
+		t.Helper()
+		opt.Tracer = nova.NewTracer()
+		res, err := nova.Encode(f, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := res.Telemetry.Counters
+		return [2]int64{c["tautology.calls"], c["espresso.iterations"]}
+	}
+	first := map[string][2]int64{}
+	for _, r := range runs {
+		first[r.name] = tallies(r.opt)
+	}
+	if first["igreedy"][0] == 0 || first["best-p1"][1] == 0 {
+		t.Fatalf("tallies %v: the machine never reached the minimizer", first)
+	}
+	if first["best-p1"] != first["best-p2"] {
+		t.Errorf("Best [tautology.calls espresso.iterations] %v at Parallelism 1, %v at 2", first["best-p1"], first["best-p2"])
+	}
+	for _, name := range []string{"bbtas", "dk27"} {
+		if _, err := nova.Encode(bench.Get(name), nova.Options{Algorithm: nova.Best}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range runs {
+		if got := tallies(r.opt); got != first[r.name] {
+			t.Errorf("%s [tautology.calls espresso.iterations] %v after two suite machines, %v before", r.name, got, first[r.name])
+		}
+	}
+	if historyTallies == nil {
+		historyTallies = first
+		return
+	}
+	for _, r := range runs {
+		if first[r.name] != historyTallies[r.name] {
+			t.Errorf("%s [tautology.calls espresso.iterations] %v in this count, %v in the first", r.name, first[r.name], historyTallies[r.name])
+		}
 	}
 }
 
