@@ -9,7 +9,9 @@ package nova_test
 // cmd/novabench for the full-suite tables.
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"testing"
 
 	"nova"
@@ -315,46 +317,100 @@ func mvProblem(b *testing.B, name string) *mvmin.Problem {
 	return p
 }
 
-// BenchmarkTautology measures the unate-recursion kernel through the
-// question IRREDUNDANT asks for every cube: "does the rest of the cover,
-// plus the don't-care set, cover this cube?" — i.e. tautology of the
-// cofactored cover. The rest-covers are prebuilt so the timed region is
-// the covering check itself, the cofactor and the tautology call on it.
-// No verdict is cached between calls, so every iteration does the same
-// work. On planet the checks before the first split settle each of
-// these 24 questions (24 tautology calls per iteration).
-func BenchmarkTautology(b *testing.B) {
-	p := mvProblem(b, "planet")
-	on, dc := p.On, p.Dc
-	n := len(on.Cubes)
-	if n > 24 {
-		n = 24
+// coverQuestion is one covering question a minimizer pass asks: do rest,
+// the other cubes of the cover, and the don't-care set cover c?
+type coverQuestion struct {
+	rest *cube.Cover
+	c    cube.Cube
+}
+
+// irredundantQuestions returns the covering questions IRREDUNDANT asks of
+// planet's encoded PLA, under its igreedy assignment, after one EXPAND:
+// one per cube, smallest cube first, each against the cubes not yet found
+// redundant. BenchmarkTautology times them and
+// TestTautologyZeroAllocWithTelemetry replays them.
+func irredundantQuestions(tb testing.TB) (*cube.Structure, []coverQuestion) {
+	tb.Helper()
+	f := bench.Get("planet")
+	res, err := nova.Encode(f, nova.Options{Algorithm: nova.IGreedy, Parallelism: 1})
+	if err != nil {
+		tb.Fatal(err)
 	}
-	rests := make([]*cube.Cover, n)
-	for j := 0; j < n; j++ {
-		rest := cube.NewCover(p.S)
-		for k, c := range on.Cubes {
-			if k != j {
+	e, err := mvmin.EncodePLA(f, res.Assignment)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g := e.On.Copy()
+	g.SingleCubeContainment()
+	espresso.Expand(g, e.Dc)
+	order := make([]int, g.Len())
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(x, y int) int {
+		return cmp.Compare(g.Cubes[x].PopCount(), g.Cubes[y].PopCount())
+	})
+	removed := make([]bool, g.Len())
+	var qs []coverQuestion
+	for _, i := range order {
+		rest := cube.NewCover(e.S)
+		for j, c := range g.Cubes {
+			if j != i && !removed[j] {
 				rest.Add(c)
 			}
 		}
-		for _, c := range dc.Cubes {
-			rest.Add(c)
-		}
-		rests[j] = rest
+		rest.Cubes = append(rest.Cubes, e.Dc.Cubes...)
+		qs = append(qs, coverQuestion{rest, g.Cubes[i]})
+		removed[i] = rest.CoversCube(g.Cubes[i])
 	}
-	b.ReportAllocs()
-	a := cube.GetArena(p.S)
+	return e.S, qs
+}
+
+// askAll asks every question with scratch from a and returns how many
+// were answered yes.
+func askAll(a *cube.Arena, qs []coverQuestion) int {
+	yes := 0
+	for _, q := range qs {
+		if q.rest.CoversCubeWith(a, q.c) {
+			yes++
+		}
+	}
+	return yes
+}
+
+// requireSplits fails unless asking qs makes more tautology calls than
+// there are questions, that is, unless the unate recursion splits on some
+// of them: a question the checks before the first split settle costs one
+// call.
+func requireSplits(tb testing.TB, a *cube.Arena, qs []coverQuestion) {
+	tb.Helper()
+	before := a.Stats().TautCalls
+	askAll(a, qs)
+	calls := a.Stats().TautCalls - before
+	if calls <= int64(len(qs)) {
+		tb.Fatalf("%d questions made %d tautology calls: none reaches a split", len(qs), calls)
+	}
+	tb.Logf("%d questions, %d tautology calls", len(qs), calls)
+}
+
+// BenchmarkTautology measures the unate-recursion kernel on the covering
+// questions IRREDUNDANT really asks (irredundantQuestions): "do the rest
+// of the cover and the don't-care set cover this cube?", that is,
+// tautology of the cofactored cover. EXPAND asks no such question; it
+// tests raises against the off-set. The rest-covers are prebuilt, so the
+// timed region is the covering check itself, the cofactor and the
+// recursion on it. No verdict is cached between calls, so every iteration
+// does the same work, and the bench fails if that work never reaches a
+// split of the recursion.
+func BenchmarkTautology(b *testing.B) {
+	s, qs := irredundantQuestions(b)
+	a := cube.GetArena(s)
 	defer cube.PutArena(a)
+	requireSplits(b, a, qs)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		covered := 0
-		for j := 0; j < n; j++ {
-			if rests[j].CoversCubeWith(a, on.Cubes[j]) {
-				covered++
-			}
-		}
-		benchSink = covered
+		benchSink = askAll(a, qs)
 	}
 }
 

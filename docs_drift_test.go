@@ -1,6 +1,7 @@
 package nova_test
 
 import (
+	"fmt"
 	"os"
 	"regexp"
 	"strings"
@@ -119,6 +120,28 @@ var scheduleExempt = map[string]bool{
 	"search.constraints.infeasible": true,
 }
 
+// glossaryRuns counts the executions of TestGlossaryCountersAppearInTracedRun
+// in this process. The search memo is process-wide, so under -count=N every
+// later execution finds the chains of the earlier ones memoized; each
+// execution therefore also encodes ringFSM at a state count of its own,
+// whose chain no earlier execution searched (search.memo.miss).
+var glossaryRuns int
+
+// ringFSM returns an n-state machine in which states 2j and 2j+1 share
+// next state j and output under input 1-, so its ihybrid chain has
+// constraints to embed.
+func ringFSM(n int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, ".i 2\n.o 1\n.s %d\n", n)
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "00 s%d s%d 0\n", i, (i+1)%n)
+		fmt.Fprintf(&b, "01 s%d s%d %d\n", i, (i+2)%n, i%2)
+		fmt.Fprintf(&b, "1- s%d s%d 1\n", i, i/2)
+	}
+	b.WriteString(".e\n")
+	return b.String()
+}
+
 // TestGlossaryCountersAppearInTracedRun is the doc-drift guard for the
 // counter glossary: every key docs/OBSERVABILITY.md documents must be
 // produced by a real traced run (or carry a scheduling exemption above),
@@ -139,7 +162,8 @@ func TestGlossaryCountersAppearInTracedRun(t *testing.T) {
 	// tautology calls, arenas including reuses, searcher
 	// work/backtracks/checks, pool tasks/depths), then an ihybrid encode
 	// of dk17, whose chain has steps no face embedding can satisfy
-	// (search.refuted).
+	// (search.refuted), and one of a ring machine no earlier execution
+	// encoded.
 	if _, err := nova.Encode(f, nova.Options{Algorithm: nova.Portfolio, Tracer: tracer}); err != nil {
 		t.Fatal(err)
 	}
@@ -151,6 +175,14 @@ func TestGlossaryCountersAppearInTracedRun(t *testing.T) {
 		}
 	}
 	if _, err := nova.Encode(bench.Get("dk17"), nova.Options{Algorithm: nova.IHybrid, Tracer: tracer}); err != nil {
+		t.Fatal(err)
+	}
+	glossaryRuns++
+	ring, err := nova.ParseKISSString(ringFSM(8 + glossaryRuns))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nova.Encode(ring, nova.Options{Algorithm: nova.IHybrid, Tracer: tracer}); err != nil {
 		t.Fatal(err)
 	}
 	got := tracer.Metrics().Counters()

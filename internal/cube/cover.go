@@ -73,11 +73,11 @@ func (f *Cover) CofactorCube(c Cube) *Cover {
 	return g
 }
 
-// cofactorCoverWith builds F/c from arena buffers. With prune set, cubes
-// contained in another cube of the cofactor are dropped (row dominance on
-// the personality matrix): sound for the tautology question, which only
-// sees the union, but not used where the cover itself is the result.
-func (f *Cover) cofactorCoverWith(a *Arena, c Cube, prune bool) *Cover {
+// cofactorCoverWith builds F/c from arena buffers, dropping every cube
+// contained in another cube of the cofactor (row dominance on the
+// personality matrix). That is sound for its callers, the tautology and
+// complement recursions, which read only the union of the cofactor.
+func (f *Cover) cofactorCoverWith(a *Arena, c Cube) *Cover {
 	s := f.S
 	g := a.NewCover()
 	for _, q := range f.Cubes {
@@ -88,7 +88,7 @@ func (f *Cover) cofactorCoverWith(a *Arena, c Cube, prune bool) *Cover {
 		s.cofactorInto(r, q, c)
 		g.Cubes = append(g.Cubes, r)
 	}
-	if prune && len(g.Cubes) > 1 {
+	if len(g.Cubes) > 1 {
 		g.pruneDominatedRows(a)
 	}
 	return g
@@ -215,7 +215,7 @@ func (f *Cover) TautologyWith(a *Arena) bool {
 	for p := 0; p < s.Size(v); p++ {
 		s.ClearAll(sel, v)
 		s.Set(sel, v, p)
-		g := f.cofactorCoverWith(a, sel, true)
+		g := f.cofactorCoverWith(a, sel)
 		ok := g.TautologyWith(a)
 		a.Release(g)
 		if !ok {
@@ -282,7 +282,7 @@ func (f *Cover) CoversCubeWith(a *Arena, c Cube) bool {
 	if f.S.IsEmpty(c) {
 		return true
 	}
-	g := f.cofactorCoverWith(a, c, true)
+	g := f.cofactorCoverWith(a, c)
 	ok := g.TautologyWith(a)
 	a.Release(g)
 	return ok
@@ -300,9 +300,9 @@ func (f *Cover) ContainsCube(c Cube) bool {
 }
 
 // Complement returns a cover of the complement of f over the full minterm
-// space, using Shannon expansion on the most binate variable with
-// single-cube and unate-leaf terminal cases. The result is made minimal with
-// single-cube containment only.
+// space, using Shannon expansion on the most binate variable with a
+// single-cube terminal case. The result is made minimal with single-cube
+// containment only.
 func (f *Cover) Complement() *Cover {
 	a := GetArena(f.S)
 	out := f.ComplementWith(a)
@@ -310,100 +310,115 @@ func (f *Cover) Complement() *Cover {
 	return out
 }
 
-// ComplementWith is Complement with caller-provided scratch. Cofactor covers
-// come from the arena; result cubes are plain allocations, since they escape
-// into the returned cover. Row-dominance pruning is deliberately NOT applied
-// to the cofactors here — it would change which complement cubes are emitted,
-// and Complement's output (unlike Tautology's verdict) is the result.
+// ComplementWith is Complement with caller-provided scratch. The returned
+// cover and its cubes come from the arena and belong to the caller, who
+// may hand them back with a.Release. Every caller reads only the set of
+// minterms the result covers, never its cubes one by one, so the
+// recursion prunes dominated rows in its cofactors and leaves
+// single-cube containment to the top.
 func (f *Cover) ComplementWith(a *Arena) *Cover {
+	out := a.NewCover()
+	f.complementInto(a, out)
+	if len(out.Cubes) > 1 {
+		out.pruneDominatedRows(a)
+	}
+	return out
+}
+
+// complementInto appends arena cubes covering the complement of f to out.
+func (f *Cover) complementInto(a *Arena, out *Cover) {
 	s := f.S
-	out := NewCover(s)
 	if len(f.Cubes) == 0 {
-		out.Add(s.FullCube())
-		return out
+		out.Cubes = append(out.Cubes, a.CopyCube(s.full))
+		return
 	}
 	for _, c := range f.Cubes {
 		if s.IsFull(c) {
-			return out // complement of universe is empty
+			return // complement of universe is empty
 		}
 	}
 	if len(f.Cubes) == 1 {
-		return s.complementCube(f.Cubes[0])
+		s.complementCubeInto(a, out, f.Cubes[0])
+		return
 	}
 	v := f.pickSplitVar()
 	if v < 0 {
-		return out
+		return
 	}
+	start := len(out.Cubes)
 	sel := a.CopyCube(s.full)
 	for p := 0; p < s.Size(v); p++ {
 		s.ClearAll(sel, v)
 		s.Set(sel, v, p)
-		g := f.cofactorCoverWith(a, sel, false)
-		sub := g.ComplementWith(a)
+		g := f.cofactorCoverWith(a, sel)
+		n := len(out.Cubes)
+		g.complementInto(a, out)
 		a.Release(g)
-		for _, c := range sub.Cubes {
+		// Every cofactor cube is full in v, so every cube of its
+		// complement is too: pin v to p.
+		for _, c := range out.Cubes[n:] {
 			s.ClearAll(c, v)
 			s.Set(c, v, p)
-			out.Add(c)
 		}
 	}
 	a.FreeCube(sel)
-	out.mergeAdjacent(v)
-	out.SingleCubeContainment()
-	return out
+	out.mergeAdjacent(a, start, v)
 }
 
-// complementCube returns the complement of a single cube as a disjoint
-// cover: for each variable with a non-full field, one cube admitting the
-// missing parts of that variable and the full range of later variables,
-// restricted to the cube's parts on earlier variables (disjoint sharp).
-func (s *Structure) complementCube(c Cube) *Cover {
-	out := NewCover(s)
-	prefix := s.FullCube()
-	for v := 0; v < s.NumVars(); v++ {
+// complementCubeInto appends the complement of a single cube to out as a
+// disjoint cover: for each variable with a non-full field, one cube
+// admitting the missing parts of that variable and the full range of
+// later variables, restricted to the cube's parts on earlier variables
+// (disjoint sharp).
+func (s *Structure) complementCubeInto(a *Arena, out *Cover, c Cube) {
+	prefix := a.CopyCube(s.full)
+	for v := range s.sizes {
 		m := s.vmask[v]
 		if !s.VarFull(c, v) {
-			r := prefix.Copy()
+			r := a.CopyCube(prefix)
 			// Variable v admits exactly the parts missing from c's field.
 			for w := s.vlo[v]; w <= s.vhi[v]; w++ {
 				r[w] = (r[w] &^ m[w]) | (m[w] &^ c[w])
 			}
-			out.Add(r)
+			out.Cubes = append(out.Cubes, r)
 		}
 		// Restrict the prefix to the cube's field for subsequent entries.
 		for w := s.vlo[v]; w <= s.vhi[v]; w++ {
 			prefix[w] &^= m[w] &^ c[w]
 		}
 	}
-	return out
+	a.FreeCube(prefix)
 }
 
-// mergeAdjacent merges pairs of cubes that are identical except in variable
-// v, OR-ing their v fields. It is the cheap "personality merge" applied
-// after a Shannon split to curb complement growth.
-func (f *Cover) mergeAdjacent(v int) {
-	s := f.S
-	index := make(map[string]int, len(f.Cubes))
-	kept := f.Cubes[:0]
-	buf := make([]byte, 0, s.nwords*8)
-	for _, c := range f.Cubes {
-		// Key: the cube's words with variable v's field masked out.
-		buf = buf[:0]
-		m := s.vmask[v]
-		for w, word := range c {
-			word &^= m[w]
-			buf = append(buf, byte(word), byte(word>>8), byte(word>>16),
-				byte(word>>24), byte(word>>32), byte(word>>40),
-				byte(word>>48), byte(word>>56))
+// mergeAdjacent merges each cube of f.Cubes[start:] into the first earlier
+// cube of that range that equals it outside variable v, OR-ing the v
+// fields and recycling the merged cube. It is the cheap "personality
+// merge" applied after a Shannon split on v to curb complement growth.
+func (f *Cover) mergeAdjacent(a *Arena, start, v int) {
+	m := f.S.vmask[v]
+	kept := f.Cubes[:start]
+next:
+	for _, c := range f.Cubes[start:] {
+		for _, k := range kept[start:] {
+			if equalOutside(k, c, m) {
+				Or(k, k, c)
+				a.FreeCube(c)
+				continue next
+			}
 		}
-		if i, ok := index[string(buf)]; ok {
-			Or(kept[i], kept[i], c)
-			continue
-		}
-		index[string(buf)] = len(kept)
 		kept = append(kept, c)
 	}
 	f.Cubes = kept
+}
+
+// equalOutside reports whether a and b agree on every part outside mask m.
+func equalOutside(a, b, m Cube) bool {
+	for w := range a {
+		if (a[w]^b[w])&^m[w] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // SingleCubeContainment removes every cube contained in another single cube

@@ -32,7 +32,7 @@ import (
 // per-field operations (emptiness, fullness, counting, cofactor) run
 // word-parallel instead of bit by bit.
 //
-// For the emptiness tests (IsEmpty, Intersects, DistanceAtMostOne) it
+// For the emptiness tests (IsEmpty, Intersects, OrSingleConflict) it
 // also keeps, per cube word, one mask bmask holding the low part of
 // every binary field that lies whole in that word, so all those fields
 // are tested with one word operation (ESPRESSO-MV's cdist0). The fields
@@ -337,25 +337,45 @@ func (s *Structure) Intersects(a, b Cube) bool {
 	return true
 }
 
-// DistanceAtMostOne reports whether a and b have an empty intersection in
-// at most one variable: Distance(a, b) <= 1, counted word-parallel over
-// the binary fields like Intersects and stopped at the second conflict.
-func (s *Structure) DistanceAtMostOne(a, b Cube) bool {
-	d := 0
+// OrSingleConflict ORs into mask b's field of the one variable in which a
+// and b are disjoint, when there is exactly one such variable, and reports
+// whether there was. The disjoint fields are counted word-parallel over
+// the binary fields like Intersects, stopping at the second.
+//
+// EXPAND uses it against the off-set: when a meets no cube of the off-set,
+// raising part p of variable v in a meets an off-set cube b exactly when
+// a and b are disjoint in v alone and b admits p, so the mask ORed over
+// the whole off-set holds every part whose raise is refused.
+func (s *Structure) OrSingleConflict(mask, a, b Cube) bool {
+	n, cw, cb := 0, -1, uint64(0) // conflicts; word and parts of a binary one
 	for w, m := range s.bmask {
 		x := a[w] & b[w]
 		if e := m &^ (x | x>>1); e != 0 {
-			if d += bits.OnesCount64(e); d > 1 {
+			if n += bits.OnesCount64(e); n > 1 {
 				return false
 			}
+			cw, cb = w, e|e<<1
 		}
 	}
+	cv := -1
 	for _, v := range s.other {
 		if s.varDisjoint(a, b, v) {
-			if d++; d > 1 {
+			if n++; n > 1 {
 				return false
 			}
+			cv = v
 		}
+	}
+	switch {
+	case n == 0:
+		return false
+	case cv >= 0:
+		m := s.vmask[cv]
+		for w := s.vlo[cv]; w <= s.vhi[cv]; w++ {
+			mask[w] |= b[w] & m[w]
+		}
+	default:
+		mask[cw] |= b[cw] & cb
 	}
 	return true
 }

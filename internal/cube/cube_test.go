@@ -298,9 +298,12 @@ func TestIntersectionProperty(t *testing.T) {
 	}
 }
 
-// Property: DistanceAtMostOne agrees with the per-field Distance on every
-// layout, for cubes at distance 0, 1 and more.
-func TestDistanceAtMostOneProperty(t *testing.T) {
+// Property: OrSingleConflict reports exactly the pairs at per-field
+// Distance one, and then ORs into the mask b's field of the one variable
+// where the cubes are disjoint and nothing else; at any other distance it
+// leaves the mask alone. Checked on every layout, for cubes at distance
+// 0, 1 and more, with a mask that already holds parts.
+func TestOrSingleConflictProperty(t *testing.T) {
 	for _, l := range propertyLayouts {
 		t.Run(l.name, func(t *testing.T) {
 			s := NewStructure(l.sizes...)
@@ -313,9 +316,32 @@ func TestDistanceAtMostOneProperty(t *testing.T) {
 				} else {
 					a, b = restrictedCube(s, rng), restrictedCube(s, rng)
 				}
+				mask := randomCube(s, rng)
+				for v := 0; v < s.NumVars(); v++ {
+					if rng.Intn(2) == 0 {
+						s.ClearAll(mask, v)
+					}
+				}
+				want := mask.Copy()
 				d := s.Distance(a, b)
-				if got := s.DistanceAtMostOne(a, b); got != (d <= 1) {
-					t.Fatalf("DistanceAtMostOne(%s, %s) = %v, Distance %d", s.String(a), s.String(b), got, d)
+				if d == 1 {
+					for v := 0; v < s.NumVars(); v++ {
+						if s.varDisjoint(a, b, v) {
+							for p := 0; p < s.Size(v); p++ {
+								if s.Test(b, v, p) {
+									s.Set(want, v, p)
+								}
+							}
+						}
+					}
+				}
+				before := mask.Copy()
+				if got := s.OrSingleConflict(mask, a, b); got != (d == 1) {
+					t.Fatalf("OrSingleConflict(%s, %s) = %v, Distance %d", s.String(a), s.String(b), got, d)
+				}
+				if !mask.Equal(want) {
+					t.Fatalf("OrSingleConflict(%s, %s) at Distance %d turned mask %s into %s, want %s",
+						s.String(a), s.String(b), d, s.String(before), s.String(mask), s.String(want))
 				}
 				seen[min(d, 2)]++
 			}

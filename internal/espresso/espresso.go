@@ -1,7 +1,14 @@
 // Package espresso implements a two-level multiple-valued logic minimizer
 // in the tradition of ESPRESSO-MV: the EXPAND / IRREDUNDANT / REDUCE
-// iteration over positional-notation covers, with implicant checks done by
-// unate-recursion tautology of cofactors rather than an explicit off-set.
+// iteration over positional-notation covers. EXPAND tests raises against
+// an off-set R, the complement of on∪dc computed once per minimization: a
+// cube is an implicant of on∪dc exactly when it meets no cube of R, and
+// every pass keeps f∪dc equal to on∪dc as a set, so R stays valid for the
+// whole call. Per cube, EXPAND ORs into one blocked mask the field of
+// every R cube disjoint from the cube in one variable alone, and refuses
+// a raise with one bit test. IRREDUNDANT, REDUCE, LAST_GASP and
+// MAKE_SPARSE ask covering questions by unate-recursion tautology of
+// cofactors.
 //
 // The minimizer is heuristic: it returns a minimal (irredundant, prime in
 // the one-part-at-a-time sense) cover whose cardinality is at a local
@@ -87,12 +94,24 @@ func MinimizeWith(on, dc *cube.Cover, opt Options, a *cube.Arena) *cube.Cover {
 		finishMinimize(msp, m, a, statBase, f)
 		return f // the containment-reduced on-set is itself a valid cover
 	}
+	// Every pass keeps f∪dc equal to on∪dc as a set: EXPAND adds only
+	// minterms of on∪dc, and IRREDUNDANT and REDUCE drop only minterms the
+	// rest of f∪dc still covers. So one off-set serves every EXPAND of the
+	// call, LAST_GASP's included.
+	off := offSetWith(f, dc, a)
+	best := minimizeLoop(sctx, f, dc, off, opt, m, a)
+	a.Release(off)
+	finishWith(sctx, best, dc, opt, a)
+	finishMinimize(msp, m, a, statBase, best)
+	return best
+}
 
-	expandPass(sctx, f, dc, a)
-	irredundantPass(sctx, f, dc, a)
+// minimizeLoop runs EXPAND and IRREDUNDANT, then the REDUCE / EXPAND /
+// IRREDUNDANT rounds unless opt.SkipReduce, and returns the best cover.
+func minimizeLoop(ctx context.Context, f, dc, off *cube.Cover, opt Options, m *obs.Metrics, a *cube.Arena) *cube.Cover {
+	expandPass(ctx, f, off, a)
+	irredundantPass(ctx, f, dc, a)
 	if opt.SkipReduce {
-		finishWith(sctx, f, dc, opt, a)
-		finishMinimize(msp, m, a, statBase, f)
 		return f
 	}
 	best := f.Copy()
@@ -103,21 +122,19 @@ func MinimizeWith(on, dc *cube.Cover, opt Options, a *cube.Arena) *cube.Cover {
 		if m != nil {
 			m.EspressoIters.Add(1)
 		}
-		reducePass(sctx, f, dc, a)
-		expandPass(sctx, f, dc, a)
-		irredundantPass(sctx, f, dc, a)
+		reducePass(ctx, f, dc, a)
+		expandPass(ctx, f, off, a)
+		irredundantPass(ctx, f, dc, a)
 		if cost(f) < cost(best) {
 			best = f.Copy()
 			continue
 		}
-		if opt.LastGasp && lastGaspPass(sctx, best, dc, a) {
+		if opt.LastGasp && lastGaspPass(ctx, best, dc, off, a) {
 			f = best.Copy()
 			continue
 		}
 		break
 	}
-	finishWith(sctx, best, dc, opt, a)
-	finishMinimize(msp, m, a, statBase, best)
 	return best
 }
 
@@ -137,10 +154,10 @@ func finishMinimize(msp *obs.ActiveSpan, m *obs.Metrics, a *cube.Arena, base cub
 // The *Pass wrappers put a span (with cube counts in/out) around each
 // espresso pass. With no tracer in ctx they compile down to the plain
 // pass call: Span returns a nil span whose methods do nothing.
-func expandPass(ctx context.Context, f, dc *cube.Cover, a *cube.Arena) {
+func expandPass(ctx context.Context, f, off *cube.Cover, a *cube.Arena) {
 	_, sp := obs.Span(ctx, "espresso.expand")
 	sp.SetInt("cubes_in", int64(f.Len()))
-	expandWith(f, dc, a)
+	expandWith(f, off, a)
 	sp.SetInt("cubes_out", int64(f.Len()))
 	sp.End()
 }
@@ -161,9 +178,9 @@ func reducePass(ctx context.Context, f, dc *cube.Cover, a *cube.Arena) {
 	sp.End()
 }
 
-func lastGaspPass(ctx context.Context, f, dc *cube.Cover, a *cube.Arena) bool {
+func lastGaspPass(ctx context.Context, f, dc, off *cube.Cover, a *cube.Arena) bool {
 	_, sp := obs.Span(ctx, "espresso.lastgasp")
-	improved := lastGaspWith(f, dc, a)
+	improved := lastGaspWith(f, dc, off, a)
 	sp.End()
 	return improved
 }
@@ -204,27 +221,30 @@ func dropEmpty(f *cube.Cover) {
 // Expand raises each cube of f to a prime-like implicant: parts are raised
 // one at a time (in an order favouring parts frequently set across the
 // cover) and a raise is kept when the expanded cube is still an implicant
-// of on∪dc, checked by tautology of the cofactor. Cubes made redundant by
-// the expansion of earlier cubes are removed.
+// of f∪dc, that is, when it meets no cube of the off-set, which Expand
+// computes as the complement of f∪dc. Cubes made redundant by the
+// expansion of earlier cubes are removed.
 func Expand(f, dc *cube.Cover) {
 	a := cube.GetArena(f.S)
-	expandWith(f, dc, a)
+	off := offSetWith(f, dc, a)
+	expandWith(f, off, a)
+	a.Release(off)
 	cube.PutArena(a)
 }
 
-func expandWith(f, dc *cube.Cover, a *cube.Arena) {
+// offSetWith returns the complement of f∪dc from arena cubes; the caller
+// hands it back with a.Release.
+func offSetWith(f, dc *cube.Cover, a *cube.Arena) *cube.Cover {
+	fdc := a.NewCover()
+	fdc.Cubes = append(append(fdc.Cubes, f.Cubes...), dc.Cubes...)
+	off := fdc.ComplementWith(a)
+	a.FreeCover(fdc)
+	return off
+}
+
+// expandWith is EXPAND against off, a cover of the complement of f∪dc.
+func expandWith(f, off *cube.Cover, a *cube.Arena) {
 	s := f.S
-	// Snapshot the function: expansion is validated against the original
-	// on∪dc, which must not alias the cubes being mutated. It holds each
-	// cube's own copy, so every cube lies in it, as expandCubeWith
-	// requires. The snapshot copies come from the arena and are recycled
-	// on exit.
-	all := a.NewCover()
-	for _, c := range f.Cubes {
-		all.Cubes = append(all.Cubes, a.CopyCube(c))
-	}
-	nOwn := len(all.Cubes)
-	all.Cubes = append(all.Cubes, dc.Cubes...)
 	// Process larger cubes first: they are more likely to swallow others.
 	order := make([]int, len(f.Cubes))
 	for i := range order {
@@ -239,23 +259,24 @@ func expandWith(f, dc *cube.Cover, a *cube.Arena) {
 	weights := make([]int, s.Bits())
 	for _, c := range f.Cubes {
 		for v := 0; v < s.NumVars(); v++ {
-			off := s.Offset(v)
+			base := s.Offset(v)
 			for p := 0; p < s.Size(v); p++ {
 				if s.Test(c, v, p) {
-					weights[off+p]++
+					weights[base+p]++
 				}
 			}
 		}
 	}
+	raises := raiseOrder(s, weights)
 
 	covered := make([]bool, len(f.Cubes))
-	var scratch []raiseCand
+	blocked := a.NewCube()
 	for _, i := range order {
 		if covered[i] {
 			continue
 		}
 		c := f.Cubes[i]
-		scratch = expandCubeWith(s, c, all, weights, a, scratch)
+		expandCube(s, c, off, raises, blocked)
 		// Single-cube containment against the expanded cube.
 		for _, j := range order {
 			if j == i || covered[j] {
@@ -266,6 +287,7 @@ func expandWith(f, dc *cube.Cover, a *cube.Arena) {
 			}
 		}
 	}
+	a.FreeCube(blocked)
 	var kept []cube.Cube
 	for i, c := range f.Cubes {
 		if !covered[i] {
@@ -273,61 +295,54 @@ func expandWith(f, dc *cube.Cover, a *cube.Arena) {
 		}
 	}
 	f.Cubes = kept
-	for _, c := range all.Cubes[:nOwn] {
-		a.FreeCube(c)
-	}
-	a.FreeCover(all)
 }
 
 // raiseCand is one candidate part raise considered by EXPAND.
 type raiseCand struct{ v, p, w int }
 
-// expandCubeWith raises the lowered parts of c in place, highest weight
-// first, keeping each raise for which c remains an implicant of all. The
-// scratch slice is reused across calls and returned for the next one.
-//
-// c must lie in all. A raise of part p of variable v then adds exactly
-// the slice of c with v pinned to p, so the raise is kept iff that slice
-// lies in all. Only a cube of all within distance one of c can meet the
-// slice (it must meet c on every variable but v), so the slice is
-// checked against near, those cubes in all's order. c only grows, so
-// near only grows too, and is rebuilt after each accepted raise.
-func expandCubeWith(s *cube.Structure, c cube.Cube, all *cube.Cover, weights []int, a *cube.Arena, scratch []raiseCand) []raiseCand {
-	cands := scratch[:0]
+// raiseOrder returns every part, highest weight first and in part order
+// among equal weights. The weights stay fixed for a pass, and a stable
+// order restricted to a subset is that subset's stable order, so each
+// cube's raises come in the order a per-cube sort of its lowered parts
+// would give.
+func raiseOrder(s *cube.Structure, weights []int) []raiseCand {
+	raises := make([]raiseCand, 0, s.Bits())
 	for v := 0; v < s.NumVars(); v++ {
-		off := s.Offset(v)
+		base := s.Offset(v)
 		for p := 0; p < s.Size(v); p++ {
-			if !s.Test(c, v, p) {
-				cands = append(cands, raiseCand{v, p, weights[off+p]})
-			}
+			raises = append(raises, raiseCand{v, p, weights[base+p]})
 		}
 	}
-	slices.SortStableFunc(cands, func(x, y raiseCand) int { return cmp.Compare(y.w, x.w) })
-	near := a.NewCover()
-	nearCubes(near, all, c)
-	slice := a.NewCube()
-	for _, cd := range cands {
-		copy(slice, c)
-		s.ClearAll(slice, cd.v)
-		s.Set(slice, cd.v, cd.p)
-		if near.ContainsCube(slice) || near.CoversCubeWith(a, slice) {
-			s.Set(c, cd.v, cd.p)
-			nearCubes(near, all, c)
-		}
-	}
-	a.FreeCube(slice)
-	a.FreeCover(near) // its cubes alias all's
-	return cands
+	slices.SortStableFunc(raises, func(x, y raiseCand) int { return cmp.Compare(y.w, x.w) })
+	return raises
 }
 
-// nearCubes refills near with the cubes of all within distance one of c,
-// in all's order.
-func nearCubes(near, all *cube.Cover, c cube.Cube) {
-	near.Cubes = near.Cubes[:0]
-	for _, q := range all.Cubes {
-		if all.S.DistanceAtMostOne(q, c) {
-			near.Cubes = append(near.Cubes, q)
+// expandCube raises the lowered parts of c in place, in the order of
+// raises, keeping each raise for which c still meets no cube of off.
+// blocked is scratch of one cube.
+//
+// c must meet no cube of off. A raise of part p of variable v then meets
+// an off cube r exactly when c and r are disjoint in v alone and r admits
+// p, so blocked, the OR of those fields over off, refuses a raise with one
+// bit test. c only grows, so blocked only grows, and it is rebuilt after
+// each accepted raise.
+func expandCube(s *cube.Structure, c cube.Cube, off *cube.Cover, raises []raiseCand, blocked cube.Cube) {
+	blockedParts(s, blocked, c, off)
+	for _, r := range raises {
+		if s.Test(c, r.v, r.p) || s.Test(blocked, r.v, r.p) {
+			continue
 		}
+		s.Set(c, r.v, r.p)
+		blockedParts(s, blocked, c, off)
+	}
+}
+
+// blockedParts sets blocked to the parts whose raise in c would meet a
+// cube of off.
+func blockedParts(s *cube.Structure, blocked, c cube.Cube, off *cube.Cover) {
+	clear(blocked)
+	for _, r := range off.Cubes {
+		s.OrSingleConflict(blocked, c, r)
 	}
 }
 

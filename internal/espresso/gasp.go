@@ -45,12 +45,15 @@ func maxReduce(s *cube.Structure, c cube.Cube, rest *cube.Cover, a *cube.Arena) 
 // decreased; f is modified in place only when it does.
 func LastGasp(f, dc *cube.Cover) bool {
 	a := cube.GetArena(f.S)
-	ok := lastGaspWith(f, dc, a)
+	off := offSetWith(f, dc, a)
+	ok := lastGaspWith(f, dc, off, a)
+	a.Release(off)
 	cube.PutArena(a)
 	return ok
 }
 
-func lastGaspWith(f, dc *cube.Cover, a *cube.Arena) bool {
+// lastGaspWith is LAST_GASP with off a cover of the complement of f∪dc.
+func lastGaspWith(f, dc, off *cube.Cover, a *cube.Arena) bool {
 	s := f.S
 	if len(f.Cubes) < 2 {
 		return false
@@ -67,8 +70,9 @@ func lastGaspWith(f, dc *cube.Cover, a *cube.Arena) bool {
 	}
 	a.FreeCover(rest)
 	var candidates []cube.Cube
-	weights := make([]int, s.Bits())
-	var scratch []raiseCand
+	// The merged cubes are raised in part order, all weights being equal.
+	raises := raiseOrder(s, make([]int, s.Bits()))
+	blocked := a.NewCube()
 	for i := 0; i < len(reduced); i++ {
 		for j := i + 1; j < len(reduced); j++ {
 			m := s.NewCube()
@@ -77,11 +81,12 @@ func lastGaspWith(f, dc *cube.Cover, a *cube.Arena) bool {
 				continue
 			}
 			if all.CoversCubeWith(a, m) {
-				scratch = expandCubeWith(s, m, all, weights, a, scratch)
+				expandCube(s, m, off, raises, blocked)
 				candidates = append(candidates, m)
 			}
 		}
 	}
+	a.FreeCube(blocked)
 	if len(candidates) == 0 {
 		return false
 	}

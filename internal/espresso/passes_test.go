@@ -8,14 +8,14 @@ import (
 	"nova/internal/cube"
 )
 
-// Per-pass identity suite: EXPAND checks each raise on the slice it adds,
-// against the cubes within distance one of the raised cube, and REDUCE
-// checks each slice against the cubes that meet the reduced cube. Both
-// must decide exactly as the whole-cube checks against the full cover
-// do. refExpand and refReduce below are those whole-cube passes, kept as
-// references; the suite runs the minimization loop on random covers and
-// requires every EXPAND and REDUCE to return the reference's cover bit
-// for bit.
+// Per-pass identity suite: EXPAND refuses a raise when the raised cube
+// would meet the off-set, which MinimizeWith computes once per call, and
+// REDUCE checks each slice against the cubes that meet the reduced cube.
+// Both must decide exactly as the whole-cube tautology checks against the
+// full cover do. refExpand and refReduce below are those whole-cube
+// passes, kept as references; the suite runs the minimization loop on
+// random covers and requires every EXPAND and REDUCE to return the
+// reference's cover bit for bit.
 
 // refExpand is EXPAND with the whole-cube raise check: each raised cube
 // is checked against every cube of on∪dc.
@@ -179,7 +179,8 @@ func sameCover(f, g *cube.Cover) bool {
 // TestPassesMatchReference draws 3000 (on, dc) pairs over the seven
 // layouts and runs EXPAND, IRREDUNDANT and three REDUCE / EXPAND /
 // IRREDUNDANT rounds on each, comparing every EXPAND and REDUCE with the
-// reference pass on a copy of its input.
+// reference pass on a copy of its input. Every EXPAND takes the one
+// off-set computed from on∪dc before the first, as in MinimizeWith.
 func TestPassesMatchReference(t *testing.T) {
 	const pairs = 3000
 	rng := rand.New(rand.NewSource(20261017))
@@ -192,6 +193,8 @@ func TestPassesMatchReference(t *testing.T) {
 		f := on.Copy()
 		f.SingleCubeContainment()
 		a := cube.GetArena(s)
+		off := offSetWith(f, dc, a)
+		expand := func(f, dc *cube.Cover, a *cube.Arena) { expandWith(f, off, a) }
 		check := func(name string, pass, ref func(f, dc *cube.Cover, a *cube.Arena)) {
 			t.Helper()
 			in, want := f.Copy(), f.Copy()
@@ -205,18 +208,97 @@ func TestPassesMatchReference(t *testing.T) {
 				changed[name]++
 			}
 		}
-		check("expand", expandWith, refExpand)
+		check("expand", expand, refExpand)
 		irredundantWith(f, dc, a)
 		for round := 0; round < 3; round++ {
 			check("reduce", reduceWith, refReduce)
-			check("expand", expandWith, refExpand)
+			check("expand", expand, refExpand)
 			irredundantWith(f, dc, a)
 		}
+		a.Release(off)
 		cube.PutArena(a)
 	}
 	t.Logf("covers changed by a pass: %v", changed)
 	// The draws must make both passes do work, or agreement proves little.
 	if changed["expand"] < pairs/4 || changed["reduce"] < pairs/10 {
 		t.Fatalf("passes changed too few covers: %v", changed)
+	}
+}
+
+// enumerableLayouts are the layouts of the cube package's
+// TestTautologyOracle, small enough to enumerate every minterm: binary
+// fields, multiple-valued fields only, both mixed, fields of one part, a
+// layout over two words, (2,2,2) and (3,3).
+var enumerableLayouts = [][]int{
+	{2, 2, 2, 2, 2},
+	{3, 4, 3},
+	{2, 3, 2, 4},
+	{2, 1, 3, 1, 2},
+	{2, 3, 61},
+	{2, 2, 2},
+	{3, 3},
+}
+
+// mintermsOf returns, for every minterm of the space in enumeration
+// order, whether some cube of f or of g covers it.
+func mintermsOf(f, g *cube.Cover) []bool {
+	var in []bool
+	eachMinterm(f.S, func(m cube.Cube) {
+		in = append(in, f.ContainsCube(m) || g.ContainsCube(m))
+	})
+	return in
+}
+
+// TestPassesKeepOnDcSet checks the premise that lets one off-set serve a
+// whole MinimizeWith call: along its pass sequence (EXPAND, IRREDUNDANT,
+// then rounds of REDUCE, EXPAND, IRREDUNDANT and LAST_GASP), the minterms
+// of f∪dc after every pass are exactly those of on∪dc.
+func TestPassesKeepOnDcSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261018))
+	changed := map[string]int{}
+	for _, sizes := range enumerableLayouts {
+		s := cube.NewStructure(sizes...)
+		a := cube.GetArena(s)
+		for i := 0; i < 1000; i++ {
+			mode := rng.Intn(3)
+			on := randPassCover(rng, s, 8, mode)
+			dc := randPassCover(rng, s, 3, mode)
+			want := mintermsOf(on, dc)
+			f := on.Copy()
+			f.SingleCubeContainment()
+			dropEmpty(f)
+			off := offSetWith(f, dc, a)
+			pass := func(name string, run func()) {
+				t.Helper()
+				in := f.Copy()
+				run()
+				got := mintermsOf(f, dc)
+				for k := range want {
+					if got[k] != want[k] {
+						t.Fatalf("%v draw %d: %s changed the minterms of f∪dc\ninput:\n%sdc:\n%sgot:\n%s",
+							sizes, i, name, in, dc, f)
+					}
+				}
+				if !sameCover(f, in) {
+					changed[name]++
+				}
+			}
+			pass("expand", func() { expandWith(f, off, a) })
+			pass("irredundant", func() { irredundantWith(f, dc, a) })
+			for round := 0; round < 3; round++ {
+				pass("reduce", func() { reduceWith(f, dc, a) })
+				pass("expand", func() { expandWith(f, off, a) })
+				pass("irredundant", func() { irredundantWith(f, dc, a) })
+				pass("lastgasp", func() { lastGaspWith(f, dc, off, a) })
+			}
+			a.Release(off)
+		}
+		cube.PutArena(a)
+	}
+	t.Logf("covers changed by a pass: %v", changed)
+	for _, name := range []string{"expand", "irredundant", "reduce", "lastgasp"} {
+		if changed[name] == 0 {
+			t.Fatalf("%s never changed a cover: %v", name, changed)
+		}
 	}
 }

@@ -46,36 +46,25 @@ func TestNoopSpanZeroAlloc(t *testing.T) {
 }
 
 // TestTautologyZeroAllocWithTelemetry replays the BenchmarkTautology
-// kernel (rest-cover CoversCube on planet) and requires the baseline 0
+// kernel (the covering questions IRREDUNDANT asks of planet's encoded PLA
+// after one EXPAND) through one held arena, and requires the baseline 0
 // allocs/op to survive the arena stat counters added for telemetry. No
-// verdict is cached, so every counted call does the whole check.
+// verdict is cached, so every counted run does the whole recursion, and
+// the questions must reach its splits, as the bench requires.
 func TestTautologyZeroAllocWithTelemetry(t *testing.T) {
+	s, qs := irredundantQuestions(t)
+	a := cube.NewArena(s)
+	requireSplits(t, a, qs)
 	if raceEnabled {
 		t.Skip("alloc counts are noise under the race detector (its runtime allocates); enforced by the non-race runs")
 	}
-	p, err := mvmin.Build(bench.Get("planet"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rest := cube.NewCover(p.S)
-	for k, c := range p.On.Cubes {
-		if k != 0 {
-			rest.Add(c)
-		}
-	}
-	for _, c := range p.Dc.Cubes {
-		rest.Add(c)
-	}
-	target := p.On.Cubes[0]
 	allocs := testing.AllocsPerRun(50, func() {
-		benchSinkBool = rest.CoversCube(target)
+		benchSink = askAll(a, qs)
 	})
 	if allocs != 0 {
-		t.Fatalf("tautology kernel allocates %.1f per call, want 0", allocs)
+		t.Fatalf("tautology kernel allocates %.1f per run of %d questions, want 0", allocs, len(qs))
 	}
 }
-
-var benchSinkBool bool
 
 // TestMinimizeAllocParityWithoutTracer runs the full ESPRESSO loop (the
 // BenchmarkExpand/BenchmarkTableII hot path) twice — once with a nil Ctx
