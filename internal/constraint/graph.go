@@ -1,9 +1,9 @@
 package constraint
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -112,18 +112,25 @@ func BuildGraph(n int, ics []Constraint) *Graph {
 		nd.Weight += c.Weight
 	}
 
-	// Intersection closure to fixpoint.
+	// Intersection closure to fixpoint. Each pair's intersection is
+	// formed in x and its key in kb; only a new set is copied out.
+	x := NewSet(n)
+	var kb []byte
 	for {
 		var added []Set
 		for i := 0; i < len(g.Nodes); i++ {
 			for j := i + 1; j < len(g.Nodes); j++ {
-				x := g.Nodes[i].Set.Intersect(g.Nodes[j].Set)
+				a, b := g.Nodes[i].Set.w, g.Nodes[j].Set.w
+				for w := range x.w {
+					x.w[w] = a[w] & b[w]
+				}
 				if x.IsEmpty() {
 					continue
 				}
-				if _, ok := g.byKey[x.Key()]; !ok {
-					added = append(added, x)
-					g.byKey[x.Key()] = nil // reserve to avoid duplicates this round
+				kb = x.AppendKey(kb[:0])
+				if _, ok := g.byKey[string(kb)]; !ok {
+					added = append(added, x.Copy())
+					g.byKey[string(kb)] = nil // reserve to avoid duplicates this round
 				}
 			}
 		}
@@ -138,12 +145,11 @@ func BuildGraph(n int, ics []Constraint) *Graph {
 
 	// Order: universe first, then decreasing cardinality, lexicographic
 	// within, so traversals are deterministic.
-	sort.SliceStable(g.Nodes, func(i, j int) bool {
-		ci, cj := g.Nodes[i].Set.Card(), g.Nodes[j].Set.Card()
-		if ci != cj {
-			return ci > cj
+	slices.SortStableFunc(g.Nodes, func(a, b *Node) int {
+		if ca, cb := a.Set.Card(), b.Set.Card(); ca != cb {
+			return cmp.Compare(cb, ca)
 		}
-		return g.Nodes[i].Set.String() < g.Nodes[j].Set.String()
+		return a.Set.Compare(b.Set)
 	})
 	for i, nd := range g.Nodes {
 		nd.Index = i
@@ -211,15 +217,13 @@ func BuildGraph(n int, ics []Constraint) *Graph {
 // failed-embedding memo. Computed lazily, safe for concurrent use.
 func (g *Graph) CanonKey() string {
 	g.canonOnce.Do(func() {
-		var b strings.Builder
-		keyLen := len(g.Nodes[0].Set.Key())
-		b.Grow(16 + len(g.Nodes)*keyLen)
-		b.WriteString(strconv.Itoa(g.N))
+		b := make([]byte, 0, 16+len(g.Nodes)*(1+g.Nodes[0].Set.KeyLen()))
+		b = strconv.AppendInt(b, int64(g.N), 10)
 		for _, nd := range g.Nodes {
-			b.WriteByte('|')
-			b.WriteString(nd.Set.Key())
+			b = append(b, '|')
+			b = nd.Set.AppendKey(b)
 		}
-		g.canonKey = b.String()
+		g.canonKey = string(b)
 	})
 	return g.canonKey
 }

@@ -6,10 +6,10 @@
 package constraint
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
-	"strings"
+	"slices"
 )
 
 // Set is a subset of the n symbols {0..n-1} being encoded, the paper's
@@ -177,13 +177,37 @@ func (s Set) Members() []int {
 	return out
 }
 
-// Key returns a canonical map key for the set.
-func (s Set) Key() string {
-	var b strings.Builder
+// Key returns a canonical map key for the set: each word as 16
+// lowercase hex digits, first word first.
+func (s Set) Key() string { return string(s.AppendKey(make([]byte, 0, s.KeyLen()))) }
+
+// KeyLen returns the length of s.Key().
+func (s Set) KeyLen() int { return 16 * len(s.w) }
+
+// AppendKey appends s.Key() to b and returns the extended buffer.
+func (s Set) AppendKey(b []byte) []byte {
+	const hex = "0123456789abcdef"
 	for _, w := range s.w {
-		fmt.Fprintf(&b, "%016x", w)
+		for sh := 60; sh >= 0; sh -= 4 {
+			b = append(b, hex[w>>uint(sh)&15])
+		}
 	}
-	return b.String()
+	return b
+}
+
+// Compare orders two sets over the same universe the way their String
+// renderings compare: at the lowest symbol in one set but not the
+// other, the set without it comes first. It returns -1, 0 or +1.
+func (s Set) Compare(t Set) int {
+	for i, w := range s.w {
+		if d := w ^ t.w[i]; d != 0 {
+			if w&(d&-d) != 0 {
+				return 1
+			}
+			return -1
+		}
+	}
+	return 0
 }
 
 // String renders the characteristic vector, e.g. "1110000".
@@ -234,15 +258,14 @@ func Normalize(list []Constraint) []Constraint {
 	for _, k := range order {
 		out = append(out, *byKey[k])
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Weight != out[j].Weight {
-			return out[i].Weight > out[j].Weight
+	slices.SortStableFunc(out, func(a, b Constraint) int {
+		if a.Weight != b.Weight {
+			return cmp.Compare(b.Weight, a.Weight)
 		}
-		ci, cj := out[i].Set.Card(), out[j].Set.Card()
-		if ci != cj {
-			return ci > cj
+		if ca, cb := a.Set.Card(), b.Set.Card(); ca != cb {
+			return cmp.Compare(cb, ca)
 		}
-		return out[i].Set.String() > out[j].Set.String()
+		return b.Set.Compare(a.Set)
 	})
 	return out
 }

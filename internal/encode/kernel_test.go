@@ -404,6 +404,17 @@ func measure(s *searcher, probe func() bool) tally {
 	return t
 }
 
+// ocPartnersPlaced reports whether state st has an output covering edge
+// to a placed state with st at the edge's U end (atU), and one with st
+// at its V end (atV).
+func ocPartnersPlaced(s *searcher, st int) (atU, atV bool) {
+	for _, e := range s.oc {
+		atU = atU || e.U == st && s.ahave[s.singletons[e.V].Index]
+		atV = atV || e.V == st && s.ahave[s.singletons[e.U].Index]
+	}
+	return atU, atV
+}
+
 // TestKernelMatchesReference walks random constraint graphs (N <= 12, k
 // from MinLength to 7, so k = 7 takes the wide-cube path) with and
 // without output covering edges, in both level modes and with random
@@ -413,10 +424,14 @@ func measure(s *searcher, probe func() bool) tally {
 // (verification, forced assignments, forward check) must give the
 // reference's verdict and add the same checks_ok, checks_fail and work.
 // Every placement is undone before the next, so a state the kernel
-// failed to restore shows up as a diverging verdict.
+// failed to restore shows up as a diverging verdict. In cubes of at most
+// wordDim dimensions the covering edges live in the vertex masks, so the
+// walks must probe states whose edge partner is placed, at either end of
+// the edge, and undo placements of states with edges.
 func TestKernelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	var states, probes, placed, wide, withOC, withLevels, allLv, lvAbove int
+	var ocProbeU, ocProbeV, ocUndone int
 	for trial := 0; trial < 1000; trial++ {
 		n := 2 + rng.Intn(11)
 		k := MinLength(n) + rng.Intn(8-MinLength(n))
@@ -479,6 +494,17 @@ func TestKernelMatchesReference(t *testing.T) {
 					lvAbove++
 				}
 			}
+			st, ocWord := -1, s.word && len(s.oc) > 0 && nd.Set.Card() == 1
+			if ocWord {
+				st = nd.Set.Members()[0]
+				atU, atV := ocPartnersPlaced(s, st)
+				if atU {
+					ocProbeU += len(cands)
+				}
+				if atV {
+					ocProbeV += len(cands)
+				}
+			}
 			var next []face.Face
 			for _, f := range cands {
 				probes++
@@ -494,6 +520,9 @@ func TestKernelMatchesReference(t *testing.T) {
 					return ok
 				})
 				s.undo(mark)
+				if got.ok && ocWord && len(s.ocAt[st]) > 0 {
+					ocUndone++
+				}
 				exp = measure(s, func() bool {
 					var ok bool
 					mark, ok = r.place(nd, f)
@@ -518,9 +547,10 @@ func TestKernelMatchesReference(t *testing.T) {
 			lic = nd
 		}
 	}
-	t.Logf("%d states, %d candidate probes, %d placements; trials: %d at k=7, %d with OC edges, %d with level vectors, %d in all-levels mode; %d candidates above their minimum level",
-		states, probes, placed, wide, withOC, withLevels, allLv, lvAbove)
-	if wide == 0 || withOC == 0 || withLevels == 0 || allLv == 0 || lvAbove == 0 || placed == 0 {
+	t.Logf("%d states, %d candidate probes, %d placements; trials: %d at k=7, %d with OC edges, %d with level vectors, %d in all-levels mode; %d candidates above their minimum level; k <= %d: %d probes with a placed OC partner at U, %d at V, %d undone placements of a state with OC edges",
+		states, probes, placed, wide, withOC, withLevels, allLv, lvAbove, wordDim, ocProbeU, ocProbeV, ocUndone)
+	if wide == 0 || withOC == 0 || withLevels == 0 || allLv == 0 || lvAbove == 0 || placed == 0 ||
+		ocProbeU == 0 || ocProbeV == 0 || ocUndone == 0 {
 		t.Fatal("the random walks missed a case the identity test must cover")
 	}
 }

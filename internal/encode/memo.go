@@ -68,26 +68,29 @@ func (v *searchVerdict) usable(maxWork int) bool {
 // dimension, the constraint set keys in hand-over order, and the output
 // covering edges. Weights are excluded — the searcher never reads them.
 func chainKey(n, k int, sic []constraint.Constraint, oc []OCEdge) string {
-	var b strings.Builder
-	b.Grow(16 + len(sic)*(n/4+2) + len(oc)*8)
-	b.WriteString("C|")
-	b.WriteString(strconv.Itoa(n))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(k))
+	size := 16 + len(oc)*8
 	for _, c := range sic {
-		b.WriteByte('|')
-		b.WriteString(c.Set.Key())
+		size += 1 + c.Set.KeyLen()
+	}
+	b := make([]byte, 0, size)
+	b = append(b, "C|"...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(k), 10)
+	for _, c := range sic {
+		b = append(b, '|')
+		b = c.Set.AppendKey(b)
 	}
 	if len(oc) > 0 {
-		b.WriteByte(';')
+		b = append(b, ';')
 		for _, e := range oc {
-			b.WriteString(strconv.Itoa(e.U))
-			b.WriteByte('>')
-			b.WriteString(strconv.Itoa(e.V))
-			b.WriteByte(',')
+			b = strconv.AppendInt(b, int64(e.U), 10)
+			b = append(b, '>')
+			b = strconv.AppendInt(b, int64(e.V), 10)
+			b = append(b, ',')
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
 // vectorKey builds the memo key of an iexact dimension-vector run: the

@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"math/bits"
+	"slices"
 
 	"nova/internal/constraint"
 	"nova/internal/encoding"
@@ -33,6 +34,14 @@ const ctxCheckInterval = 64
 // minimization graph G).
 type OCEdge struct{ U, V int }
 
+// other returns the end of e that is not state st (st for a self-edge).
+func (e OCEdge) other(st int) int {
+	if e.U == st {
+		return e.V
+	}
+	return e.U
+}
+
 // wordDim is the largest cube dimension whose vertex sets fit one 64-bit
 // word (2^6 = 64 vertices). Searchers at k <= wordDim keep vertex bitmaps
 // of the assigned faces and run the forward check as word arithmetic.
@@ -43,6 +52,80 @@ const wordDim = 6
 var coordOnes = [wordDim]uint64{
 	0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
 	0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
+}
+
+// below[c] and above[c] are the vertices of the 6-cube that code c
+// covers bitwise and those that cover c, c itself excluded: an output
+// covering edge u > v leaves v the codes below u's, and u those above
+// v's.
+var below, above = coverMasks()
+
+func coverMasks() (below, above [1 << wordDim]uint64) {
+	for c := range below {
+		b, a := ^uint64(0), ^uint64(0)
+		for i, ones := range coordOnes {
+			if c>>uint(i)&1 != 0 {
+				a &= ones
+			} else {
+				b &^= ones
+			}
+		}
+		below[c], above[c] = b&^(1<<uint(c)), a&^(1<<uint(c))
+	}
+	return below, above
+}
+
+// faceTable[k][l] lists the level-l faces of the k-cube (k <= wordDim)
+// in face.Gen's genface order, built once.
+var faceTable = func() (t [wordDim + 1][][]face.Face) {
+	for k := range t {
+		t[k] = make([][]face.Face, k+1)
+		for l := range t[k] {
+			g := face.NewGen(k, l)
+			for f, ok := g.Next(); ok; f, ok = g.Next() {
+				t[k][l] = append(t[k][l], f)
+			}
+		}
+	}
+	return t
+}()
+
+// genFaces calls emit on the level-l faces of the k-cube in genface
+// order, from faceTable when k <= wordDim, until emit returns false. It
+// reports whether emit accepted every face.
+func genFaces(k, l int, emit func(face.Face) bool) bool {
+	if k <= wordDim {
+		if l > k {
+			return true
+		}
+		for _, f := range faceTable[k][l] {
+			if !emit(f) {
+				return false
+			}
+		}
+		return true
+	}
+	g := face.NewGen(k, l)
+	for f, ok := g.Next(); ok; f, ok = g.Next() {
+		if !emit(f) {
+			return false
+		}
+	}
+	return true
+}
+
+// deposit spreads the low bits of v over the set bits of mask, lowest
+// first: bit j of v lands on mask's j-th lowest coordinate.
+func deposit(v, mask uint64) uint64 {
+	var r uint64
+	for ; v != 0; v >>= 1 {
+		low := mask & -mask
+		if v&1 != 0 {
+			r |= low
+		}
+		mask &^= low
+	}
+	return r
 }
 
 // vertexMask returns the vertices of f (f.K <= wordDim) as a bitmap: bit v
@@ -172,9 +255,12 @@ type searcher struct {
 	// of assigned non-singleton i's face, usedCodes the bitmap of the
 	// assigned codes and full that of the whole cube. allow[st] holds
 	// the vertices state st may still take: inside the face of every
-	// assigned wider node whose set holds st and outside every other's.
-	// assign of a wider node pushes all N masks on allowTrail before
-	// narrowing them, and undo pops them back.
+	// assigned wider node whose set holds st and outside every other's,
+	// and, for every output covering edge to an assigned state, below
+	// or above that state's code as the edge requires. assign of a
+	// wider node pushes all N masks on allowTrail before narrowing them,
+	// assign of a state pushes the mask of each edge's other end, and
+	// undo pops them back.
 	word       bool
 	vbits      []uint64
 	usedCodes  uint64
@@ -265,8 +351,11 @@ func newSearcher(g *constraint.Graph, k int) *searcher {
 // level.
 func (s *searcher) setLevel(nd *constraint.Node, l int) { s.info[nd.Index].lv = uint8(l) }
 
-// setOC installs the output covering edges and indexes them by state, so
-// a probe of a code walks only the edges at its own state.
+// setOC installs the output covering edges, before any state is
+// placed, and indexes them by state: placing a state narrows the masks
+// of its edges' other ends (k <= wordDim), and a probe of a code in a
+// wider cube walks only the edges at its own state. A state covering
+// itself can take no code.
 func (s *searcher) setOC(oc []OCEdge) {
 	s.oc, s.ocAt = oc, nil
 	if len(oc) == 0 {
@@ -277,7 +366,12 @@ func (s *searcher) setOC(oc []OCEdge) {
 		s.ocAt[e.U] = append(s.ocAt[e.U], e)
 		if e.V != e.U {
 			s.ocAt[e.V] = append(s.ocAt[e.V], e)
+		} else if s.word {
+			s.allow[e.U] = 0
 		}
+	}
+	if s.word {
+		s.allowTrail = slices.Grow(s.allowTrail, 2*len(oc))
 	}
 }
 
@@ -302,6 +396,18 @@ func (s *searcher) assign(nd *constraint.Node, f face.Face) {
 		s.codes = append(s.codes, i)
 		if s.word {
 			s.usedCodes |= 1 << f.Val
+			if s.ocAt != nil {
+				st := int(s.info[i].sym)
+				for _, e := range s.ocAt[st] {
+					o := e.other(st)
+					s.allowTrail = append(s.allowTrail, s.allow[o])
+					if e.U == st {
+						s.allow[o] &= below[f.Val]
+					} else {
+						s.allow[o] &= above[f.Val]
+					}
+				}
+			}
 		}
 		return
 	}
@@ -340,6 +446,15 @@ func (s *searcher) undo(mark int) {
 		s.codes = s.codes[:len(s.codes)-1]
 		if s.word {
 			s.usedCodes &^= 1 << s.aface[i].Val
+			if s.ocAt != nil {
+				st := int(s.info[i].sym)
+				at := s.ocAt[st]
+				for j := len(at) - 1; j >= 0; j-- {
+					top := len(s.allowTrail) - 1
+					s.allow[at[j].other(st)] = s.allowTrail[top]
+					s.allowTrail = s.allowTrail[:top]
+				}
+			}
 		}
 	}
 }
@@ -419,32 +534,29 @@ func (s *searcher) checkFace(nd *constraint.Node, f face.Face) bool {
 //
 // With one-word bitmaps the singleton probe is two bit tests: the vertex
 // is no assigned code (usedCodes), and it lies in allow, which assign
-// keeps equal to the walk over the wider faces.
+// keeps equal to the walk over the wider faces and to ocOK.
 func (s *searcher) checkFaceConds(nd *constraint.Node, f face.Face) bool {
 	in := &s.info[nd.Index]
+	if in.card == 1 && s.word {
+		bit := uint64(1) << f.Val
+		return s.usedCodes&bit == 0 && s.allow[in.sym]&bit != 0
+	}
 	if f.Cardinality() < int(in.card) {
 		return false
 	}
 	rel := s.g.Rel[nd.Index*len(s.g.Nodes):]
 	if in.card == 1 {
-		if s.word {
-			bit := uint64(1) << f.Val
-			if s.usedCodes&bit != 0 || s.allow[in.sym]&bit == 0 {
+		for _, j := range s.codes {
+			if s.aface[j].Val == f.Val {
 				return false
 			}
-		} else {
-			for _, j := range s.codes {
-				if s.aface[j].Val == f.Val {
-					return false
-				}
-			}
-			// A singleton lies inside a constraint's face iff the state
-			// is a member (for ancestors the father-chain generation
-			// guarantees it).
-			for _, j := range s.wides {
-				if f.Intersects(s.aface[j]) != (rel[j]&constraint.RelIntersects != 0) {
-					return false
-				}
+		}
+		// A singleton lies inside a constraint's face iff the state is a
+		// member (for ancestors the father-chain generation guarantees
+		// it).
+		for _, j := range s.wides {
+			if f.Intersects(s.aface[j]) != (rel[j]&constraint.RelIntersects != 0) {
+				return false
 			}
 		}
 		// Output covering constraints between encoded singletons.
@@ -464,7 +576,8 @@ func (s *searcher) checkFaceConds(nd *constraint.Node, f face.Face) bool {
 }
 
 // ocOK checks the output covering edges at singleton nd's state assuming
-// nd gets vertex f: where the edge's other end is placed, the code of U
+// nd gets vertex f (k > wordDim; smaller cubes keep the edges in the
+// allow masks): where the edge's other end is placed, the code of U
 // must cover the code of V bitwise and differ from it. Edges between two
 // other placed states need no check: the later of the two was placed
 // through this check, and undo only removes codes.
@@ -621,21 +734,16 @@ func (s *searcher) fitsProbe(sg *constraint.Node, fi face.Face) bool {
 // fitsWord is fitsProbe on one-word vertex bitmaps (k <= wordDim), with
 // the same verdict and tallies; all is the vertex bitmap of the face fi
 // fitsProbe would walk. A vertex of fi passes checkFace iff it is no
-// assigned code, lies in the state's allow mask (cardinality holds at
-// level 0), and meets the output covering edges, which are tested only
-// on the vertices that survive the rest. Face.Vertices enumerates in
-// ascending vertex order, so the probe loop would have failed on every
-// vertex of fi below the first feasible one, then passed once — or
-// failed on all of fi.
+// assigned code and lies in the state's allow mask (cardinality holds at
+// level 0). Face.Vertices enumerates in ascending vertex order, so the
+// probe loop would have failed on every vertex of fi below the first
+// feasible one, then passed once — or failed on all of fi.
 func (s *searcher) fitsWord(sg *constraint.Node, all uint64) bool {
-	cand := all &^ s.usedCodes & s.allow[s.info[sg.Index].sym]
-	for ; cand != 0; cand &= cand - 1 {
+	if cand := all &^ s.usedCodes & s.allow[s.info[sg.Index].sym]; cand != 0 {
 		v := uint64(bits.TrailingZeros64(cand))
-		if len(s.oc) == 0 || s.ocOK(sg, face.Vertex(s.k, v)) {
-			s.checksFail += bits.OnesCount64(all & (1<<v - 1))
-			s.checksOK++
-			return true
-		}
+		s.checksFail += bits.OnesCount64(all & (1<<v - 1))
+		s.checksOK++
+		return true
 	}
 	s.checksFail += bits.OnesCount64(all)
 	return false
@@ -790,9 +898,11 @@ func (s *searcher) nextToCode(lic *constraint.Node) *constraint.Node {
 
 // candidates enumerates the faces to try for nd, in the paper's genface
 // order (x-patterns lexicographic, then values), level by level in
-// levelRange's ascending order. Category-3 faces are generated inside
-// the father's face; singletons are vertices of the intersection of
-// their assigned fathers' faces, in ascending vertex order.
+// levelRange's ascending order. Category-3 faces are the faces of the
+// father's face, generated as subfaces of a cube of its dimension and
+// deposited on its free coordinates; singletons are vertices of the
+// intersection of their assigned fathers' faces, in ascending vertex
+// order.
 func (s *searcher) candidates(nd *constraint.Node, emit func(face.Face) bool) {
 	if s.info[nd.Index].card == 1 {
 		if s.word {
@@ -836,40 +946,18 @@ func (s *searcher) candidates(nd *constraint.Node, emit func(face.Face) bool) {
 	switch s.info[nd.Index].cat {
 	case constraint.Cat1:
 		for l := lo; l <= hi; l++ {
-			g := face.NewGen(s.k, l)
-			for f, ok := g.Next(); ok; f, ok = g.Next() {
-				if !emit(f) {
-					return
-				}
+			if !genFaces(s.k, l, emit) {
+				return
 			}
 		}
 	case constraint.Cat3:
 		ff := s.aface[nd.Fathers[0].Index]
-		// Free coordinate positions of the father's face.
-		var free []int
-		for i := 0; i < s.k; i++ {
-			if ff.X&(1<<uint(i)) != 0 {
-				free = append(free, i)
-			}
+		sub := func(f face.Face) bool {
+			return emit(face.Face{Val: ff.Val | deposit(f.Val, ff.X), X: deposit(f.X, ff.X), K: s.k})
 		}
-		m := len(free)
 		for l := lo; l <= hi; l++ {
-			g := face.NewGen(m, l)
-			for sub, ok := g.Next(); ok; sub, ok = g.Next() {
-				// Map the m-dimensional subface into the father's face.
-				f := face.Face{Val: ff.Val, K: s.k}
-				for j, pos := range free {
-					bit := uint64(1) << uint(j)
-					switch {
-					case sub.X&bit != 0:
-						f.X |= 1 << uint(pos)
-					case sub.Val&bit != 0:
-						f.Val |= 1 << uint(pos)
-					}
-				}
-				if !emit(f) {
-					return
-				}
+			if !genFaces(ff.Level(), l, sub) {
+				return
 			}
 		}
 	}

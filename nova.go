@@ -515,16 +515,34 @@ func exactOpt(ctx context.Context, opt Options) encode.ExactOptions {
 // ties to the earliest algorithm.
 var bestRoster = [...]Algorithm{IHybrid, IGreedy, IOHybrid}
 
-// encodeBest joins the bestRoster candidates over the pool. It fails when
-// any candidate fails, with the error firstErr picks.
+// bestLaunch is the order encodeBest launches bestRoster in, as roster
+// indices. iohybrid goes first: it alone runs the symbolic analysis
+// before its search, so it ends last, and launched first it takes a
+// spare worker while the other two run on the submitting goroutine.
+var bestLaunch = [len(bestRoster)]int{2, 0, 1}
+
+// encodeBest joins the bestRoster candidates over the pool, launched in
+// bestLaunch order. It fails when any candidate fails, with the error
+// firstErr picks in roster order; otherwise the smallest area wins, ties
+// to the earliest in roster order.
 func encodeBest(ctx context.Context, eng *engine, p *prepared, opt Options) (*Result, error) {
-	out, win := sched.Cheapest(ctx, eng.pool, len(bestRoster), func(ctx context.Context, i int) (*Result, int64, error) {
+	launched, _ := sched.Cheapest(ctx, eng.pool, len(bestLaunch), func(ctx context.Context, i int) (*Result, int64, error) {
 		o := opt
-		o.Algorithm = bestRoster[i]
+		o.Algorithm = bestRoster[bestLaunch[i]]
 		return costed(encodeWith(ctx, eng, p, o))
 	})
-	if err := firstErr(ctx, out); err != nil {
+	var out [len(bestRoster)]sched.Outcome[*Result]
+	for i, o := range launched {
+		out[bestLaunch[i]] = o
+	}
+	if err := firstErr(ctx, out[:]); err != nil {
 		return nil, err
+	}
+	win := 0
+	for i, o := range out {
+		if o.Cost < out[win].Cost {
+			win = i
+		}
 	}
 	best := out[win].Value
 	best.Algorithm = Best

@@ -23,7 +23,9 @@ var parallelSuite = []string{"bbtas", "dk27", "lion", "shiftreg", "train11", "be
 
 // TestSerialParallelIdentical checks the tentpole determinism guarantee:
 // for a fixed Seed, the parallel Best and Random fan-outs return Results
-// byte-identical to a serial run.
+// byte-identical to a serial run. Parallelism 2 and 3 run Best's
+// candidates partly on spare workers and partly inline on the joining
+// goroutine, in launch order; at 4 all three run at once.
 func TestSerialParallelIdentical(t *testing.T) {
 	for _, name := range parallelSuite {
 		for _, alg := range []nova.Algorithm{nova.Best, nova.Random} {
@@ -35,13 +37,15 @@ func TestSerialParallelIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("serial: %v", err)
 				}
-				opt.Parallelism = 4
-				par, err := nova.Encode(f, opt)
-				if err != nil {
-					t.Fatalf("parallel: %v", err)
-				}
-				if !reflect.DeepEqual(serial, par) {
-					t.Fatalf("parallel result differs from serial:\nserial:   %+v\nparallel: %+v", serial, par)
+				for _, workers := range []int{2, 3, 4} {
+					opt.Parallelism = workers
+					par, err := nova.Encode(f, opt)
+					if err != nil {
+						t.Fatalf("Parallelism %d: %v", workers, err)
+					}
+					if !reflect.DeepEqual(serial, par) {
+						t.Fatalf("Parallelism %d result differs from serial:\nserial:   %+v\nparallel: %+v", workers, serial, par)
+					}
 				}
 			})
 		}
