@@ -114,10 +114,6 @@ const driftFSM = `
 // nor exempted — the doc-drift this test exists to catch.
 var scheduleExempt = map[string]bool{
 	"pool.inline": true, // needs a saturated pool
-	// Needs an input constraint with more states than any proper face of
-	// the minimum-length cube holds; the drift machine's constraints all
-	// fit, as do most real machines'.
-	"search.constraints.infeasible": true,
 }
 
 // glossaryRuns counts the executions of TestGlossaryCountersAppearInTracedRun

@@ -1,17 +1,13 @@
 package constraint
 
 // Prep is the output of Preprocess: the normalized constraint list the
-// encoding algorithms consume, plus the bookkeeping the searchers and
-// the observability layer want.
+// encoding algorithms consume, plus the counts the observability layer
+// wants.
 type Prep struct {
 	// ICs is the preprocessed list: duplicate sets merged with summed
 	// weights, trivially satisfied sets dropped, sorted by decreasing
 	// weight (Normalize's deterministic order).
 	ICs []Constraint
-	// Infeasible flags (by Set.Key) the constraints of ICs that no
-	// proper face of the k-cube can host; nil when Preprocess ran
-	// without a code length (k <= 0). See Preprocess for the argument.
-	Infeasible map[string]bool
 	// Merged counts the input entries folded into an earlier duplicate
 	// (their weights were summed); Dropped counts the trivially
 	// satisfied entries removed (cardinality < 2 or = n).
@@ -19,26 +15,15 @@ type Prep struct {
 }
 
 // Preprocess prepares an input-constraint list for the encoding
-// searches. It is Normalize — duplicate sets merged with their weights
+// searches: Normalize — duplicate sets merged with their weights
 // folded, trivially satisfied sets dropped, deterministic
-// weight-descending order — plus the pruning metadata of the search
-// pipeline:
-//
-// When a positive code length k is given, constraints with
-// #(ic) > 2^(k-1) are flagged infeasible: a face hosting #(ic) states
-// needs at least ceil(log2 #(ic)) = k free coordinates, and the only
-// level-k face of the k-cube is the full cube, which injectivity
-// reserves for the universe constraint. A bounded search on such a
-// constraint always fails after a single face probe, so callers can
-// reject it without building the intersection-closure graph. Dropping
-// the constraint from the *result* would be unsound — its weight still
-// counts against WUnsat — so it stays in ICs and is only flagged.
+// weight-descending order — with the merge and drop counts.
 //
 // Proper subsumption (A ⊃ B) is deliberately NOT merged: satisfying a
 // face for A neither implies nor is implied by satisfying one for B,
 // and the weights are per-constraint product-term savings, so folding
 // them would change every algorithm's satisfied-weight accounting.
-func Preprocess(k int, list []Constraint) Prep {
+func Preprocess(list []Constraint) Prep {
 	p := Prep{ICs: Normalize(list)}
 	nontrivial := 0
 	for _, c := range list {
@@ -48,15 +33,5 @@ func Preprocess(k int, list []Constraint) Prep {
 	}
 	p.Dropped = len(list) - nontrivial
 	p.Merged = nontrivial - len(p.ICs)
-	if k > 0 {
-		for _, c := range p.ICs {
-			if log2ceil(c.Set.Card()) >= k {
-				if p.Infeasible == nil {
-					p.Infeasible = make(map[string]bool)
-				}
-				p.Infeasible[c.Set.Key()] = true
-			}
-		}
-	}
 	return p
 }

@@ -56,7 +56,7 @@ func TestPreprocessPreservesSatisfiableWeight(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + rng.Intn(7)
 		raw := randomConstraints(rng, n, 1+rng.Intn(12))
-		prep := constraint.Preprocess(0, raw)
+		prep := constraint.Preprocess(raw)
 
 		if got, want := constraint.TotalWeight(prep.ICs)+trivialWeight(raw), constraint.TotalWeight(raw); got != want {
 			t.Fatalf("trial %d: preprocessing lost weight: kept %d + trivial %d != raw %d", trial, constraint.TotalWeight(prep.ICs), trivialWeight(raw), want)
@@ -86,8 +86,8 @@ func trivialWeight(list []constraint.Constraint) int {
 	return w
 }
 
-// TestPreprocessCounts pins the merge/drop accounting and the
-// infeasibility flags on a hand-built list.
+// TestPreprocessCounts pins the merge/drop accounting on a hand-built
+// list.
 func TestPreprocessCounts(t *testing.T) {
 	mk := func(v string, w int) constraint.Constraint {
 		return constraint.Constraint{Set: constraint.MustFromString(v), Weight: w}
@@ -95,11 +95,11 @@ func TestPreprocessCounts(t *testing.T) {
 	list := []constraint.Constraint{
 		mk("110000", 3),
 		mk("110000", 2), // duplicate: merged, weights folded
-		mk("111110", 1), // cardinality 5 > 2^(3-1): infeasible at k=3
+		mk("111110", 1), // kept, however large for the cube
 		mk("100000", 9), // singleton: dropped
 		mk("111111", 9), // universe: dropped
 	}
-	p := constraint.Preprocess(3, list)
+	p := constraint.Preprocess(list)
 	if p.Merged != 1 || p.Dropped != 2 {
 		t.Fatalf("Merged=%d Dropped=%d, want 1 and 2", p.Merged, p.Dropped)
 	}
@@ -108,11 +108,5 @@ func TestPreprocessCounts(t *testing.T) {
 	}
 	if p.ICs[0].Weight != 5 {
 		t.Fatalf("duplicate weights not folded: %+v", p.ICs[0])
-	}
-	if len(p.Infeasible) != 1 || !p.Infeasible[constraint.MustFromString("111110").Key()] {
-		t.Fatalf("infeasibility flags wrong: %v", p.Infeasible)
-	}
-	if p2 := constraint.Preprocess(0, list); p2.Infeasible != nil {
-		t.Fatalf("k<=0 must not flag infeasibility: %v", p2.Infeasible)
 	}
 }

@@ -61,18 +61,6 @@ func (f *Cover) String() string {
 	return b.String()
 }
 
-// CofactorCube returns the cofactor cover F/c: the cofactor of every cube of
-// f that intersects c.
-func (f *Cover) CofactorCube(c Cube) *Cover {
-	g := NewCover(f.S)
-	for _, q := range f.Cubes {
-		if r := f.S.Cofactor(q, c); r != nil {
-			g.Add(r)
-		}
-	}
-	return g
-}
-
 // cofactorCoverWith builds F/c from arena buffers, dropping every cube
 // contained in another cube of the cofactor (row dominance on the
 // personality matrix). That is sound for its callers, the tautology and
@@ -145,15 +133,6 @@ func (f *Cover) pickSplitVar() int {
 		}
 	}
 	return best
-}
-
-// columnOr returns the bitwise OR of all cubes of the cover.
-func (f *Cover) columnOr() Cube {
-	or := f.S.NewCube()
-	for _, c := range f.Cubes {
-		Or(or, or, c)
-	}
-	return or
 }
 
 // Tautology reports whether the cover covers the entire minterm space. The

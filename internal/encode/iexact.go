@@ -14,13 +14,6 @@ type ExactOptions struct {
 	// between primary-level-vector searches; cancellation aborts the run
 	// with Result.Err set to the context error.
 	Ctx context.Context
-	// MaxK bounds the largest hypercube dimension tried; 0 means
-	// mincube_dim + KWindow (the trivial upper bound #(S) of Section
-	// 3.3.1 is unreachable within any practical budget anyway).
-	MaxK int
-	// KWindow is the number of dimensions above the mincube_dim lower
-	// bound explored when MaxK is 0; 0 means 8.
-	KWindow int
 	// MaxWork bounds the number of face-assignment attempts; the budget
 	// is split evenly across the explored dimensions so the search is not
 	// starved at the (often infeasible) smallest dimensions. 0 means
@@ -28,12 +21,16 @@ type ExactOptions struct {
 	// Result has GaveUp set (the paper's iexact likewise fails to
 	// complete on the hardest examples).
 	MaxWork int
-	// NoPrune disables the search-tree pruning added on top of the
-	// seed searcher: second-placement symmetry breaking and the
-	// failed-embedding memo. For A/B comparison and the equivalence
-	// suite.
-	NoPrune bool
 }
+
+// kWindow is the number of dimensions above the mincube_dim lower bound
+// IExact explores, up to the 64-bit code limit. No cap sits at the state
+// count: the subposet-equivalence conditions often admit solutions only
+// with slack dimensions (the paper's iexact reports e.g. 8 bits for the
+// 7-state dk14 and 11 for the 24-state donfile), while the trivial
+// upper bound #(S) of Section 3.3.1 is unreachable within any practical
+// budget anyway.
+const kWindow = 8
 
 // IExact implements iexact_code (Section III): find an encoding of n
 // symbols satisfying every input constraint while minimizing the encoding
@@ -59,35 +56,20 @@ func IExact(n int, ics []constraint.Constraint, opt ExactOptions) (res Result) {
 		}
 		sp.End()
 	}()
-	// Preprocess without a code length: iexact explores many dimensions,
-	// and its lo>hi level-window check already skips the dimensions a
-	// constraint cannot fit, so no infeasible filter applies here.
-	ics, _ = prepConstraints(opt.Ctx, 0, ics, true)
+	ics = prepConstraints(opt.Ctx, ics)
 	if opt.MaxWork <= 0 {
 		opt.MaxWork = 5_000_000
-	}
-	if opt.KWindow <= 0 {
-		opt.KWindow = 8
 	}
 	upper := SatisfyAll(n, ics)
 	g := constraint.BuildGraph(n, ics)
 	mincube := g.MinCubeDim()
-	if opt.MaxK <= 0 || opt.MaxK > 64 {
-		// No cap at the state count: the subposet-equivalence conditions
-		// often admit solutions only with slack dimensions (the paper's
-		// iexact reports e.g. 8 bits for the 7-state dk14 and 11 for the
-		// 24-state donfile).
-		opt.MaxK = mincube + opt.KWindow
-		if opt.MaxK > 64 {
-			opt.MaxK = 64
-		}
-	}
+	maxK := min(mincube+kWindow, 64)
 	// Dimensions at or above the constructive bound need no search.
-	if len(upper.Unsatisfied) == 0 && upper.Enc.Bits <= 64 && opt.MaxK >= upper.Enc.Bits {
-		opt.MaxK = upper.Enc.Bits - 1
+	if len(upper.Unsatisfied) == 0 && upper.Enc.Bits <= 64 && maxK >= upper.Enc.Bits {
+		maxK = upper.Enc.Bits - 1
 	}
 	perK := opt.MaxWork
-	if span := opt.MaxK - mincube + 1; span > 1 {
+	if span := maxK - mincube + 1; span > 1 {
 		perK = opt.MaxWork / span
 	}
 	if perK < 1 {
@@ -95,7 +77,7 @@ func IExact(n int, ics []constraint.Constraint, opt ExactOptions) (res Result) {
 	}
 	totalWork := 0
 	anyBudget := false
-	for k := mincube; k <= opt.MaxK; k++ {
+	for k := mincube; k <= maxK; k++ {
 		kWork := 0
 		// Primary constraints: category-1 non-singletons get a level from
 		// the primary level vector; levels range over
@@ -196,7 +178,7 @@ func iexactRound(opt ExactOptions, m *obs.Metrics, g *constraint.Graph, k int,
 		if w <= 0 {
 			return work, true, nil, nil
 		}
-		s := runVector(opt.Ctx, g, k, primaries, dimvect, w, opt.NoPrune)
+		s := runVector(opt.Ctx, g, k, primaries, dimvect, w)
 		s.flushMetrics(m)
 		work += s.work
 		if s.solved {
@@ -210,35 +192,29 @@ func iexactRound(opt ExactOptions, m *obs.Metrics, g *constraint.Graph, k int,
 }
 
 // runVector runs one primary-level-vector search with the given work cap.
-// Unless noPrune, runs are memoized by (graph content, k, level vector);
-// a hit returns a replayed searcher whose observable state matches the
-// original run's (see replaySearcher).
+// Runs are memoized by (graph content, k, level vector); a hit returns a
+// replayed searcher whose observable state matches the original run's
+// (see replaySearcher).
 func runVector(ctx context.Context, g *constraint.Graph, k int,
-	primaries []*constraint.Node, dimvect []int, maxWork int, noPrune bool) *searcher {
-	var key string
-	if !noPrune {
-		key = vectorKey(g, k, dimvect)
-		if v, ok := searchMemo.Get(key); ok && v.usable(maxWork) {
-			return replaySearcher(v)
-		}
+	primaries []*constraint.Node, dimvect []int, maxWork int) *searcher {
+	key := vectorKey(g, k, dimvect)
+	if v, ok := searchMemo.Get(key); ok && v.usable(maxWork) {
+		return replaySearcher(v)
 	}
 	s := newSearcher(g, k)
 	s.allLevels = true
 	s.maxWork = maxWork
-	s.noPrune = noPrune
 	s.ctx = ctx
 	for i, nd := range primaries {
 		s.setLevel(nd, dimvect[i])
 	}
 	s.solved = s.solve(nil)
-	if !noPrune {
-		s.memoMisses = 1
-		var enc encoding.Encoding
-		if s.solved {
-			enc = s.extract()
-		}
-		recordSearch(key, s, enc, s.solved)
+	s.memoMisses = 1
+	var enc encoding.Encoding
+	if s.solved {
+		enc = s.extract()
 	}
+	recordSearch(key, s, enc, s.solved)
 	return s
 }
 
@@ -290,19 +266,4 @@ func slackVectors(lo, hi []int, max int) (out [][]int, truncated bool) {
 		}
 	}
 	return out, truncated
-}
-
-// nextLex advances v to the next vector in lexicographic order within the
-// per-position bounds [lo[i], hi[i]]; it returns false after the last one.
-func nextLex(v, lo, hi []int) bool {
-	for i := len(v) - 1; i >= 0; i-- {
-		if v[i] < hi[i] {
-			v[i]++
-			for j := i + 1; j < len(v); j++ {
-				v[j] = lo[j]
-			}
-			return true
-		}
-	}
-	return false
 }

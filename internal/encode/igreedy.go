@@ -15,10 +15,7 @@ import (
 // some encoding space may remain unused. bits below the minimum code
 // length (bits <= 0 included) selects the minimum.
 func IGreedy(n int, ics []constraint.Constraint, bits int) Result {
-	// Preprocessing without a code length: merge/drop only. The
-	// infeasible filter would be unsound here — tryNode may legitimately
-	// claim the full cube for a constraint covering every placed state.
-	ics = constraint.Preprocess(0, ics).ICs
+	ics = constraint.Normalize(ics)
 	k := max(bits, MinLength(n))
 	g := constraint.BuildGraph(n, ics)
 

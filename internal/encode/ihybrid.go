@@ -22,14 +22,6 @@ type HybridOptions struct {
 	// and between semiexact_code calls; cancellation aborts the run with
 	// Result.Err set to the context error.
 	Ctx context.Context
-	// NoPrune disables the search-tree pruning added on top of the
-	// seed searcher: second-placement symmetry breaking, the
-	// failed-embedding memo, the infeasible-constraint skip, and both
-	// refutations of a step without a search — graphs that fail the
-	// mincube_dim counting arguments (constraint.Graph.Fits) and graphs
-	// that cannot place their nodes at semiexact's minimum levels
-	// (minLevelsFit). For A/B comparison and the equivalence suite.
-	NoPrune bool
 }
 
 func (o *HybridOptions) defaults() {
@@ -43,8 +35,8 @@ func (o *HybridOptions) defaults() {
 // constraints and bounded by max_work (and by ctx, which may be nil). It
 // returns the found encoding and whether all the given constraints were
 // satisfied.
-func semiexact(ctx context.Context, n int, sic []constraint.Constraint, cubeDim, maxWork int, oc []OCEdge, noPrune bool) (encoding.Encoding, bool, int) {
-	out := semiexactRun(ctx, n, sic, cubeDim, maxWork, oc, noPrune)
+func semiexact(ctx context.Context, n int, sic []constraint.Constraint, cubeDim, maxWork int, oc []OCEdge) (encoding.Encoding, bool, int) {
+	out := semiexactRun(ctx, n, sic, cubeDim, maxWork, oc)
 	return out.enc, out.ok, out.work
 }
 
@@ -60,41 +52,32 @@ type semiexactOut struct {
 // semiexactRun is the engine behind semiexact: one pos_equiv run under
 // a "search.semiexact" span, its tallies flushed into the run's metrics.
 //
-// Unless noPrune, the run is memoized at whole-run granularity: the
-// probe happens before the intersection-closure graph is even built, so
-// a hit skips BuildGraph and the search entirely. Only pruning-enabled
-// runs probe or record — the memo then never mixes the two searcher
-// behaviors. A pruning-enabled miss whose graph fails the mincube_dim
-// counting arguments at cubeDim (constraint.Graph.Fits), or cannot
-// place its nodes at the minimum levels semiexact uses (minLevelsFit),
-// is refuted without a search: a failure with no work and no budget
-// hit, memoized like an exhaustive one.
-func semiexactRun(ctx context.Context, n int, sic []constraint.Constraint, cubeDim, maxWork int, oc []OCEdge, noPrune bool) semiexactOut {
+// The run is memoized at whole-run granularity: the probe happens
+// before the intersection-closure graph is even built, so a hit skips
+// BuildGraph and the search entirely. A miss whose graph fails the
+// mincube_dim counting arguments at cubeDim (constraint.Graph.Fits),
+// which include a constraint no proper face of the cube can host, or
+// cannot place its nodes at the minimum levels semiexact uses
+// (minLevelsFit), is refuted without a search: a failure with no work
+// and no budget hit, memoized like an exhaustive one.
+func semiexactRun(ctx context.Context, n int, sic []constraint.Constraint, cubeDim, maxWork int, oc []OCEdge) semiexactOut {
 	sctx, sp := obs.Span(ctx, "search.semiexact")
 	sp.SetInt("constraints", int64(len(sic)))
-	var key string
+	key := chainKey(n, cubeDim, sic, oc)
 	var s *searcher
-	if !noPrune {
-		key = chainKey(n, cubeDim, sic, oc)
-		if v, ok := searchMemo.Get(key); ok && v.usable(maxWork) {
-			s = replaySearcher(v)
-			sp.SetInt("memo_hit", 1)
-		}
-	}
-	if s == nil {
-		g := constraint.BuildGraph(n, sic)
-		if !noPrune && (!g.Fits(cubeDim) || !minLevelsFit(g, cubeDim)) {
-			// The search could only fail; OC edges only add requirements.
-			s = &searcher{refuted: true}
-		} else {
-			s = newSearcher(g, cubeDim)
-			s.allLevels = false
-			s.maxWork = maxWork
-			s.setOC(oc)
-			s.noPrune = noPrune
-			s.ctx = sctx
-			s.solved = s.solve(nil)
-		}
+	if v, ok := searchMemo.Get(key); ok && v.usable(maxWork) {
+		s = replaySearcher(v)
+		sp.SetInt("memo_hit", 1)
+	} else if g := constraint.BuildGraph(n, sic); !g.Fits(cubeDim) || !minLevelsFit(g, cubeDim) {
+		// The search could only fail; OC edges only add requirements.
+		s = &searcher{refuted: true}
+	} else {
+		s = newSearcher(g, cubeDim)
+		s.allLevels = false
+		s.maxWork = maxWork
+		s.setOC(oc)
+		s.ctx = sctx
+		s.solved = s.solve(nil)
 	}
 	sp.SetInt("work", int64(s.work))
 	if s.refuted {
@@ -105,7 +88,7 @@ func semiexactRun(ctx context.Context, n int, sic []constraint.Constraint, cubeD
 	if s.solved {
 		out.enc = s.extract()
 	}
-	if !noPrune && !s.memoHit {
+	if !s.memoHit {
 		s.memoMisses = 1
 		recordSearch(key, s, out.enc, s.solved)
 	}
@@ -178,7 +161,7 @@ func semiexactChain(opt HybridOptions, n int, ics []constraint.Constraint, cubeD
 			r.err = err
 			return r
 		}
-		e, ok, w := semiexact(opt.Ctx, n, append(append([]constraint.Constraint(nil), r.sic...), ic), cubeDim, opt.MaxWork, nil, opt.NoPrune)
+		e, ok, w := semiexact(opt.Ctx, n, append(append([]constraint.Constraint(nil), r.sic...), ic), cubeDim, opt.MaxWork, nil)
 		r.work += w
 		if ok {
 			r.enc, r.have = e, true
@@ -191,67 +174,20 @@ func semiexactChain(opt HybridOptions, n int, ics []constraint.Constraint, cubeD
 }
 
 // prepConstraints runs constraint preprocessing under its own span (so
-// phase tables attribute its cost honestly), publishes the
-// merge/infeasibility counters, and returns the normalized list plus
-// the searchable subset: with pruning on, constraints no proper face of
-// the cubeDim-cube can host are removed from the search schedule — each
-// would fail after exactly one face probe (see constraint.Preprocess) —
-// while remaining in the full list for satisfaction accounting. With
-// noPrune (or cubeDim <= 0) the searchable list is the full list.
-func prepConstraints(ctx context.Context, cubeDim int, ics []constraint.Constraint, noPrune bool) (all, searchable []constraint.Constraint) {
+// phase tables attribute its cost honestly), publishes the merge
+// counter, and returns the normalized list.
+func prepConstraints(ctx context.Context, ics []constraint.Constraint) []constraint.Constraint {
 	_, sp := obs.Span(ctx, "encode.preprocess")
-	p := constraint.Preprocess(cubeDim, ics)
-	m := obs.MetricsFrom(ctx)
+	p := constraint.Preprocess(ics)
 	if p.Merged > 0 {
-		m.Add("search.constraints.merged", int64(p.Merged))
-	}
-	if len(p.Infeasible) > 0 {
-		m.Add("search.constraints.infeasible", int64(len(p.Infeasible)))
+		obs.MetricsFrom(ctx).Add("search.constraints.merged", int64(p.Merged))
 	}
 	if sp != nil {
 		sp.SetInt("constraints", int64(len(p.ICs)))
 		sp.SetInt("merged", int64(p.Merged))
-		sp.SetInt("infeasible", int64(len(p.Infeasible)))
 		sp.End()
 	}
-	all = p.ICs
-	if noPrune || len(p.Infeasible) == 0 {
-		return all, all
-	}
-	searchable = make([]constraint.Constraint, 0, len(all)-len(p.Infeasible))
-	for _, c := range all {
-		if !p.Infeasible[c.Set.Key()] {
-			searchable = append(searchable, c)
-		}
-	}
-	return all, searchable
-}
-
-// mergeRejects rebuilds the rejected-constraint list in the order of
-// the full normalized list: the chain's rejects plus the infeasible
-// constraints that never entered the chain. The unpruned chain would
-// have rejected each skipped constraint at its weight-sorted position
-// (its single candidate face, the full cube, is reserved by the
-// universe), so the merged list matches the unpruned ric exactly.
-func mergeRejects(all, searchable, ric []constraint.Constraint) []constraint.Constraint {
-	if len(all) == len(searchable) {
-		return ric
-	}
-	rejected := make(map[string]bool, len(ric))
-	for _, c := range ric {
-		rejected[c.Set.Key()] = true
-	}
-	inSearch := make(map[string]bool, len(searchable))
-	for _, c := range searchable {
-		inSearch[c.Set.Key()] = true
-	}
-	out := make([]constraint.Constraint, 0, len(ric)+len(all)-len(searchable))
-	for _, c := range all {
-		if !inSearch[c.Set.Key()] || rejected[c.Set.Key()] {
-			out = append(out, c)
-		}
-	}
-	return out
+	return p.ICs
 }
 
 // ctxErr returns the context's error, tolerating a nil context.
@@ -271,20 +207,20 @@ func ctxErr(ctx context.Context) error {
 func IHybrid(n int, ics []constraint.Constraint, bits int, opt HybridOptions) Result {
 	opt.defaults()
 	cubeDim := MinLength(n)
-	ics, searchable := prepConstraints(opt.Ctx, cubeDim, ics, opt.NoPrune)
+	ics = prepConstraints(opt.Ctx, ics)
 	if bits <= 0 {
 		bits = cubeDim
 	}
 	var res Result
 
 	// ics is sorted by decreasing weight; the chain accepts greedily.
-	chain := semiexactChain(opt, n, searchable, cubeDim)
+	chain := semiexactChain(opt, n, ics, cubeDim)
 	res.Work += chain.work
 	if chain.err != nil {
 		res.Err = chain.err
 		return res
 	}
-	sic, ric := chain.sic, mergeRejects(ics, searchable, chain.ric)
+	sic, ric := chain.sic, chain.ric
 	enc, have := chain.enc, chain.have
 	if err := ctxErr(opt.Ctx); err != nil {
 		res.Err = err

@@ -60,7 +60,7 @@ func IOVariant(p IOProblem, bits int, opt HybridOptions) Result {
 func ioEncode(p IOProblem, bits int, opt HybridOptions, variant bool) Result {
 	opt.defaults()
 	cubeDim := MinLength(p.N)
-	allIC, icSearchable := prepConstraints(opt.Ctx, cubeDim, p.IC, opt.NoPrune)
+	allIC := prepConstraints(opt.Ctx, p.IC)
 	if bits <= 0 {
 		bits = cubeDim
 	}
@@ -74,11 +74,9 @@ func ioEncode(p IOProblem, bits int, opt HybridOptions, variant bool) Result {
 		return res
 	}
 
-	// Stage 1: input constraints. iohybrid cycles over the whole IC set
-	// (minus the infeasible-at-cubeDim skips, which rejoin the rejects);
-	// iovariant over the output-only companion set IC_o, unfiltered —
-	// its chain feeds the cluster acceptance test, not the reject list.
-	stage1 := icSearchable
+	// Stage 1: input constraints. iohybrid cycles over the whole IC set,
+	// iovariant over the output-only companion set IC_o.
+	stage1 := allIC
 	if variant {
 		stage1 = constraint.Normalize(p.ICo)
 	}
@@ -89,9 +87,6 @@ func ioEncode(p IOProblem, bits int, opt HybridOptions, variant bool) Result {
 		return res
 	}
 	sic, ric := chain.sic, chain.ric
-	if !variant {
-		ric = mergeRejects(allIC, icSearchable, chain.ric)
-	}
 	enc, have := chain.enc, chain.have
 
 	// Stage 2: clusters in decreasing weight.
@@ -111,7 +106,7 @@ func ioEncode(p IOProblem, bits int, opt HybridOptions, variant bool) Result {
 		if variant {
 			trialIC = append(append([]constraint.Constraint(nil), sic...), notIn(cl.IC, sic)...)
 		}
-		e, ok, w := semiexact(opt.Ctx, p.N, trialIC, cubeDim, opt.MaxWork, trialOC, opt.NoPrune)
+		e, ok, w := semiexact(opt.Ctx, p.N, trialIC, cubeDim, opt.MaxWork, trialOC)
 		res.Work += w
 		if ok {
 			enc, have = e, true

@@ -95,7 +95,7 @@ func TestSemiexactRunMemoReplay(t *testing.T) {
 	defer searchMemoReset()
 	ics := paperConstraints()
 
-	live := semiexactRun(nil, 7, ics, 4, 0, nil, false)
+	live := semiexactRun(nil, 7, ics, 4, 0, nil)
 	if live.s.memoHit {
 		t.Fatal("first run hit a memo that was just reset")
 	}
@@ -103,7 +103,7 @@ func TestSemiexactRunMemoReplay(t *testing.T) {
 		t.Fatal("paper instance at k=4 should embed")
 	}
 
-	replay := semiexactRun(nil, 7, ics, 4, 0, nil, false)
+	replay := semiexactRun(nil, 7, ics, 4, 0, nil)
 	if !replay.s.memoHit {
 		t.Fatal("second identical run missed the memo")
 	}
@@ -129,57 +129,46 @@ func TestSemiexactRunMemoReplay(t *testing.T) {
 	// The replayed encoding is a copy — mutating it must not poison the
 	// cached entry.
 	re.Codes[0] ^= 1
-	again := semiexactRun(nil, 7, ics, 4, 0, nil, false)
+	again := semiexactRun(nil, 7, ics, 4, 0, nil)
 	if again.enc.Codes[0] != le.Codes[0] {
 		t.Fatal("mutating a replayed encoding corrupted the memo entry")
 	}
 }
 
 // TestMemoBudgetRegimes checks the cap-compatibility rules end to end: a
-// budget-truncated entry replays only at the exact same cap, and a
-// noPrune run neither probes nor records.
+// budget-truncated entry replays only at the exact same cap.
 func TestMemoBudgetRegimes(t *testing.T) {
 	searchMemoReset()
 	defer searchMemoReset()
 	ics := paperConstraints()
 
 	// maxWork=3 cannot solve the paper instance: a budget verdict.
-	first := semiexactRun(nil, 7, ics, 4, 3, nil, false)
+	first := semiexactRun(nil, 7, ics, 4, 3, nil)
 	if first.ok || !first.s.budget {
 		t.Fatalf("expected a budget failure, got ok=%v budget=%v", first.ok, first.s.budget)
 	}
 
 	// Same cap: replayed.
-	same := semiexactRun(nil, 7, ics, 4, 3, nil, false)
+	same := semiexactRun(nil, 7, ics, 4, 3, nil)
 	if !same.s.memoHit {
 		t.Fatal("same-cap probe missed the budget verdict")
 	}
 	// Larger cap: the probe rejects the budget verdict via usable, so the
 	// run is live (and succeeds, replacing the entry).
-	larger := semiexactRun(nil, 7, ics, 4, 0, nil, false)
+	larger := semiexactRun(nil, 7, ics, 4, 0, nil)
 	if larger.s.memoHit {
 		t.Fatal("unbounded probe replayed a budget-truncated verdict")
 	}
 	if !larger.ok {
 		t.Fatal("unbounded run should embed the paper instance")
 	}
-
-	// noPrune runs bypass the memo entirely.
-	searchMemoReset()
-	np := semiexactRun(nil, 7, ics, 4, 0, nil, true)
-	if np.s.memoHit {
-		t.Fatal("noPrune run consulted the memo")
-	}
-	if n := searchMemo.Stats().Entries; n != 0 {
-		t.Fatalf("noPrune run recorded %d memo entries", n)
-	}
 }
 
 // TestSemiexactRefutation: the four 3-state subsets of four states,
 // among 7 states in the 3-cube, each need the one unused code inside
-// their face, and only three 2-faces meet at a code. The pruned run is
-// refuted without a search, memoized, and replayed at any budget; the
-// unpruned run searches and fails.
+// their face, and only three 2-faces meet at a code. semiexactRun
+// refutes the step without a search, memoizes the verdict and replays
+// it at any budget; the unpruned searcher searches and fails.
 func TestSemiexactRefutation(t *testing.T) {
 	searchMemoReset()
 	defer searchMemoReset()
@@ -188,16 +177,15 @@ func TestSemiexactRefutation(t *testing.T) {
 		ics = append(ics, constraint.Constraint{Set: constraint.MustFromString(v), Weight: 1})
 	}
 
-	np := semiexactRun(nil, 7, ics, 3, 0, nil, true)
-	if np.ok || np.s.refuted || np.work == 0 {
-		t.Fatalf("noPrune run: ok=%v refuted=%v work=%d, want a searched failure", np.ok, np.s.refuted, np.work)
+	if np := unprunedSemiexact(7, ics, 3, 0); np.solved || np.work == 0 {
+		t.Fatalf("unpruned search: solved=%v work=%d, want a searched failure", np.solved, np.work)
 	}
-	live := semiexactRun(nil, 7, ics, 3, 0, nil, false)
+	live := semiexactRun(nil, 7, ics, 3, 0, nil)
 	if live.ok || !live.s.refuted || live.work != 0 || live.s.budget || live.s.memoHit {
-		t.Fatalf("pruned run: ok=%v refuted=%v work=%d budget=%v memoHit=%v, want a fresh refutation",
+		t.Fatalf("semiexactRun: ok=%v refuted=%v work=%d budget=%v memoHit=%v, want a fresh refutation",
 			live.ok, live.s.refuted, live.work, live.s.budget, live.s.memoHit)
 	}
-	replay := semiexactRun(nil, 7, ics, 3, 1, nil, false)
+	replay := semiexactRun(nil, 7, ics, 3, 1, nil)
 	if replay.ok || !replay.s.refuted || !replay.s.memoHit {
 		t.Fatalf("replay at budget 1: ok=%v refuted=%v memoHit=%v, want a replayed refutation",
 			replay.ok, replay.s.refuted, replay.s.memoHit)

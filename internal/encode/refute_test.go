@@ -9,6 +9,17 @@ import (
 	"nova/internal/obs"
 )
 
+// unprunedSemiexact is the reference for semiexactRun's pruning: the
+// searcher with semiexact's levels and the work cap maxWork (0 =
+// unbounded), but with no memo, no refutation and no orbit breaks.
+func unprunedSemiexact(n int, ics []constraint.Constraint, k, maxWork int) *searcher {
+	s := newSearcher(constraint.BuildGraph(n, ics), k)
+	s.maxWork = maxWork
+	s.noPrune = true
+	s.solved = s.solve(nil)
+	return s
+}
+
 // nestedInstance draws 1-4 constraints over n states, about half of them
 // proper subsets of an earlier one, so category-3 chains are common.
 func nestedInstance(rng *rand.Rand, n int) []constraint.Constraint {
@@ -77,14 +88,13 @@ func TestMinLevelRefutationSound(t *testing.T) {
 	if g := constraint.BuildGraph(10, ics); !g.Fits(4) || minLevelsFit(g, 4) {
 		t.Fatalf("nested pair: Fits(4)=%v minLevelsFit=%v, want true, false", g.Fits(4), minLevelsFit(g, 4))
 	}
-	np := semiexactRun(nil, 10, ics, 4, 40_000, nil, true)
-	if np.ok || !np.s.budget || np.work != 40_001 {
-		t.Fatalf("unpruned nested pair: ok=%v budget=%v work=%d, want a budget stop after 40001 units", np.ok, np.s.budget, np.work)
+	if np := unprunedSemiexact(10, ics, 4, 40_000); np.solved || !np.budget || np.work != 40_001 {
+		t.Fatalf("unpruned nested pair: solved=%v budget=%v work=%d, want a budget stop after 40001 units", np.solved, np.budget, np.work)
 	}
 	tracer := obs.New()
 	ctx := obs.With(context.Background(), tracer)
 	for run, wantRefuted := range []int64{1, 2} {
-		out := semiexactRun(ctx, 10, ics, 4, 40_000, nil, false)
+		out := semiexactRun(ctx, 10, ics, 4, 40_000, nil)
 		c := tracer.Metrics().Counters()
 		if out.ok || !out.s.refuted || out.work != 0 || out.s.budget || out.s.memoHit != (run == 1) {
 			t.Fatalf("run %d: ok=%v refuted=%v work=%d budget=%v memoHit=%v, want a refutation with no work (replayed on run 1)",

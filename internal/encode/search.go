@@ -205,10 +205,10 @@ type searcher struct {
 	// (semiexact).
 	allLevels bool
 
-	// noPrune disables the pruning added on top of the seed searcher
-	// (second-placement orbit breaking; the run-level memo and the
-	// infeasible-constraint skip are gated by the same flag in their
-	// callers). The first-placement break predates the flag and stays on.
+	// noPrune disables the orbit breaking at the second and third
+	// placements, so tests can run the unpruned reference search. No
+	// production caller sets it. The first-placement break predates the
+	// flag and stays on.
 	noPrune bool
 
 	maxWork int // 0 = unbounded

@@ -251,28 +251,6 @@ func TestMinLevelHelper(t *testing.T) {
 	}
 }
 
-// TestNextLex checks the primary level vector enumeration order of
-// Example 3.3.1.2.
-func TestNextLex(t *testing.T) {
-	lo := []int{2, 2, 2, 2}
-	hi := []int{3, 3, 3, 3}
-	v := append([]int(nil), lo...)
-	var seq [][4]int
-	seq = append(seq, [4]int{v[0], v[1], v[2], v[3]})
-	for nextLex(v, lo, hi) {
-		seq = append(seq, [4]int{v[0], v[1], v[2], v[3]})
-	}
-	if len(seq) != 16 {
-		t.Fatalf("%d vectors, want 16", len(seq))
-	}
-	if seq[1] != [4]int{2, 2, 2, 3} || seq[2] != [4]int{2, 2, 3, 2} {
-		t.Fatalf("lexicographic order wrong: %v", seq[:4])
-	}
-	if seq[15] != [4]int{3, 3, 3, 3} {
-		t.Fatalf("last vector %v", seq[15])
-	}
-}
-
 // TestVertexMask checks the one-word vertex bitmap against HasVertex on
 // every face of the k-cube, k <= wordDim (k = 6 fills the whole word).
 func TestVertexMask(t *testing.T) {
@@ -397,5 +375,64 @@ func TestFitsWordMatchesProbe(t *testing.T) {
 		compared, level0, k6, withOC, feasible, dead)
 	if level0 == 0 || k6 == 0 || withOC == 0 || feasible == 0 || dead == 0 {
 		t.Fatal("the random walks missed a case the differential test must cover")
+	}
+}
+
+// TestOrbitBreakSound checks the orbit breaks at the second and third
+// placements against the search without them. On random graphs (N <= 9,
+// k from MinLength to 4, nested constraints common), in semiexact's
+// level mode and in iexact's (every level, primaries at a random level
+// of their window), an unbounded search with the breaks must embed
+// exactly when the search with noPrune set does, and its encoding must
+// satisfy every constraint. A key that merges two orbits whose subtrees
+// differ skips a face the search needs, so the verdicts part.
+func TestOrbitBreakSound(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	var embedded, skips int
+	for graph := 0; graph < 3000; graph++ {
+		n := 3 + rng.Intn(7)
+		k := MinLength(n) + rng.Intn(5-MinLength(n))
+		ics := nestedInstance(rng, n)
+		g := constraint.BuildGraph(n, ics)
+		levels := map[*constraint.Node]int{}
+		for _, nd := range g.Primaries() {
+			if ml := minLevel(nd); nd.Set.Card() > 1 && ml < k {
+				levels[nd] = ml + rng.Intn(k-ml)
+			}
+		}
+		for _, iexact := range []bool{false, true} {
+			run := func(noPrune bool) *searcher {
+				s := newSearcher(g, k)
+				s.noPrune = noPrune
+				if iexact {
+					s.allLevels = true
+					for nd, l := range levels {
+						s.setLevel(nd, l)
+					}
+				}
+				s.solved = s.solve(nil)
+				return s
+			}
+			pruned, ref := run(false), run(true)
+			if pruned.solved != ref.solved {
+				t.Fatalf("N=%d k=%d iexact levels=%v: with orbit breaks solved=%v, without %v; constraints %v",
+					n, k, iexact, pruned.solved, ref.solved, ics)
+			}
+			skips += pruned.symPruned
+			if !pruned.solved {
+				continue
+			}
+			embedded++
+			enc := pruned.extract()
+			for _, c := range ics {
+				if !Satisfied(enc, c.Set) {
+					t.Fatalf("N=%d k=%d iexact levels=%v: constraint %s unsatisfied by %v", n, k, iexact, c.Set, enc.Codes)
+				}
+			}
+		}
+	}
+	t.Logf("%d embeddings, %d orbit skips", embedded, skips)
+	if embedded == 0 || skips == 0 {
+		t.Fatal("the random graphs never embedded or never skipped an orbit")
 	}
 }

@@ -6,9 +6,8 @@
 // every pass keeps f∪dc equal to on∪dc as a set, so R stays valid for the
 // whole call. Per cube, EXPAND ORs into one blocked mask the field of
 // every R cube disjoint from the cube in one variable alone, and refuses
-// a raise with one bit test. IRREDUNDANT, REDUCE, LAST_GASP and
-// MAKE_SPARSE ask covering questions by unate-recursion tautology of
-// cofactors.
+// a raise with one bit test. IRREDUNDANT and REDUCE ask covering
+// questions by unate-recursion tautology of cofactors.
 //
 // The minimizer is heuristic: it returns a minimal (irredundant, prime in
 // the one-part-at-a-time sense) cover whose cardinality is at a local
@@ -34,19 +33,14 @@ type Options struct {
 	// cover found so far instead of iterating further. Callers that need
 	// a hard failure must check Ctx.Err() themselves after the call.
 	Ctx context.Context
-	// MaxIterations bounds the number of expand/irredundant/reduce rounds.
-	// Zero selects the default of 16 (the loop normally converges in 2-4).
-	MaxIterations int
 	// SkipReduce disables the REDUCE/re-EXPAND refinement, yielding a
 	// single EXPAND + IRREDUNDANT pass (faster, slightly worse covers).
 	SkipReduce bool
-	// LastGasp enables the last_gasp escape from local minima after the
-	// main loop converges (slower; occasionally saves a cube).
-	LastGasp bool
-	// MakeSparse lowers redundantly asserted output/multiple-valued parts
-	// after minimization (fewer care entries, same cube count).
-	MakeSparse bool
 }
+
+// maxIterations bounds the number of reduce/expand/irredundant rounds;
+// the loop normally converges in 2-4.
+const maxIterations = 16
 
 // Minimize returns a minimized cover of the incompletely specified function
 // with on-set cover on and don't-care cover dc (dc may be nil or empty).
@@ -71,9 +65,6 @@ func Minimize(on, dc *cube.Cover, opt Options) *cube.Cover {
 // run many minimizations over one layout and want to hold a single arena
 // across the whole batch.
 func MinimizeWith(on, dc *cube.Cover, opt Options, a *cube.Arena) *cube.Cover {
-	if opt.MaxIterations <= 0 {
-		opt.MaxIterations = 16
-	}
 	// Telemetry, all nil-safe: with no tracer in opt.Ctx, sctx == opt.Ctx,
 	// every span below is the no-op nil span, m is nil, and no extra
 	// allocation happens (guarded by the alloc tests at the repo root).
@@ -97,11 +88,10 @@ func MinimizeWith(on, dc *cube.Cover, opt Options, a *cube.Arena) *cube.Cover {
 	// Every pass keeps f∪dc equal to on∪dc as a set: EXPAND adds only
 	// minterms of on∪dc, and IRREDUNDANT and REDUCE drop only minterms the
 	// rest of f∪dc still covers. So one off-set serves every EXPAND of the
-	// call, LAST_GASP's included.
+	// call.
 	off := offSetWith(f, dc, a)
 	best := minimizeLoop(sctx, f, dc, off, opt, m, a)
 	a.Release(off)
-	finishWith(sctx, best, dc, opt, a)
 	finishMinimize(msp, m, a, statBase, best)
 	return best
 }
@@ -115,7 +105,7 @@ func minimizeLoop(ctx context.Context, f, dc, off *cube.Cover, opt Options, m *o
 		return f
 	}
 	best := f.Copy()
-	for iter := 0; iter < opt.MaxIterations; iter++ {
+	for iter := 0; iter < maxIterations; iter++ {
 		if canceled(opt.Ctx) {
 			break // best is a valid minimized cover at this point
 		}
@@ -125,15 +115,10 @@ func minimizeLoop(ctx context.Context, f, dc, off *cube.Cover, opt Options, m *o
 		reducePass(ctx, f, dc, a)
 		expandPass(ctx, f, off, a)
 		irredundantPass(ctx, f, dc, a)
-		if cost(f) < cost(best) {
-			best = f.Copy()
-			continue
+		if cost(f) >= cost(best) {
+			break
 		}
-		if opt.LastGasp && lastGaspPass(ctx, best, dc, off, a) {
-			f = best.Copy()
-			continue
-		}
-		break
+		best = f.Copy()
 	}
 	return best
 }
@@ -178,24 +163,9 @@ func reducePass(ctx context.Context, f, dc *cube.Cover, a *cube.Arena) {
 	sp.End()
 }
 
-func lastGaspPass(ctx context.Context, f, dc, off *cube.Cover, a *cube.Arena) bool {
-	_, sp := obs.Span(ctx, "espresso.lastgasp")
-	improved := lastGaspWith(f, dc, off, a)
-	sp.End()
-	return improved
-}
-
 // canceled reports whether the (possibly nil) context is done.
 func canceled(ctx context.Context) bool {
 	return ctx != nil && ctx.Err() != nil
-}
-
-func finishWith(ctx context.Context, f, dc *cube.Cover, opt Options, a *cube.Arena) {
-	if opt.MakeSparse {
-		_, sp := obs.Span(ctx, "espresso.makesparse")
-		makeSparseWith(f, dc, a)
-		sp.End()
-	}
 }
 
 // cost orders covers primarily by cube count, secondarily by total set

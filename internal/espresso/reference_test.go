@@ -138,7 +138,7 @@ func checkAgainstReference(f refFunc, min *cube.Cover) string {
 
 // minimizeRef runs the minimizer with the settings the encoder uses.
 func minimizeRef(f refFunc) *cube.Cover {
-	return Minimize(f.on, f.dc, Options{MakeSparse: false})
+	return Minimize(f.on, f.dc, Options{})
 }
 
 // TestDifferentialReference sweeps >= 1000 random functions (reduced under

@@ -419,12 +419,6 @@ func (f *FSM) NextStateUsage() []int {
 	return use
 }
 
-// SortedStateNames returns the state names in index order (a copy).
-func (f *FSM) SortedStateNames() []string {
-	out := append([]string(nil), f.States...)
-	return out
-}
-
 // Validate performs structural sanity checks: state indexes in range,
 // row field widths consistent.
 func (f *FSM) Validate() error {

@@ -138,21 +138,18 @@ func intersect(a, b Cube) Cube {
 
 // Options tunes the optimizer.
 type Options struct {
-	// MaxExtractions bounds the number of divisor extractions (0 = 1000).
-	MaxExtractions int
 	// DisableKernels restricts the optimizer to common-cube extraction
 	// (ablation hook).
 	DisableKernels bool
 }
 
+// maxExtractions bounds the number of divisor extractions.
+const maxExtractions = 1000
+
 // Optimize greedily extracts the best divisor (common cube or kernel)
 // until no extraction saves literals.
 func (n *Network) Optimize(opt Options) {
-	max := opt.MaxExtractions
-	if max <= 0 {
-		max = 1000
-	}
-	for i := 0; i < max; i++ {
+	for i := 0; i < maxExtractions; i++ {
 		gc, cc := n.bestCommonCube()
 		gk, kd := 0, []Cube(nil)
 		if !opt.DisableKernels {

@@ -383,15 +383,3 @@ func varConstraints(p *mvmin.Problem, finalP *cube.Cover, v, n int) []constraint
 	}
 	return constraint.Normalize(raw)
 }
-
-// EncodeIOHybrid is a convenience running the full iohybrid pipeline on an
-// FSM: symbolic minimization, state encoding with IOHybrid, symbolic-input
-// encoding with IHybrid on the companion constraints.
-func EncodeIOHybrid(f *kiss.FSM, bits int, hopt encode.HybridOptions, sopt Options) (*Output, encode.Result, error) {
-	out, err := Analyze(f, sopt)
-	if err != nil {
-		return nil, encode.Result{}, err
-	}
-	res := encode.IOHybrid(out.Problem, bits, hopt)
-	return out, res, nil
-}

@@ -118,10 +118,11 @@ func TestIOProblemShape(t *testing.T) {
 
 func TestEncodeIOHybridEquivalence(t *testing.T) {
 	f := chainFSM(t)
-	_, res, err := EncodeIOHybrid(f, 0, encode.HybridOptions{}, Options{})
+	out, err := Analyze(f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := encode.IOHybrid(out.Problem, 0, encode.HybridOptions{})
 	if !res.Enc.Distinct() {
 		t.Fatal("codes not distinct")
 	}

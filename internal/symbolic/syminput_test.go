@@ -55,10 +55,11 @@ func TestAnalyzeExtractsSymbolicInputConstraints(t *testing.T) {
 
 func TestEncodeIOHybridWithSymbolicInput(t *testing.T) {
 	f := symInFSM(t)
-	out, res, err := EncodeIOHybrid(f, 0, encode.HybridOptions{}, Options{})
+	out, err := Analyze(f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := encode.IOHybrid(out.Problem, 0, encode.HybridOptions{})
 	si := encode.IHybrid(len(f.SymIns[0].Values), out.SymIns[0], 0, encode.HybridOptions{})
 	asg := encoding.Assignment{States: res.Enc, SymIns: []encoding.Encoding{si.Enc}}
 	if err := verify.EquivalentFSM(f, asg, verify.Options{}); err != nil {

@@ -140,17 +140,6 @@ type Options struct {
 	// MaxWork bounds each bounded-backtracking call (paper's max_work);
 	// 0 selects the default.
 	MaxWork int
-	// DisableSearchPruning turns off the search-tree pruning layered on
-	// the embedding searcher — constraint infeasibility skips, hypercube
-	// symmetry breaking beyond the first placement, the failed-embedding
-	// memo, and the refutation of semiexact steps that fail the
-	// mincube_dim counting arguments or cannot place their constraints
-	// at semiexact's minimum levels — reverting to the exhaustive
-	// enumeration.
-	// The encodings produced are equivalent (same area and cube count;
-	// see the pruning pipeline section of docs/ALGORITHMS.md); the knob
-	// exists for A/B measurement and the equivalence suite.
-	DisableSearchPruning bool
 	// Seed drives the random baseline and random fallbacks.
 	Seed int64
 	// RandomTrials is the batch size for Algorithm Random; 0 selects the
@@ -504,11 +493,11 @@ func firstErr(ctx context.Context, out []sched.Outcome[*Result]) error {
 // hybOpt / exactOpt derive the search options of one task from its
 // (group) context.
 func hybOpt(ctx context.Context, opt Options) encode.HybridOptions {
-	return encode.HybridOptions{MaxWork: opt.MaxWork, Seed: opt.Seed, Ctx: ctx, NoPrune: opt.DisableSearchPruning}
+	return encode.HybridOptions{MaxWork: opt.MaxWork, Seed: opt.Seed, Ctx: ctx}
 }
 
 func exactOpt(ctx context.Context, opt Options) encode.ExactOptions {
-	return encode.ExactOptions{MaxWork: opt.MaxWork, Ctx: ctx, NoPrune: opt.DisableSearchPruning}
+	return encode.ExactOptions{MaxWork: opt.MaxWork, Ctx: ctx}
 }
 
 // bestRoster is "best of NOVA" in pick order: the smallest area wins,

@@ -21,7 +21,8 @@ import (
 // pruned searcher (symmetry breaking + preprocessing + memo on) per
 // machine, leaving headroom for benign drift while still failing well
 // before the unpruned counts (2-16x higher: bbtas 1334, dk27 11302,
-// lion 26, train11 6482, beecount 545 with DisableSearchPruning).
+// lion 26, train11 6482, beecount 545, measured while a public option
+// could still switch the pruning off).
 var backtrackCeiling = map[string]int64{
 	"bbtas":    130,  // measured 84
 	"dk27":     1250, // measured 813
@@ -64,14 +65,16 @@ func TestSearchBacktrackCeiling(t *testing.T) {
 // MaxWork) on machines where semiexact steps are refuted without a
 // search: a search.work ceiling ~1.5x the measured value, below the
 // work the chain spent before the refutation existed (bbsse 203,037,
-// dk512 200,662, scud 47,198), and the exact search.refuted count.
+// dk512 200,662, scud 47,198), and the exact search.refuted count,
+// which includes the steps whose constraint no proper face of the cube
+// can host (one of scud's 11).
 var chainCeilings = []struct {
 	name          string
 	work, refuted int64
 }{
 	{"bbsse", 65_000, 4},  // measured 43,033
 	{"dk512", 121_000, 3}, // measured 80,659
-	{"scud", 22_000, 10},  // measured 14,819
+	{"scud", 22_000, 11},  // measured 14,819
 }
 
 // TestSearchChainCeiling encodes each machine twice in one process. The
