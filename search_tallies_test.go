@@ -57,7 +57,7 @@ func TestSearchTallies(t *testing.T) {
 	for _, e := range bench.Suite() {
 		machines = append(machines, e.F)
 	}
-	machines = append(machines, exampleFSMs(t)...)
+	machines = append(machines, bench.Examples()...)
 
 	want := map[string]string{}
 	if data, err := os.ReadFile(talliesFile); err == nil {
