@@ -205,10 +205,10 @@ func (p *Problem) Minimize(opt espresso.Options) *cube.Cover {
 // symbolic inputs, per-variable constraints are extracted the same way.
 func (p *Problem) Constraints(min *cube.Cover) ConstraintSets {
 	cs := ConstraintSets{
-		States: p.varConstraints(min, p.StateVar, p.F.NumStates()),
+		States: p.VarConstraints(min, p.StateVar, p.F.NumStates()),
 	}
 	for i, v := range p.SymVars {
-		cs.SymIns = append(cs.SymIns, p.varConstraints(min, v, len(p.F.SymIns[i].Values)))
+		cs.SymIns = append(cs.SymIns, p.VarConstraints(min, v, len(p.F.SymIns[i].Values)))
 	}
 	return cs
 }
@@ -219,7 +219,10 @@ type ConstraintSets struct {
 	SymIns [][]constraint.Constraint
 }
 
-func (p *Problem) varConstraints(min *cube.Cover, v, n int) []constraint.Constraint {
+// VarConstraints extracts the normalized input constraints of structure
+// variable v, which has n values, from a cover: the literal of v in every
+// cube with two or more (but not all) values, of weight 1 per cube.
+func (p *Problem) VarConstraints(min *cube.Cover, v, n int) []constraint.Constraint {
 	var raw []constraint.Constraint
 	for _, c := range min.Cubes {
 		parts := p.S.VarParts(c, v)
