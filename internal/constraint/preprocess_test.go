@@ -10,7 +10,7 @@ import (
 )
 
 // randomConstraints builds a list with deliberate duplicates and
-// trivial entries, so Preprocess has something to merge and drop.
+// trivial entries, so Normalize has something to merge and drop.
 func randomConstraints(rng *rand.Rand, n, count int) []constraint.Constraint {
 	list := make([]constraint.Constraint, 0, count)
 	for len(list) < count {
@@ -56,10 +56,10 @@ func TestPreprocessPreservesSatisfiableWeight(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + rng.Intn(7)
 		raw := randomConstraints(rng, n, 1+rng.Intn(12))
-		prep := constraint.Preprocess(raw)
+		prep := constraint.Normalize(raw)
 
-		if got, want := constraint.TotalWeight(prep.ICs)+trivialWeight(raw), constraint.TotalWeight(raw); got != want {
-			t.Fatalf("trial %d: preprocessing lost weight: kept %d + trivial %d != raw %d", trial, constraint.TotalWeight(prep.ICs), trivialWeight(raw), want)
+		if got, want := constraint.TotalWeight(prep)+trivialWeight(raw), constraint.TotalWeight(raw); got != want {
+			t.Fatalf("trial %d: preprocessing lost weight: kept %d + trivial %d != raw %d", trial, constraint.TotalWeight(prep), trivialWeight(raw), want)
 		}
 		for probe := 0; probe < 8; probe++ {
 			bits := encode.MinLength(n) + rng.Intn(2)
@@ -68,9 +68,9 @@ func TestPreprocessPreservesSatisfiableWeight(t *testing.T) {
 			for i := range e.Codes {
 				e.Codes[i] = uint64(perm[i])
 			}
-			if got, want := satisfiedWeight(e, prep.ICs)+trivialWeight(raw), satisfiedWeight(e, raw); got != want {
+			if got, want := satisfiedWeight(e, prep)+trivialWeight(raw), satisfiedWeight(e, raw); got != want {
 				t.Fatalf("trial %d: satisfied weight changed under preprocessing: %d != %d\nraw: %v\nprep: %v",
-					trial, got, want, raw, prep.ICs)
+					trial, got, want, raw, prep)
 			}
 		}
 	}
@@ -84,29 +84,4 @@ func trivialWeight(list []constraint.Constraint) int {
 		}
 	}
 	return w
-}
-
-// TestPreprocessCounts pins the merge/drop accounting on a hand-built
-// list.
-func TestPreprocessCounts(t *testing.T) {
-	mk := func(v string, w int) constraint.Constraint {
-		return constraint.Constraint{Set: constraint.MustFromString(v), Weight: w}
-	}
-	list := []constraint.Constraint{
-		mk("110000", 3),
-		mk("110000", 2), // duplicate: merged, weights folded
-		mk("111110", 1), // kept, however large for the cube
-		mk("100000", 9), // singleton: dropped
-		mk("111111", 9), // universe: dropped
-	}
-	p := constraint.Preprocess(list)
-	if p.Merged != 1 || p.Dropped != 2 {
-		t.Fatalf("Merged=%d Dropped=%d, want 1 and 2", p.Merged, p.Dropped)
-	}
-	if len(p.ICs) != 2 {
-		t.Fatalf("got %d constraints, want 2: %v", len(p.ICs), p.ICs)
-	}
-	if p.ICs[0].Weight != 5 {
-		t.Fatalf("duplicate weights not folded: %+v", p.ICs[0])
-	}
 }

@@ -237,6 +237,11 @@ type Constraint struct {
 // (they are trivially satisfied). The result is sorted by decreasing
 // weight, ties broken by decreasing cardinality then lexicographic vector,
 // so processing order is deterministic.
+//
+// Proper subsumption (A ⊃ B) is deliberately NOT merged: satisfying a
+// face for A neither implies nor is implied by satisfying one for B,
+// and the weights are per-constraint product-term savings, so folding
+// them would change every algorithm's satisfied-weight accounting.
 func Normalize(list []Constraint) []Constraint {
 	byKey := map[string]*Constraint{}
 	var order []string

@@ -444,20 +444,9 @@ func (s *Structure) ConsensusOn(a, b Cube, v int) Cube {
 	return r
 }
 
-// Cofactor returns the cofactor of cube q with respect to cube c, or nil if
-// q and c do not intersect. The cofactor has every variable field equal to
-// q_v ∪ ¬c_v (within the field).
-func (s *Structure) Cofactor(q, c Cube) Cube {
-	if !s.Intersects(q, c) {
-		return nil
-	}
-	r := q.Copy()
-	s.cofactorInto(r, q, c)
-	return r
-}
-
-// cofactorInto stores the cofactor of q with respect to c into r (callers
-// must have established that q and c intersect). r may alias q.
+// cofactorInto stores the cofactor of q with respect to c, every variable
+// field equal to q_v ∪ ¬c_v, into r (callers must have established that q
+// and c intersect). r may alias q.
 func (s *Structure) cofactorInto(r, q, c Cube) {
 	for w, f := range s.full {
 		r[w] = q[w] | (f &^ c[w])

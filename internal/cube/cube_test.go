@@ -132,30 +132,6 @@ func TestDistanceAndConsensus(t *testing.T) {
 	}
 }
 
-func TestCofactorCube(t *testing.T) {
-	s := NewStructure(2, 2)
-	q := s.NewCube()
-	s.Set(q, 0, 0)
-	s.SetAll(q, 1)
-	c := s.NewCube()
-	s.Set(c, 0, 0)
-	s.Set(c, 1, 1)
-	r := s.Cofactor(q, c)
-	if r == nil {
-		t.Fatal("cofactor should exist")
-	}
-	// q/c has variable fields q_v | ~c_v.
-	if !s.VarFull(r, 1) {
-		t.Fatalf("cofactor = %s", s.String(r))
-	}
-	d := s.NewCube()
-	s.Set(d, 0, 1)
-	s.SetAll(d, 1)
-	if s.Cofactor(d, c) != nil {
-		t.Fatal("cofactor of disjoint cubes must be nil")
-	}
-}
-
 func TestMinterms(t *testing.T) {
 	s := NewStructure(2, 3)
 	c := s.FullCube()

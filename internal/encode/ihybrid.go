@@ -173,21 +173,29 @@ func semiexactChain(opt HybridOptions, n int, ics []constraint.Constraint, cubeD
 	return r
 }
 
-// prepConstraints runs constraint preprocessing under its own span (so
-// phase tables attribute its cost honestly), publishes the merge
-// counter, and returns the normalized list.
+// prepConstraints runs constraint preprocessing (Normalize) under its own
+// span, so phase tables attribute its cost honestly, publishes the number
+// of nontrivial entries folded into an earlier duplicate, and returns the
+// normalized list.
 func prepConstraints(ctx context.Context, ics []constraint.Constraint) []constraint.Constraint {
 	_, sp := obs.Span(ctx, "encode.preprocess")
-	p := constraint.Preprocess(ics)
-	if p.Merged > 0 {
-		obs.MetricsFrom(ctx).Add("search.constraints.merged", int64(p.Merged))
+	out := constraint.Normalize(ics)
+	nontrivial := 0
+	for _, c := range ics {
+		if card := c.Set.Card(); card >= 2 && card != c.Set.N() {
+			nontrivial++
+		}
+	}
+	merged := nontrivial - len(out)
+	if merged > 0 {
+		obs.MetricsFrom(ctx).Add("search.constraints.merged", int64(merged))
 	}
 	if sp != nil {
-		sp.SetInt("constraints", int64(len(p.ICs)))
-		sp.SetInt("merged", int64(p.Merged))
+		sp.SetInt("constraints", int64(len(out)))
+		sp.SetInt("merged", int64(merged))
 		sp.End()
 	}
-	return p.ICs
+	return out
 }
 
 // ctxErr returns the context's error, tolerating a nil context.
