@@ -3,6 +3,8 @@ package client
 import (
 	"sync"
 	"time"
+
+	"nova/internal/sched"
 )
 
 // backoff computes capped exponential retry delays with deterministic
@@ -20,7 +22,8 @@ type backoff struct {
 }
 
 func newBackoff(base, cap time.Duration, seed uint64) *backoff {
-	return &backoff{base: base, cap: cap, state: splitmix64(seed)}
+	state, _ := sched.SplitMix64(seed)
+	return &backoff{base: base, cap: cap, state: state}
 }
 
 // delay returns the jittered sleep before retry number attempt
@@ -35,29 +38,9 @@ func (b *backoff) delay(attempt int) time.Duration {
 	}
 	b.mu.Lock()
 	var v uint64
-	v, b.state = nextRand(b.state)
+	v, b.state = sched.SplitMix64(b.state)
 	b.mu.Unlock()
 	u := float64(v>>11) / (1 << 53) // uniform in [0, 1)
 	half := d / 2
 	return half + time.Duration(u*float64(half))
-}
-
-// splitmix64 is Vigna's splitmix64 finalizer — the same tiny seedable
-// generator the server's fault injector uses (deliberately duplicated:
-// the client must not link the serving layer).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	z := x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// nextRand draws the next value from a splitmix64 stream.
-func nextRand(state uint64) (value, next uint64) {
-	next = state + 0x9e3779b97f4a7c15
-	z := next
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31), next
 }

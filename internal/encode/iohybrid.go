@@ -113,7 +113,7 @@ func ioEncode(p IOProblem, bits int, opt HybridOptions, variant bool) Result {
 			soc = trialOC
 			if variant {
 				sic = trialIC
-				ric = subtract(ric, cl.IC)
+				ric = notIn(ric, cl.IC)
 			}
 		} else if variant {
 			ric = append(ric, notIn(cl.IC, ric)...)
@@ -156,24 +156,6 @@ func countOC(e encoding.Encoding, oc []OCEdge) int {
 
 // notIn returns the constraints of a that are not (set-)present in b.
 func notIn(a, b []constraint.Constraint) []constraint.Constraint {
-	var out []constraint.Constraint
-	for _, c := range a {
-		found := false
-		for _, d := range b {
-			if c.Set.Equal(d.Set) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// subtract removes from a every constraint whose set appears in b.
-func subtract(a, b []constraint.Constraint) []constraint.Constraint {
 	var out []constraint.Constraint
 	for _, c := range a {
 		found := false

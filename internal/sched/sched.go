@@ -189,19 +189,30 @@ func (g *Group) Wait() error {
 	return g.err
 }
 
-// SplitSeed derives the i-th child seed from a base seed with a
-// splitmix64 finalizer. Children of one base are pairwise distinct for
-// i >= 0 and depend only on (seed, i), so a batch of randomized trials
-// keyed by trial index produces bit-identical results whether the trials
-// run serially or concurrently, in any completion order.
+// Gamma is the increment of a splitmix64 stream: the odd integer nearest
+// 2^64/φ.
+const Gamma = 0x9e3779b97f4a7c15
+
+// SplitMix64 is one step of Vigna's splitmix64 generator: it advances the
+// stream state x by Gamma and returns the finalizer of the new state, and
+// that state. A stream seeded with one value yields one exact sequence.
+func SplitMix64(x uint64) (value, next uint64) {
+	next = x + Gamma
+	z := next
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31), next
+}
+
+// SplitSeed derives the i-th child seed from a base seed: the splitmix64
+// value at offset i of the stream from seed. Children of one base are
+// pairwise distinct for i >= 0 and depend only on (seed, i), so a batch
+// of randomized trials keyed by trial index produces bit-identical
+// results whether the trials run serially or concurrently, in any
+// completion order.
 func SplitSeed(seed int64, i int) int64 {
-	z := uint64(seed) + 0x9E3779B97F4A7C15*uint64(i+1)
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z)
+	v, _ := SplitMix64(uint64(seed) + Gamma*uint64(i))
+	return int64(v)
 }
 
 // Outcome is one task's result in a Cheapest join.

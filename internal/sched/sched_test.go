@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -153,6 +154,31 @@ func TestSplitSeedDeterministicAndDistinct(t *testing.T) {
 	}
 	if SplitSeed(1, 0) == SplitSeed(2, 0) {
 		t.Fatal("different base seeds produced the same child")
+	}
+}
+
+// TestSplitSeedValues pins SplitSeed's children, so the trial seeds of
+// Random and of portfolio restarts cannot move with the generator's code.
+func TestSplitSeedValues(t *testing.T) {
+	for _, c := range []struct {
+		seed int64
+		i    int
+		want int64
+	}{
+		{0, 0, -2152535657050944081},
+		{1, 0, -7995527694508729151},
+		{2, 0, -7541218347953203506},
+		{42, 0, -4767286540954276203},
+		{42, 1, 2949826092126892291},
+		{42, 999, 7352439375932947048},
+		{-7, 3, 2940488688193949890},
+		{math.MaxInt64, 5, 2076871689085313299},
+		{math.MinInt64, 0, 5196802822362493915},
+		{123456789, 1000000, -5578418187712231035},
+	} {
+		if got := SplitSeed(c.seed, c.i); got != c.want {
+			t.Errorf("SplitSeed(%d, %d) = %d, want %d", c.seed, c.i, got, c.want)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"nova/internal/obs"
+	"nova/internal/sched"
 )
 
 // FaultConfig arms the deterministic fault-injection middleware on the
@@ -57,11 +58,11 @@ func (s *Server) withFaults(h http.HandlerFunc) http.HandlerFunc {
 func (fi *faultInjector) wrap(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		// Three independent uniform draws from one per-request stream.
-		st := splitmix64(fi.cfg.Seed ^ (fi.seq.Add(1) * 0x9e3779b97f4a7c15))
+		st, _ := sched.SplitMix64(fi.cfg.Seed ^ (fi.seq.Add(1) * sched.Gamma))
 		var u [3]float64
 		for i := range u {
 			var v uint64
-			v, st = nextRand(st)
+			v, st = sched.SplitMix64(st)
 			u[i] = float64(v>>11) / (1 << 53)
 		}
 		if u[0] < fi.cfg.LatencyRate && fi.cfg.Latency > 0 {
@@ -88,24 +89,4 @@ func (fi *faultInjector) wrap(h http.HandlerFunc) http.HandlerFunc {
 		}
 		h(w, r)
 	}
-}
-
-// splitmix64 seeds/advances the per-request PRNG state (Vigna's
-// splitmix64 finalizer — tiny, seedable, statistically fine for fault
-// scheduling).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	z := x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// nextRand draws the next value from a splitmix64 stream.
-func nextRand(state uint64) (value, next uint64) {
-	next = state + 0x9e3779b97f4a7c15
-	z := next
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31), next
 }
