@@ -566,84 +566,61 @@ func encodeRandom(ctx context.Context, eng *engine, p *prepared, opt Options) (*
 
 // encodeIO runs iohybrid_code / iovariant_code: the prepared machine's
 // symbolic analysis drives the state-variable embedding and the
-// per-symbolic-input encodes, fanned out over the pool (joined by
-// variable index).
+// per-symbolic-input encodes.
 func encodeIO(ctx context.Context, eng *engine, p *prepared, opt Options) (*Result, error) {
-	f := p.f
-	res := &Result{Algorithm: opt.Algorithm}
 	out, err := p.analysis(ctx)
 	if err != nil {
 		return nil, err
 	}
-	var r encode.Result
-	symRes := make([]encode.Result, len(f.SymIns))
-	g := eng.pool.Group(ctx)
-	g.Go(func(ctx context.Context) error {
-		sctx, sp := obs.Span(ctx, "search."+string(opt.Algorithm))
-		defer sp.End()
+	return encodeVars(ctx, eng, p, opt, out.SymIns, func(ctx context.Context) encode.Result {
 		if opt.Algorithm == IOHybrid {
-			r = encode.IOHybrid(out.Problem, opt.Bits, hybOpt(sctx, opt))
-		} else {
-			r = encode.IOVariant(out.Problem, opt.Bits, hybOpt(sctx, opt))
+			return encode.IOHybrid(out.Problem, opt.Bits, hybOpt(ctx, opt))
 		}
-		if r.Err != nil {
-			return fmt.Errorf("nova: %s: state variable: %w", opt.Algorithm, canceledErr(r.Err))
-		}
-		return nil
+		return encode.IOVariant(out.Problem, opt.Bits, hybOpt(ctx, opt))
 	})
-	for vi := range f.SymIns {
-		g.Go(func(ctx context.Context) error {
-			sctx, sp := obs.Span(ctx, "search.symin")
-			defer sp.End()
-			sr := encode.IHybrid(len(f.SymIns[vi].Values), out.SymIns[vi], 0, hybOpt(sctx, opt))
-			if sr.Err != nil {
-				return fmt.Errorf("nova: %s: symbolic input %s: %w", opt.Algorithm, f.SymIns[vi].Name, canceledErr(sr.Err))
-			}
-			symRes[vi] = sr
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		return nil, err
-	}
-	res.Assignment.States = r.Enc
-	res.WSat, res.WUnsat = r.WSat, r.WUnsat
-	res.SatisfiedOC, res.TotalOC = r.SatisfiedOC, r.TotalOC
-	for _, sr := range symRes {
-		res.Assignment.SymIns = append(res.Assignment.SymIns, sr.Enc)
-	}
-	return finishEncode(ctx, p, res, opt)
 }
 
 // encodeInput runs the input-constraint algorithms (iexact, ihybrid,
 // igreedy, KISS-style): the prepared machine's constraints drive the
-// state-variable encode and the per-symbolic-input encodes, fanned out
-// over the pool (joined by variable index).
+// state-variable encode and the per-symbolic-input encodes.
 func encodeInput(ctx context.Context, eng *engine, p *prepared, opt Options) (*Result, error) {
-	f := p.f
-	res := &Result{Algorithm: opt.Algorithm}
 	cs, err := p.constraints(ctx)
 	if err != nil {
 		return nil, err
 	}
+	n := p.f.NumStates()
+	return encodeVars(ctx, eng, p, opt, cs.SymIns, func(ctx context.Context) encode.Result {
+		switch opt.Algorithm {
+		case IExact:
+			return encode.IExact(n, cs.States, exactOpt(ctx, opt))
+		case IHybrid:
+			return encode.IHybrid(n, cs.States, opt.Bits, hybOpt(ctx, opt))
+		case IGreedy:
+			return encode.IGreedy(n, cs.States, opt.Bits)
+		default: // KISS
+			return encode.SatisfyAll(n, cs.States)
+		}
+	})
+}
+
+// encodeVars fans one run's variable encodes out over the pool: the state
+// variable by state under a search.<algorithm> span, and each symbolic
+// input from its constraints symIns under a search.symin span. It joins
+// them by variable index and finishes the run. A state search that gave
+// up (IExact with no encoding) fails the run with ErrGaveUp alongside the
+// partial Result, so tables can render their "-" entries.
+func encodeVars(ctx context.Context, eng *engine, p *prepared, opt Options, symIns [][]Constraint, state func(context.Context) encode.Result) (*Result, error) {
+	f := p.f
+	res := &Result{Algorithm: opt.Algorithm}
 	var r encode.Result
 	symRes := make([]encode.Result, len(f.SymIns))
 	g := eng.pool.Group(ctx)
 	g.Go(func(ctx context.Context) error {
 		sctx, sp := obs.Span(ctx, "search."+string(opt.Algorithm))
 		defer sp.End()
-		switch opt.Algorithm {
-		case IExact:
-			r = encode.IExact(f.NumStates(), cs.States, exactOpt(sctx, opt))
-			if r.Err == nil && r.GaveUp {
-				return fmt.Errorf("nova: %s: state variable: %w", opt.Algorithm, ErrGaveUp)
-			}
-		case IHybrid:
-			r = encode.IHybrid(f.NumStates(), cs.States, opt.Bits, hybOpt(sctx, opt))
-		case IGreedy:
-			r = encode.IGreedy(f.NumStates(), cs.States, opt.Bits)
-		case KISS:
-			r = encode.SatisfyAll(f.NumStates(), cs.States)
+		r = state(sctx)
+		if r.Err == nil && r.GaveUp {
+			return fmt.Errorf("nova: %s: state variable: %w", opt.Algorithm, ErrGaveUp)
 		}
 		if r.Err != nil {
 			return fmt.Errorf("nova: %s: state variable: %w", opt.Algorithm, canceledErr(r.Err))
@@ -658,16 +635,16 @@ func encodeInput(ctx context.Context, eng *engine, p *prepared, opt Options) (*R
 			var sr encode.Result
 			switch opt.Algorithm {
 			case IExact:
-				sr = encode.IExact(n, cs.SymIns[vi], exactOpt(sctx, opt))
+				sr = encode.IExact(n, symIns[vi], exactOpt(sctx, opt))
 				if sr.Err == nil && sr.GaveUp {
-					sr = encode.IHybrid(n, cs.SymIns[vi], 0, hybOpt(sctx, opt))
+					sr = encode.IHybrid(n, symIns[vi], 0, hybOpt(sctx, opt))
 				}
 			case KISS:
-				sr = encode.SatisfyAll(n, cs.SymIns[vi])
+				sr = encode.SatisfyAll(n, symIns[vi])
 			case IGreedy:
-				sr = encode.IGreedy(n, cs.SymIns[vi], 0)
+				sr = encode.IGreedy(n, symIns[vi], 0)
 			default:
-				sr = encode.IHybrid(n, cs.SymIns[vi], 0, hybOpt(sctx, opt))
+				sr = encode.IHybrid(n, symIns[vi], 0, hybOpt(sctx, opt))
 			}
 			if sr.Err != nil {
 				return fmt.Errorf("nova: %s: symbolic input %s: %w", opt.Algorithm, f.SymIns[vi].Name, canceledErr(sr.Err))
@@ -678,14 +655,13 @@ func encodeInput(ctx context.Context, eng *engine, p *prepared, opt Options) (*R
 	}
 	if err := g.Wait(); err != nil {
 		if errors.Is(err, ErrGaveUp) {
-			// The partial Result of a gave-up run travels alongside the
-			// error so tables can render their "-" entries.
 			return res, err
 		}
 		return nil, err
 	}
 	res.Assignment.States = r.Enc
 	res.WSat, res.WUnsat = r.WSat, r.WUnsat
+	res.SatisfiedOC, res.TotalOC = r.SatisfiedOC, r.TotalOC
 	for _, sr := range symRes {
 		res.Assignment.SymIns = append(res.Assignment.SymIns, sr.Enc)
 	}
