@@ -149,6 +149,29 @@ func TestCacheKeyCanonicalizesSource(t *testing.T) {
 	}
 }
 
+// TestCacheKeyValues pins the digests of requests whose algorithm the
+// key resolves: an empty algorithm means Best, or Portfolio when a
+// portfolio config is set. A changed digest orphans every cached
+// response, so a change here must come with a cacheKeyVersion bump.
+func TestCacheKeyValues(t *testing.T) {
+	for _, c := range []struct {
+		rq   Request
+		want string
+	}{
+		{Request{KISS2: quickFSM}, "a6bc0dee30efc0b29617c7c3571ed6e7a97d94ed1032b523752791eadc05bdfd"},
+		{Request{KISS2: quickFSM, Portfolio: &WirePortfolio{MaxCandidates: 2}}, "669f175a504f33ad6ebdc00613f986bed962ec7a65117a1053c1018dab4cc1ee"},
+		{Request{KISS2: quickFSM, Algorithm: IHybrid}, "54c4278d0f3b6bf5f4bc5a5aa94849aed5c7295d4896b5a38f7d4a23ce10e2bf"},
+	} {
+		got, err := c.rq.CacheKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("CacheKey(algorithm %q, portfolio %v) = %s, want %s", c.rq.Algorithm, c.rq.Portfolio != nil, got, c.want)
+		}
+	}
+}
+
 func TestWireEncodingRoundTrip(t *testing.T) {
 	f := parseQuick(t)
 	res, err := Encode(f, Options{Algorithm: IHybrid})
