@@ -4,7 +4,6 @@
 // Usage:
 //
 //	nova [-e algorithm] [-bits N] [-pla] [-verify] [-stats] [-v] [-trace out.json] file.kiss2
-//	nova -serve :8089
 //
 // The input is a KISS2 state transition table ("-" reads stdin). The tool
 // prints the code assignment and the product-term count and PLA area of
@@ -13,11 +12,6 @@
 // the symbolic table. -trace streams every pipeline phase as JSON lines
 // to a file, and -v prints a structured run report (phase times and hot
 // counters) to stderr.
-//
-// -serve starts the HTTP/JSON serving layer on the given address with
-// default settings instead of encoding a file — a convenience
-// passthrough to the novad daemon, which exposes the capacity and cache
-// knobs (see cmd/novad and docs/SERVING.md).
 package main
 
 import (
@@ -51,15 +45,11 @@ func run() int {
 	timeout := flag.Duration("timeout", 0, "abort the encode after this long (0 = no limit)")
 	tracePath := flag.String("trace", "", "write a JSON-lines phase trace to this file")
 	verbose := flag.Bool("v", false, "print a structured run report (phases + counters) to stderr")
-	serveAddr := flag.String("serve", "", "serve the HTTP/JSON encode API on this address instead of encoding a file (see novad for the full knob set)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	if *serveAddr != "" {
-		return serveMain(ctx, *serveAddr)
-	}
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
