@@ -113,7 +113,6 @@ type Client struct {
 	clk  clock
 	m    *obs.Metrics
 	bk   *breaker
-	tr   *obs.Tracer
 	bo   *backoff
 }
 
@@ -153,15 +152,13 @@ func New(cfg Config) (*Client, error) {
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 2 * time.Second
 	}
-	tr := obs.New()
-	m := tr.Metrics()
+	m := new(obs.Metrics)
 	return &Client{
 		cfg:  cfg,
 		base: strings.TrimRight(u.String(), "/"),
 		do:   cfg.HTTPClient.Do,
 		clk:  sysClock{},
 		m:    m,
-		tr:   tr,
 		bk:   newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, m),
 		bo:   newBackoff(cfg.BackoffBase, cfg.BackoffCap, cfg.Seed),
 	}, nil

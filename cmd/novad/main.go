@@ -37,7 +37,6 @@ import (
 	"syscall"
 	"time"
 
-	"nova/internal/obs"
 	"nova/internal/serve"
 )
 
@@ -63,7 +62,6 @@ func run() int {
 	flag.Parse()
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	tracer := obs.New()
 	if *faultSpec == "" {
 		*faultSpec = os.Getenv("NOVAD_FAULT_INJECT")
 	}
@@ -79,7 +77,6 @@ func run() int {
 		DefaultTimeout:    *timeout,
 		MaxTimeout:        *maxTimeout,
 		Parallelism:       *parallel,
-		Tracer:            tracer,
 		RecorderSize:      *recorder,
 		AccessLog:         *accessLog,
 		DisableRequestObs: *noReqObs,
@@ -95,7 +92,6 @@ func run() int {
 			"latency", fault.Latency)
 	}
 	s := serve.New(cfg)
-	obs.PublishExpvar("nova", tracer)
 
 	httpSrv := &http.Server{
 		Addr:              *addr,

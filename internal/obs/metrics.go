@@ -197,20 +197,26 @@ func (m *Metrics) Vars() map[string]int64 {
 	out := m.Counters()
 	m.mu.Lock()
 	for k, h := range m.hists {
-		out[k+".count"] = h.Count
-		out[k+".sum"] = h.Sum
-		out[k+".max"] = h.MaxV
-		var cum int64
-		for i, n := range h.Buckets {
-			if n == 0 {
-				continue
-			}
-			cum += n
-			out[k+".le."+BucketLabel(i)] = cum
-		}
+		h.PutVars(k, out)
 	}
 	m.mu.Unlock()
 	return out
+}
+
+// PutVars adds the histogram's summary under name to out, in the form
+// Vars returns it.
+func (h *Hist) PutVars(name string, out map[string]int64) {
+	out[name+".count"] = h.Count
+	out[name+".sum"] = h.Sum
+	out[name+".max"] = h.MaxV
+	var cum int64
+	for i, n := range h.Buckets {
+		if n == 0 {
+			continue
+		}
+		cum += n
+		out[name+".le."+BucketLabel(i)] = cum
+	}
 }
 
 // Histograms returns a point-in-time copy of every named histogram,

@@ -2,7 +2,7 @@
 // style phase tracing, atomic counters and histograms for the hot loops
 // (espresso passes, the backtracking searcher, the worker pool), and
 // snapshotting for run reports. It is built on the standard library only
-// (log/slog, expvar, encoding/json) and is designed around two rules:
+// (log/slog, encoding/json) and is designed around two rules:
 //
 //  1. Opt-in without global state: a *Tracer travels in a context.Context
 //     (obs.With / obs.From) or in an Options field; nothing is recorded
@@ -23,7 +23,6 @@ package obs
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"io"
 	"log/slog"
 	"sync"
@@ -282,35 +281,3 @@ func (lw *lockedWriter) Write(p []byte) (int, error) {
 // without interleaving; hand the result to several tracers sharing one
 // trace file.
 func LockedWriter(w io.Writer) io.Writer { return &lockedWriter{w: w} }
-
-// expvar publication — duplicate names panic in expvar, so the registry
-// below makes PublishExpvar idempotent per name and rebindable: the
-// published Func reads the registry on every call, so re-publishing a
-// name really does switch /debug/vars to the new tracer.
-var (
-	expvarMu  sync.Mutex
-	published = map[string]*Tracer{}
-)
-
-// PublishExpvar exposes the tracer's counters and histogram summaries
-// under the given expvar name (for processes that serve /debug/vars).
-// Publishing the same name twice rebinds it to the new tracer instead of
-// panicking.
-func PublishExpvar(name string, t *Tracer) {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	_, again := published[name]
-	published[name] = t
-	if again {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any {
-		expvarMu.Lock()
-		cur := published[name]
-		expvarMu.Unlock()
-		if cur == nil {
-			return map[string]int64{}
-		}
-		return cur.m.Vars()
-	}))
-}

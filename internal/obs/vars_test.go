@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"expvar"
 	"testing"
 	"time"
 )
@@ -41,30 +39,4 @@ func TestVarsNilMetrics(t *testing.T) {
 		t.Fatal("nil Metrics should return nil Vars")
 	}
 	m.ObserveDur("x", time.Second) // must not panic
-}
-
-func TestPublishExpvarRebinds(t *testing.T) {
-	// expvar's registry is process-global, so use a name no other test
-	// publishes. Publishing twice must not panic, and the second publish
-	// must actually switch the served values to the new tracer.
-	const name = "test.obs.rebind"
-	a := New()
-	a.Metrics().Add("which", 1)
-	PublishExpvar(name, a)
-
-	b := New()
-	b.Metrics().Add("which", 2)
-	PublishExpvar(name, b)
-
-	v := expvar.Get(name)
-	if v == nil {
-		t.Fatal("expvar name not published")
-	}
-	var got map[string]int64
-	if err := json.Unmarshal([]byte(v.String()), &got); err != nil {
-		t.Fatalf("published value is not JSON: %v", err)
-	}
-	if got["which"] != 2 {
-		t.Fatalf("which = %d, want 2 (rebind did not take)", got["which"])
-	}
 }

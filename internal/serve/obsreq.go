@@ -151,7 +151,7 @@ func traceRequested(r *http.Request) bool {
 // the structured access log. The total-latency histogram is observed by
 // the caller (it predates this layer and keeps its key).
 func (s *Server) finishObs(ep *endpointKeys, ro *reqObs) {
-	m := s.Metrics()
+	m := s.metrics
 	m.ObserveDur(ep.queue, ro.queue)
 	if ro.encode > 0 {
 		m.ObserveDur(ep.encode, ro.encode)
