@@ -1,51 +1,46 @@
 package nova_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"nova"
 	"nova/internal/bench"
+	"nova/internal/serve"
 )
 
-// glossaryKeys parses the "Counter glossary" table of
-// docs/OBSERVABILITY.md into counter keys. Shorthand and placeholders
-// follow the doc's conventions:
+// glossaryKeys parses the glossary table under heading in
+// docs/OBSERVABILITY.md into keys. Shorthand and placeholders follow the
+// doc's conventions:
 //
 //   - `a.b` / `.c` means a.b and a.c (the leading-dot span replaces the
 //     last field of the previous full key);
 //   - `a.b` / `a.c` lists two full keys;
 //   - a `<placeholder>` truncates the key to its literal prefix, matched
-//     by prefix against the traced run.
-func glossaryKeys(t *testing.T) (exact map[string]bool, prefixes []string) {
+//     by prefix against the run's keys.
+func glossaryKeys(t *testing.T, heading string) (exact map[string]bool, prefixes []string) {
 	t.Helper()
 	data, err := os.ReadFile("docs/OBSERVABILITY.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sec, ok := strings.Cut(string(data), "## Counter glossary")
+	_, sec, ok := strings.Cut(string(data), "\n"+heading+"\n")
 	if !ok {
-		t.Fatal("docs/OBSERVABILITY.md lost its Counter glossary section")
+		t.Fatalf("docs/OBSERVABILITY.md lost its %q section", heading)
 	}
 	if i := strings.Index(sec, "\n## "); i >= 0 {
 		sec = sec[:i]
 	}
 	span := regexp.MustCompile("`([^`]+)`")
 	exact = make(map[string]bool)
-	addKey := func(key string) {
-		if i := strings.IndexByte(key, '<'); i >= 0 {
-			p := key[:i]
-			if p == "" {
-				t.Fatalf("glossary key %q is all placeholder", key)
-			}
-			prefixes = append(prefixes, p)
-			return
-		}
-		exact[key] = true
-	}
 	for _, line := range strings.Split(sec, "\n") {
 		if !strings.HasPrefix(line, "| `") {
 			continue
@@ -61,18 +56,81 @@ func glossaryKeys(t *testing.T) (exact map[string]bool, prefixes []string) {
 				if prev == "" {
 					t.Fatalf("glossary row %q: leading-dot shorthand without a previous key", line)
 				}
-				base := prev[:strings.LastIndexByte(prev, '.')]
-				key = base + key
+				key = prev[:strings.LastIndexByte(prev, '.')] + key
 			} else {
 				prev = key
 			}
-			addKey(key)
+			if i := strings.IndexByte(key, '<'); i >= 0 {
+				if i == 0 {
+					t.Fatalf("glossary key %q is all placeholder", key)
+				}
+				prefixes = append(prefixes, key[:i])
+				continue
+			}
+			exact[key] = true
 		}
 	}
 	if len(exact)+len(prefixes) == 0 {
-		t.Fatal("no keys parsed from the glossary")
+		t.Fatalf("no keys parsed from the %q glossary", heading)
 	}
 	return exact, prefixes
+}
+
+// checkGlossary compares the glossary under heading with the keys a run
+// produced, in both directions: every documented key or placeholder
+// prefix was produced (unless exempt, for keys that depend on
+// scheduling), and every produced key is documented. Each exemption must
+// itself be a glossary key, since a stale one is doc drift too.
+func checkGlossary(t *testing.T, heading string, got map[string]int64, exempt map[string]bool) {
+	t.Helper()
+	exact, prefixes := glossaryKeys(t, heading)
+	hasPrefix := func(key string) bool {
+		for _, p := range prefixes {
+			if strings.HasPrefix(key, p) {
+				return true
+			}
+		}
+		return false
+	}
+
+	var missing []string
+	for key := range exact {
+		if _, ok := got[key]; !ok && !exempt[key] {
+			missing = append(missing, key)
+		}
+	}
+	for _, p := range prefixes {
+		found := false
+		for key := range got {
+			if strings.HasPrefix(key, p) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			missing = append(missing, p+"<...>")
+		}
+	}
+	if len(missing) > 0 {
+		t.Errorf("%q documents keys the run never produced: %v\n"+
+			"(either the key was removed — update docs/OBSERVABILITY.md — or the run no longer reaches it)", heading, missing)
+	}
+
+	var undocumented []string
+	for key := range got {
+		if !exact[key] && !hasPrefix(key) {
+			undocumented = append(undocumented, key)
+		}
+	}
+	if len(undocumented) > 0 {
+		t.Errorf("the run produced keys missing from the docs/OBSERVABILITY.md %q table: %v", heading, undocumented)
+	}
+
+	for key := range exempt {
+		if !exact[key] {
+			t.Errorf("exemption %q is not in the %q glossary", key, heading)
+		}
+	}
 }
 
 // driftFSM is big enough to exercise the searcher (backtracks, failed
@@ -144,8 +202,6 @@ func ringFSM(n int) string {
 // and — the reverse direction — every counter the run produces must be
 // documented.
 func TestGlossaryCountersAppearInTracedRun(t *testing.T) {
-	exact, prefixes := glossaryKeys(t)
-
 	f, err := nova.ParseKISSString(driftFSM)
 	if err != nil {
 		t.Fatal(err)
@@ -181,57 +237,54 @@ func TestGlossaryCountersAppearInTracedRun(t *testing.T) {
 	if _, err := nova.Encode(ring, nova.Options{Algorithm: nova.IHybrid, Tracer: tracer}); err != nil {
 		t.Fatal(err)
 	}
-	got := tracer.Metrics().Counters()
+	checkGlossary(t, "## Counter glossary", tracer.Metrics().Counters(), scheduleExempt)
+}
 
-	hasPrefix := func(key string) bool {
-		for _, p := range prefixes {
-			if strings.HasPrefix(key, p) {
-				return true
-			}
-		}
-		return false
-	}
+// servingFSM is a four-state machine no other test encodes.
+const servingFSM = `
+.i 1
+.o 1
+.s 4
+.r c0
+0 c0 c1 0
+1 c0 c3 1
+0 c1 c2 1
+1 c1 c0 0
+0 c2 c3 1
+1 c2 c1 0
+0 c3 c0 0
+1 c3 c2 1
+.e
+`
 
-	// Forward: documented => produced (or exempt).
-	var missing []string
-	for key := range exact {
-		if _, ok := got[key]; !ok && !scheduleExempt[key] {
-			missing = append(missing, key)
+// TestServingGlossaryMatchesVars is the doc-drift guard for the serving
+// counter glossary: after real mixed traffic (miss, hit, failure,
+// refusal, drain) every key the doc lists must appear in the server's
+// Vars(), and every key Vars() reports must be documented.
+func TestServingGlossaryMatchesVars(t *testing.T) {
+	// A latency-only injector with rate 1 makes every request tick
+	// fault.injected.latency, so the fault.* glossary rows stay honest
+	// without perturbing the scripted outcomes below.
+	s := serve.New(serve.Config{FaultInjection: &serve.FaultConfig{LatencyRate: 1, Latency: time.Microsecond}})
+	body, err := json.Marshal(nova.Request{KISS2: servingFSM, Name: "quick", Algorithm: nova.IGreedy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(b []byte, want int) {
+		t.Helper()
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/encode", bytes.NewReader(b)))
+		if w.Code != want {
+			t.Fatalf("POST /v1/encode: %d, want %d: %s", w.Code, want, w.Body)
 		}
 	}
-	for _, p := range prefixes {
-		found := false
-		for key := range got {
-			if strings.HasPrefix(key, p) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			missing = append(missing, p+"<...>")
-		}
-	}
-	if len(missing) > 0 {
-		t.Errorf("glossary documents counters the traced run never produced: %v\n"+
-			"(either the counter was removed — update docs/OBSERVABILITY.md — or add a justified scheduleExempt entry)", missing)
-	}
+	post(body, http.StatusOK)                // miss
+	post(body, http.StatusOK)                // hit
+	post([]byte("{"), http.StatusBadRequest) // bad body
+	// A draining refusal ticks http.rejected.draining and
+	// serve.shed.<priority>, so even those rows stay honest.
+	s.Drain()
+	post(body, http.StatusServiceUnavailable)
 
-	// Reverse: produced => documented.
-	var undocumented []string
-	for key := range got {
-		if !exact[key] && !hasPrefix(key) {
-			undocumented = append(undocumented, key)
-		}
-	}
-	if len(undocumented) > 0 {
-		t.Errorf("traced run produced counters missing from the docs/OBSERVABILITY.md glossary: %v", undocumented)
-	}
-
-	// Exemptions must stay real glossary keys (a stale exemption is doc
-	// drift too).
-	for key := range scheduleExempt {
-		if !exact[key] {
-			t.Errorf("scheduleExempt entry %q is not in the glossary", key)
-		}
-	}
+	checkGlossary(t, "### Serving counter glossary", s.Vars(), nil)
 }
