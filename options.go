@@ -76,13 +76,20 @@ func (o Options) Validate() error {
 // being positive. (RandomTrials stays 0 here because its default depends
 // on the machine; encodeRandom resolves it.)
 func (o Options) withDefaults() Options {
-	if o.Algorithm == "" {
-		if o.Portfolio != nil {
-			o.Algorithm = Portfolio
-		} else {
-			o.Algorithm = Best
-		}
-	}
+	o.Algorithm = algorithmOrDefault(o.Algorithm, o.Portfolio != nil)
 	o.Parallelism = sched.PoolSize(o.Parallelism)
 	return o
+}
+
+// algorithmOrDefault resolves an empty algorithm: Portfolio when a
+// portfolio config is set, else Best. Request.CacheKey resolves it the
+// same way, so "" and its default share a cache entry.
+func algorithmOrDefault(alg Algorithm, portfolio bool) Algorithm {
+	switch {
+	case alg != "":
+		return alg
+	case portfolio:
+		return Portfolio
+	}
+	return Best
 }

@@ -181,14 +181,7 @@ func (rq *Request) CacheKey() (string, error) {
 	io.WriteString(h, f.Name)
 	io.WriteString(h, "\n")
 	io.WriteString(h, f.String())
-	alg := rq.Algorithm
-	if alg == "" {
-		if rq.Portfolio != nil {
-			alg = Portfolio
-		} else {
-			alg = Best
-		}
-	}
+	alg := algorithmOrDefault(rq.Algorithm, rq.Portfolio != nil)
 	fmt.Fprintf(h, "alg=%s bits=%d maxwork=%d seed=%d trials=%d fast=%t pla=%t telemetry=%t\n",
 		alg, rq.Bits, rq.MaxWork, rq.Seed, rq.RandomTrials,
 		rq.FastMinimize, rq.IncludePLA, rq.IncludeTelemetry)
