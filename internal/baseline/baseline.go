@@ -1,17 +1,17 @@
 // Package baseline implements the comparison encoders of the paper's
 // evaluation: the 1-hot encoding, random state assignments (best and
-// average of a batch), a KISS-style encoder that satisfies every input
-// constraint at a heuristic (non-minimum) code length, a MUSTANG-style
-// multilevel-oriented encoder with the -p/-n/-pt/-nt weight functions, and
-// a Cappuccino/Cream-style encoder (symbolic minimization followed by
-// complete constraint satisfaction at a non-minimum length).
+// average of a batch), a MUSTANG-style multilevel-oriented encoder with
+// the -p/-n/-pt/-nt weight functions, and a Cappuccino/Cream-style
+// encoder (symbolic minimization followed by complete constraint
+// satisfaction at a non-minimum length). The KISS-style encoder, which
+// satisfies every input constraint at a heuristic (non-minimum) code
+// length, is encode.SatisfyAll.
 package baseline
 
 import (
 	"math/rand"
 	"sort"
 
-	"nova/internal/constraint"
 	"nova/internal/encode"
 	"nova/internal/encoding"
 	"nova/internal/kiss"
@@ -78,12 +78,6 @@ func RandomAssignments(f *kiss.FSM, trials int, seed int64) []encoding.Assignmen
 // number of symbolic inputs.
 func DefaultRandomTrials(f *kiss.FSM) int {
 	return f.NumStates() + len(f.SymIns)
-}
-
-// KISS satisfies every input constraint in the manner of KISS [9]; see
-// encode.SatisfyAll.
-func KISS(n int, ics []constraint.Constraint) encode.Result {
-	return encode.SatisfyAll(n, ics)
 }
 
 // MustangVariant selects one of MUSTANG's four weight functions.

@@ -88,7 +88,7 @@ func TestKISSSatisfiesAll(t *testing.T) {
 		{Set: constraint.MustFromString("1010000"), Weight: 1},
 		{Set: constraint.MustFromString("0001111"), Weight: 2},
 	}
-	r := KISS(7, ics)
+	r := encode.SatisfyAll(7, ics)
 	if len(r.Unsatisfied) != 0 {
 		t.Fatalf("KISS left constraints unsatisfied: %v", r.Unsatisfied)
 	}
