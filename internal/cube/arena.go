@@ -14,6 +14,7 @@ type Arena struct {
 	s      *Structure
 	cubes  []Cube
 	covers []*Cover
+	ints   []int // scratch of counts; see counts
 
 	// stat accumulates hot-loop telemetry in plain ints — the arena is
 	// single-owner, so no atomics are needed here. Callers that trace
@@ -91,6 +92,18 @@ func (a *Arena) CopyCube(c Cube) Cube {
 	r := a.NewCube()
 	copy(r, c)
 	return r
+}
+
+// counts returns n zeroed ints of scratch, valid until the next call.
+// The split-variable pick and the dominated-row prune use it, and neither
+// runs inside the other.
+func (a *Arena) counts(n int) []int {
+	if cap(a.ints) < n {
+		a.ints = make([]int, n)
+	}
+	a.ints = a.ints[:n]
+	clear(a.ints)
+	return a.ints
 }
 
 // FreeCube recycles c. The caller must not retain references to it.

@@ -1,6 +1,8 @@
 package cube
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -29,6 +31,12 @@ func (f *Cover) Copy() *Cover {
 		g.Cubes[i] = c.Copy()
 	}
 	return g
+}
+
+// Equal reports whether f and g hold bit-identical cubes in the same
+// order.
+func (f *Cover) Equal(g *Cover) bool {
+	return slices.EqualFunc(f.Cubes, g.Cubes, Cube.Equal)
 }
 
 // Without returns a shallow cover containing every cube except index i.
@@ -84,13 +92,20 @@ func (f *Cover) cofactorCoverWith(a *Arena, c Cube) *Cover {
 
 // pruneDominatedRows drops every cube contained in another cube of the
 // cover, recycling the dropped cubes. Of two equal cubes the first is kept.
+// A cube with fewer set parts contains no cube with more, so those pairs
+// are skipped without a containment test; pop holds the set parts of the
+// cube in each slot of cs and moves with it.
 func (g *Cover) pruneDominatedRows(a *Arena) {
 	cs := g.Cubes
+	pop := a.counts(len(cs))
+	for i, c := range cs {
+		pop[i] = c.PopCount()
+	}
 	kept := cs[:0]
 	for i, ci := range cs {
 		dominated := false
 		for j, cj := range cs {
-			if i == j || cj == nil {
+			if i == j || cj == nil || pop[j] < pop[i] {
 				continue
 			}
 			if Contains(cj, ci) && (j < i || !Contains(ci, cj)) {
@@ -102,34 +117,39 @@ func (g *Cover) pruneDominatedRows(a *Arena) {
 			cs[i] = nil
 			a.FreeCube(ci)
 		} else {
+			pop[len(kept)] = pop[i]
 			kept = append(kept, ci)
 		}
 	}
 	g.Cubes = kept
 }
 
-// activeVar describes how constrained a variable is across a cover.
-type activeVar struct {
-	v       int
-	active  int // cubes in which the variable field is not full
-	missing int // parts never set across the cover (column-OR gap)
-}
-
 // pickSplitVar selects the branching variable for the unate-recursion
 // procedures: the variable that is not full in the largest number of cubes
-// (the "most binate"). Returns -1 when every cube is full in every variable.
-func (f *Cover) pickSplitVar() int {
+// (the "most binate"), the lowest such variable on a tie. Returns -1 when
+// every cube is full in every variable. The binary fields of the bmask
+// words are counted word-parallel, as IsEmpty tests them: bit i of x&(x>>1)
+// ANDs the two parts of the binary field at i.
+func (f *Cover) pickSplitVar(a *Arena) int {
 	s := f.S
-	best, bestActive := -1, 0
-	for v := 0; v < s.NumVars(); v++ {
-		active := 0
-		for _, c := range f.Cubes {
-			if !s.VarFull(c, v) {
-				active++
+	active := a.counts(s.nbits) // cubes not full in v, at v's first part
+	for _, c := range f.Cubes {
+		for w, m := range s.bmask {
+			x := c[w]
+			for e := m &^ (x & (x >> 1)); e != 0; e &= e - 1 {
+				active[w<<6|bits.TrailingZeros64(e)]++
 			}
 		}
-		if active > bestActive {
-			best, bestActive = v, active
+		for _, v := range s.other {
+			if !s.VarFull(c, v) {
+				active[s.offsets[v]]++
+			}
+		}
+	}
+	best, bestActive := -1, 0
+	for v, off := range s.offsets {
+		if active[off] > bestActive {
+			best, bestActive = v, active[off]
 		}
 	}
 	return best
@@ -178,7 +198,7 @@ func (f *Cover) TautologyWith(a *Arena) bool {
 	if f.weaklyUnate() {
 		return false
 	}
-	v := f.pickSplitVar()
+	v := f.pickSplitVar(a)
 	if v < 0 {
 		// No cube is full (checked above) yet every cube is full in every
 		// variable: impossible; covered for robustness.
@@ -267,6 +287,27 @@ func (f *Cover) CoversCubeWith(a *Arena, c Cube) bool {
 	return ok
 }
 
+// UncoveredSupercubeWith sets dst to the supercube of the minterms of c
+// that no cube of f covers, and reports whether there are any; when there
+// are none, dst is left empty. It ORs the cubes of the complement of F/c
+// and intersects the result with c. That is exact: a minterm of the
+// complement that takes part p of c in some variable gives an uncovered
+// minterm of c taking p once each of its other variables is moved into
+// c, and no cube of the complement is empty.
+func (f *Cover) UncoveredSupercubeWith(a *Arena, c, dst Cube) bool {
+	g := f.cofactorCoverWith(a, c)
+	comp := a.NewCover()
+	g.complementInto(a, comp)
+	a.Release(g)
+	clear(dst)
+	for _, q := range comp.Cubes {
+		Or(dst, dst, q)
+	}
+	a.Release(comp)
+	And(dst, dst, c)
+	return !f.S.IsEmpty(dst)
+}
+
 // ContainsCube reports whether some single cube of f contains c — the cheap
 // word-parallel pre-check before the full covering recursion.
 func (f *Cover) ContainsCube(c Cube) bool {
@@ -320,7 +361,7 @@ func (f *Cover) complementInto(a *Arena, out *Cover) {
 		s.complementCubeInto(a, out, f.Cubes[0])
 		return
 	}
-	v := f.pickSplitVar()
+	v := f.pickSplitVar(a)
 	if v < 0 {
 		return
 	}

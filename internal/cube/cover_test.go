@@ -403,3 +403,72 @@ func TestTautologyOracle(t *testing.T) {
 		})
 	}
 }
+
+// refPruneDominatedRows is pruneDominatedRows without the set-part
+// filter: every pair gets the containment test.
+func refPruneDominatedRows(g *Cover) {
+	cs := g.Cubes
+	kept := cs[:0]
+	for i, ci := range cs {
+		dominated := false
+		for j, cj := range cs {
+			if i == j || cj == nil {
+				continue
+			}
+			if Contains(cj, ci) && (j < i || !Contains(ci, cj)) {
+				dominated = true
+				break
+			}
+		}
+		if dominated {
+			cs[i] = nil
+		} else {
+			kept = append(kept, ci)
+		}
+	}
+	g.Cubes = kept
+}
+
+// Property: pruneDominatedRows keeps the cubes the unfiltered pairwise
+// test keeps, in the same order, on covers with repeated and nested
+// cubes over every property layout.
+func TestPruneDominatedRowsProperty(t *testing.T) {
+	for _, l := range propertyLayouts {
+		s := NewStructure(l.sizes...)
+		rng := rand.New(rand.NewSource(1))
+		a := NewArena(s)
+		pruned := 0
+		for i := 0; i < 2000; i++ {
+			g := NewCover(s)
+			for k := rng.Intn(10); k > 0; k-- {
+				switch rng.Intn(4) {
+				case 0:
+					g.Add(randomCube(s, rng))
+				case 1:
+					g.Add(restrictedCube(s, rng))
+				default:
+					if g.Len() > 0 {
+						g.Add(g.Cubes[rng.Intn(g.Len())].Copy()) // repeat, or nest below
+						if rng.Intn(2) == 0 {
+							c := g.Cubes[g.Len()-1]
+							v := rng.Intn(s.NumVars())
+							s.ClearAll(c, v)
+							s.Set(c, v, rng.Intn(s.Size(v)))
+						}
+					}
+				}
+			}
+			want := g.Copy()
+			refPruneDominatedRows(want)
+			got := g.Copy()
+			got.pruneDominatedRows(a)
+			if !got.Equal(want) {
+				t.Fatalf("%s: pruned\n%sto\n%swant\n%s", l.name, g, got, want)
+			}
+			pruned += g.Len() - got.Len()
+		}
+		if pruned == 0 {
+			t.Fatalf("%s: no draw had a dominated row", l.name)
+		}
+	}
+}

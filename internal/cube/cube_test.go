@@ -351,3 +351,50 @@ func TestContainsAgreesWithMinterms(t *testing.T) {
 		}
 	}
 }
+
+// Property: pickSplitVar, which counts the binary fields of the word mask
+// word-parallel, picks the variable the per-field VarFull count picks:
+// the one not full in the most cubes, the lowest on a tie, or -1 when
+// every cube is full everywhere.
+func TestPickSplitVarProperty(t *testing.T) {
+	for _, l := range propertyLayouts {
+		t.Run(l.name, func(t *testing.T) {
+			s := NewStructure(l.sizes...)
+			rng := rand.New(rand.NewSource(1))
+			a := NewArena(s)
+			seen := map[bool]int{}
+			for i := 0; i < 2000; i++ {
+				f := NewCover(s)
+				for k := rng.Intn(6); k > 0; k-- {
+					switch rng.Intn(3) {
+					case 0:
+						f.Add(randomCube(s, rng))
+					case 1:
+						f.Add(restrictedCube(s, rng))
+					default:
+						f.Add(s.FullCube())
+					}
+				}
+				want, wantActive := -1, 0
+				for v := 0; v < s.NumVars(); v++ {
+					active := 0
+					for _, c := range f.Cubes {
+						if !s.VarFull(c, v) {
+							active++
+						}
+					}
+					if active > wantActive {
+						want, wantActive = v, active
+					}
+				}
+				if got := f.pickSplitVar(a); got != want {
+					t.Fatalf("pickSplitVar = %d, per-field count picks %d, over\n%s", got, want, f)
+				}
+				seen[want < 0]++
+			}
+			if seen[true] == 0 || seen[false] == 0 {
+				t.Fatalf("draws never left every cube full, or always did: %v", seen)
+			}
+		})
+	}
+}

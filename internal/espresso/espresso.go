@@ -6,8 +6,9 @@
 // every pass keeps f∪dc equal to on∪dc as a set, so R stays valid for the
 // whole call. Per cube, EXPAND ORs into one blocked mask the field of
 // every R cube disjoint from the cube in one variable alone, and refuses
-// a raise with one bit test. IRREDUNDANT and REDUCE ask covering
-// questions by unate-recursion tautology of cofactors.
+// a raise with one bit test. IRREDUNDANT asks covering questions by
+// unate-recursion tautology of cofactors; REDUCE lowers each cube in one
+// step, to the supercube of the complement of the cofactored rest.
 //
 // The minimizer is heuristic: it returns a minimal (irredundant, prime in
 // the one-part-at-a-time sense) cover whose cardinality is at a local
@@ -20,6 +21,7 @@ package espresso
 import (
 	"cmp"
 	"context"
+	"math/bits"
 	"slices"
 
 	"nova/internal/cube"
@@ -98,8 +100,15 @@ func MinimizeWith(on, dc *cube.Cover, opt Options, a *cube.Arena) *cube.Cover {
 
 // minimizeLoop runs EXPAND and IRREDUNDANT, then the REDUCE / EXPAND /
 // IRREDUNDANT rounds unless opt.SkipReduce, and returns the best cover.
+//
+// EXPAND leaves every cube maximal against off, IRREDUNDANT only drops
+// cubes, and off serves the whole call, so a cube REDUCE leaves unchanged
+// is still maximal and the next EXPAND does not raise it again. A round
+// whose EXPAND gives back best cube for cube ends before IRREDUNDANT:
+// best is irredundant, IRREDUNDANT would return it unchanged, and its
+// cost would tie.
 func minimizeLoop(ctx context.Context, f, dc, off *cube.Cover, opt Options, m *obs.Metrics, a *cube.Arena) *cube.Cover {
-	expandPass(ctx, f, off, a)
+	expandPass(ctx, f, off, nil, a)
 	irredundantPass(ctx, f, dc, a)
 	if opt.SkipReduce {
 		return f
@@ -112,8 +121,11 @@ func minimizeLoop(ctx context.Context, f, dc, off *cube.Cover, opt Options, m *o
 		if m != nil {
 			m.EspressoIters.Add(1)
 		}
-		reducePass(ctx, f, dc, a)
-		expandPass(ctx, f, off, a)
+		unchanged := reducePass(ctx, f, dc, a)
+		expandPass(ctx, f, off, unchanged, a)
+		if f.Equal(best) {
+			break
+		}
 		irredundantPass(ctx, f, dc, a)
 		if cost(f) >= cost(best) {
 			break
@@ -139,10 +151,10 @@ func finishMinimize(msp *obs.ActiveSpan, m *obs.Metrics, a *cube.Arena, base cub
 // The *Pass wrappers put a span (with cube counts in/out) around each
 // espresso pass. With no tracer in ctx they compile down to the plain
 // pass call: Span returns a nil span whose methods do nothing.
-func expandPass(ctx context.Context, f, off *cube.Cover, a *cube.Arena) {
+func expandPass(ctx context.Context, f, off *cube.Cover, maximal []bool, a *cube.Arena) {
 	_, sp := obs.Span(ctx, "espresso.expand")
 	sp.SetInt("cubes_in", int64(f.Len()))
-	expandWith(f, off, a)
+	expandWith(f, off, maximal, a)
 	sp.SetInt("cubes_out", int64(f.Len()))
 	sp.End()
 }
@@ -155,12 +167,13 @@ func irredundantPass(ctx context.Context, f, dc *cube.Cover, a *cube.Arena) {
 	sp.End()
 }
 
-func reducePass(ctx context.Context, f, dc *cube.Cover, a *cube.Arena) {
+func reducePass(ctx context.Context, f, dc *cube.Cover, a *cube.Arena) []bool {
 	_, sp := obs.Span(ctx, "espresso.reduce")
 	sp.SetInt("cubes_in", int64(f.Len()))
-	reduceWith(f, dc, a)
+	unchanged := reduceWith(f, dc, a)
 	sp.SetInt("cubes_out", int64(f.Len()))
 	sp.End()
+	return unchanged
 }
 
 // canceled reports whether the (possibly nil) context is done.
@@ -197,7 +210,7 @@ func dropEmpty(f *cube.Cover) {
 func Expand(f, dc *cube.Cover) {
 	a := cube.GetArena(f.S)
 	off := offSetWith(f, dc, a)
-	expandWith(f, off, a)
+	expandWith(f, off, nil, a)
 	a.Release(off)
 	cube.PutArena(a)
 }
@@ -213,7 +226,10 @@ func offSetWith(f, dc *cube.Cover, a *cube.Arena) *cube.Cover {
 }
 
 // expandWith is EXPAND against off, a cover of the complement of f∪dc.
-func expandWith(f, off *cube.Cover, a *cube.Arena) {
+// A cube whose maximal entry is true (maximal may be nil) is already
+// maximal against off: raising it would keep nothing, so it only takes
+// part in the containment checks.
+func expandWith(f, off *cube.Cover, maximal []bool, a *cube.Arena) {
 	s := f.S
 	// Process larger cubes first: they are more likely to swallow others.
 	order := make([]int, len(f.Cubes))
@@ -226,14 +242,13 @@ func expandWith(f, off *cube.Cover, a *cube.Arena) {
 
 	// Column weights: how often each part is set across the cover. Raising
 	// frequently-set parts first heads toward cubes that cover many others.
-	weights := make([]int, s.Bits())
+	// No cube sets a bit past its last part, so bit i of word w is part
+	// 64w+i.
+	weights := make([]int, s.Words()*64)
 	for _, c := range f.Cubes {
-		for v := 0; v < s.NumVars(); v++ {
-			base := s.Offset(v)
-			for p := 0; p < s.Size(v); p++ {
-				if s.Test(c, v, p) {
-					weights[base+p]++
-				}
+		for w, x := range c {
+			for ; x != 0; x &= x - 1 {
+				weights[w<<6|bits.TrailingZeros64(x)]++
 			}
 		}
 	}
@@ -246,7 +261,9 @@ func expandWith(f, off *cube.Cover, a *cube.Arena) {
 			continue
 		}
 		c := f.Cubes[i]
-		expandCube(s, c, off, raises, blocked)
+		if maximal == nil || !maximal[i] {
+			expandCube(s, c, off, raises, blocked)
+		}
 		// Single-cube containment against the expanded cube.
 		for _, j := range order {
 			if j == i || covered[j] {
@@ -358,17 +375,18 @@ func irredundantWith(f, dc *cube.Cover, a *cube.Arena) {
 }
 
 // Reduce lowers each cube of f to a smaller implicant that still leaves f a
-// cover: a set part of a variable (with at least two set parts) is cleared
-// when the minterms it alone contributes are covered by the rest of the
-// cover plus the don't-care set. Reduction unblocks the next EXPAND.
+// cover: each cube becomes the supercube of its minterms that the rest of
+// the cover and the don't-care set leave uncovered. Reduction unblocks the
+// next EXPAND.
 func Reduce(f, dc *cube.Cover) {
 	a := cube.GetArena(f.S)
 	reduceWith(f, dc, a)
 	cube.PutArena(a)
 }
 
-func reduceWith(f, dc *cube.Cover, a *cube.Arena) {
-	s := f.S
+// reduceWith reduces the cubes of f largest first, each against the
+// others as already reduced, and reports which cubes it left unchanged.
+func reduceWith(f, dc *cube.Cover, a *cube.Arena) []bool {
 	// Reduce larger cubes first (mirrors espresso's ordering heuristic).
 	order := make([]int, len(f.Cubes))
 	for i := range order {
@@ -377,48 +395,56 @@ func reduceWith(f, dc *cube.Cover, a *cube.Arena) {
 	slices.SortStableFunc(order, func(x, y int) int {
 		return cmp.Compare(f.Cubes[y].PopCount(), f.Cubes[x].PopCount())
 	})
+	unchanged := make([]bool, len(f.Cubes))
 	rest := a.NewCover()
-	slice := a.NewCube()
+	low := a.NewCube()
 	for _, i := range order {
-		c := f.Cubes[i]
-		// Every slice checked below lies in c, and c only shrinks, so
-		// the cubes of the rest of f and of dc that miss c now can never
-		// meet one: rest keeps the others, in the same order.
-		rest.Cubes = rest.Cubes[:0]
-		for j, q := range f.Cubes {
-			if j != i && s.Intersects(q, c) {
-				rest.Cubes = append(rest.Cubes, q)
-			}
-		}
-		for _, q := range dc.Cubes {
-			if s.Intersects(q, c) {
-				rest.Cubes = append(rest.Cubes, q)
-			}
-		}
-		for v := 0; v < s.NumVars(); v++ {
-			if s.VarCount(c, v) < 2 {
-				continue
-			}
-			for p := 0; p < s.Size(v); p++ {
-				if !s.Test(c, v, p) {
-					continue
-				}
-				if s.VarCount(c, v) < 2 {
-					break
-				}
-				// Slice of c with variable v pinned to part p: the minterms
-				// lost if the part is lowered.
-				copy(slice, c)
-				s.ClearAll(slice, v)
-				s.Set(slice, v, p)
-				if rest.CoversCubeWith(a, slice) {
-					s.Clear(c, v, p)
-				}
+		rest.Cubes = append(append(rest.Cubes[:0], f.Cubes[:i]...), f.Cubes[i+1:]...)
+		rest.Cubes = append(rest.Cubes, dc.Cubes...)
+		unchanged[i] = reduceCube(rest, f.Cubes[i], low, a)
+	}
+	a.FreeCube(low)
+	a.FreeCover(rest)
+	return unchanged
+}
+
+// reduceCube lowers c in one step, to the supercube of the minterms of c
+// that rest leaves uncovered, and reports whether c is unchanged. low is
+// scratch of one cube.
+//
+// That is the cube the one-part-at-a-time REDUCE reaches, whatever its
+// order: it clears a set part of a variable with two or more set parts
+// when rest covers the slice of c with the variable pinned to that part.
+// A slice holding an uncovered minterm is never covered, so no uncovered
+// minterm is ever lost and every part they use survives; a part none of
+// them uses gives a covered slice, and another part of its variable
+// survives. When rest covers c (only a cover that is not irredundant has
+// such a cube), every slice is covered and each variable keeps its
+// highest set part.
+func reduceCube(rest *cube.Cover, c, low cube.Cube, a *cube.Arena) bool {
+	if !rest.UncoveredSupercubeWith(a, c, low) {
+		copy(low, c)
+		keepHighestParts(rest.S, low)
+	}
+	if low.Equal(c) {
+		return true
+	}
+	copy(c, low)
+	return false
+}
+
+// keepHighestParts clears every set part of c but the highest one of its
+// variable.
+func keepHighestParts(s *cube.Structure, c cube.Cube) {
+	for v := 0; v < s.NumVars(); v++ {
+		for p := s.Size(v) - 1; p >= 0; p-- {
+			if s.Test(c, v, p) {
+				s.ClearAll(c, v)
+				s.Set(c, v, p)
+				break
 			}
 		}
 	}
-	a.FreeCube(slice)
-	a.FreeCover(rest)
 }
 
 // Verify reports whether cover f is a correct implementation of the

@@ -164,23 +164,12 @@ func randPassCover(rng *rand.Rand, s *cube.Structure, n, mode int) *cube.Cover {
 	return f
 }
 
-func sameCover(f, g *cube.Cover) bool {
-	if f.Len() != g.Len() {
-		return false
-	}
-	for i := range f.Cubes {
-		if !f.Cubes[i].Equal(g.Cubes[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // TestPassesMatchReference draws 3000 (on, dc) pairs over the seven
 // layouts and runs EXPAND, IRREDUNDANT and three REDUCE / EXPAND /
 // IRREDUNDANT rounds on each, comparing every EXPAND and REDUCE with the
 // reference pass on a copy of its input. Every EXPAND takes the one
-// off-set computed from on∪dc before the first, as in MinimizeWith.
+// off-set computed from on∪dc before the first, and the cubes the REDUCE
+// before it left unchanged, as in MinimizeWith.
 func TestPassesMatchReference(t *testing.T) {
 	const pairs = 3000
 	rng := rand.New(rand.NewSource(20261017))
@@ -194,24 +183,33 @@ func TestPassesMatchReference(t *testing.T) {
 		f.SingleCubeContainment()
 		a := cube.GetArena(s)
 		off := offSetWith(f, dc, a)
-		expand := func(f, dc *cube.Cover, a *cube.Arena) { expandWith(f, off, a) }
+		var unchanged []bool
+		reduce := func(f, dc *cube.Cover, a *cube.Arena) {
+			unchanged = reduceWith(f, dc, a)
+			for _, u := range unchanged {
+				if u {
+					changed["cubes REDUCE kept"]++
+				}
+			}
+		}
+		expand := func(f, dc *cube.Cover, a *cube.Arena) { expandWith(f, off, unchanged, a) }
 		check := func(name string, pass, ref func(f, dc *cube.Cover, a *cube.Arena)) {
 			t.Helper()
 			in, want := f.Copy(), f.Copy()
 			pass(f, dc, a)
 			ref(want, dc, a)
-			if !sameCover(f, want) {
+			if !f.Equal(want) {
 				t.Fatalf("pair %d, %s over %v:\ninput:\n%sdc:\n%sgot:\n%swant:\n%s",
 					i, name, passLayouts[i%len(passLayouts)], in, dc, f, want)
 			}
-			if !sameCover(f, in) {
+			if !f.Equal(in) {
 				changed[name]++
 			}
 		}
 		check("expand", expand, refExpand)
 		irredundantWith(f, dc, a)
 		for round := 0; round < 3; round++ {
-			check("reduce", reduceWith, refReduce)
+			check("reduce", reduce, refReduce)
 			check("expand", expand, refExpand)
 			irredundantWith(f, dc, a)
 		}
@@ -219,8 +217,9 @@ func TestPassesMatchReference(t *testing.T) {
 		cube.PutArena(a)
 	}
 	t.Logf("covers changed by a pass: %v", changed)
-	// The draws must make both passes do work, or agreement proves little.
-	if changed["expand"] < pairs/4 || changed["reduce"] < pairs/10 {
+	// The draws must make both passes do work and let EXPAND skip cubes,
+	// or agreement proves little.
+	if changed["expand"] < pairs/4 || changed["reduce"] < pairs/10 || changed["cubes REDUCE kept"] < pairs {
 		t.Fatalf("passes changed too few covers: %v", changed)
 	}
 }
@@ -279,15 +278,15 @@ func TestPassesKeepOnDcSet(t *testing.T) {
 							sizes, i, name, in, dc, f)
 					}
 				}
-				if !sameCover(f, in) {
+				if !f.Equal(in) {
 					changed[name]++
 				}
 			}
-			pass("expand", func() { expandWith(f, off, a) })
+			pass("expand", func() { expandWith(f, off, nil, a) })
 			pass("irredundant", func() { irredundantWith(f, dc, a) })
 			for round := 0; round < 3; round++ {
 				pass("reduce", func() { reduceWith(f, dc, a) })
-				pass("expand", func() { expandWith(f, off, a) })
+				pass("expand", func() { expandWith(f, off, nil, a) })
 				pass("irredundant", func() { irredundantWith(f, dc, a) })
 			}
 			a.Release(off)
@@ -299,5 +298,149 @@ func TestPassesKeepOnDcSet(t *testing.T) {
 		if changed[name] == 0 {
 			t.Fatalf("%s never changed a cover: %v", name, changed)
 		}
+	}
+}
+
+// TestReduceCubeOracle checks the one-step REDUCE of a cube by minterm
+// enumeration on the enumerable layouts: reduceCube must lower c to the
+// supercube of the minterms of c that rest leaves uncovered and, when
+// there are none (c ⊆ rest, empty cubes included), keep the highest set
+// part of each variable, as the one-part-at-a-time REDUCE does. One draw
+// in four adds a cube containing c to rest, so c ⊆ rest comes up often.
+func TestReduceCubeOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261020))
+	cases := map[string]int{}
+	for _, sizes := range enumerableLayouts {
+		s := cube.NewStructure(sizes...)
+		a := cube.GetArena(s)
+		low := s.NewCube()
+		for i := 0; i < 1000; i++ {
+			mode := rng.Intn(3)
+			c := randRefCube(rng, s)
+			if mode == 1 || mode == 2 && rng.Intn(2) == 0 {
+				c = restrictedRefCube(rng, s)
+			}
+			rest := randPassCover(rng, s, 8, mode)
+			if rng.Intn(4) == 0 {
+				up := c.Copy()
+				for v := 0; v < s.NumVars(); v++ {
+					s.Set(up, v, rng.Intn(s.Size(v)))
+				}
+				rest.Add(up)
+			}
+			want := s.NewCube()
+			uncovered := false
+			eachMinterm(s, func(m cube.Cube) {
+				if cube.Contains(c, m) && !rest.ContainsCube(m) {
+					cube.Or(want, want, m)
+					uncovered = true
+				}
+			})
+			if uncovered {
+				cases["uncovered"]++
+			} else {
+				cases["c ⊆ rest"]++
+				for v := 0; v < s.NumVars(); v++ {
+					for p := s.Size(v) - 1; p >= 0; p-- {
+						if s.Test(c, v, p) {
+							s.Set(want, v, p)
+							break
+						}
+					}
+				}
+			}
+			got := c.Copy()
+			same := reduceCube(rest, got, low, a)
+			if !got.Equal(want) || same != want.Equal(c) {
+				t.Fatalf("%v draw %d: reduced %s to %s (unchanged %v), want %s\nrest:\n%s",
+					sizes, i, s.String(c), s.String(got), same, s.String(want), rest)
+			}
+			if !same {
+				cases["lowered"]++
+			}
+		}
+		cube.PutArena(a)
+	}
+	t.Logf("cases: %v", cases)
+	if cases["c ⊆ rest"] < 500 || cases["uncovered"] < 500 || cases["lowered"] < 500 {
+		t.Fatalf("too few draws of some case: %v", cases)
+	}
+}
+
+// fullLoop is the minimization loop of MinimizeWith with every EXPAND
+// raising every cube and no early stop: each round runs REDUCE, EXPAND
+// and IRREDUNDANT, and the loop ends on the first round that does not
+// lower the cost. It tallies, per round, the cubes REDUCE left unchanged,
+// whether EXPAND gave back the best cover and whether the round lowered
+// the cost.
+func fullLoop(f, dc, off *cube.Cover, a *cube.Arena, tally map[string]int) *cube.Cover {
+	expandWith(f, off, nil, a)
+	irredundantWith(f, dc, a)
+	best := f.Copy()
+	for iter := 0; iter < maxIterations; iter++ {
+		for _, u := range reduceWith(f, dc, a) {
+			if u {
+				tally["cubes left unchanged"]++
+			}
+		}
+		expandWith(f, off, nil, a)
+		if f.Equal(best) {
+			tally["EXPAND gave back best"]++
+		}
+		irredundantWith(f, dc, a)
+		if cost(f) >= cost(best) {
+			break
+		}
+		tally["rounds lowered the cost"]++
+		best = f.Copy()
+	}
+	return best
+}
+
+// FullLoopMinimize is MinimizeWith with fullLoop for its loop, for the
+// external test that runs both on the suite machines' covers. It adds
+// fullLoop's tallies to tally.
+func FullLoopMinimize(on, dc *cube.Cover, tally map[string]int) *cube.Cover {
+	a := cube.GetArena(on.S)
+	defer cube.PutArena(a)
+	f := on.Copy()
+	f.SingleCubeContainment()
+	dropEmpty(f)
+	off := offSetWith(f, dc, a)
+	best := fullLoop(f, dc, off, a, tally)
+	a.Release(off)
+	return best
+}
+
+// TestMinimizeMatchesFullLoop requires MinimizeWith, whose EXPAND skips
+// the cubes REDUCE left unchanged and whose rounds stop once EXPAND gives
+// back the best cover, to return fullLoop's cover bit for bit on random
+// functions over the pass and enumerable layouts.
+func TestMinimizeMatchesFullLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261021))
+	layouts := append(append([][]int(nil), passLayouts...), enumerableLayouts...)
+	tally := map[string]int{}
+	for i := 0; i < 3000; i++ {
+		s := cube.NewStructure(layouts[i%len(layouts)]...)
+		mode := rng.Intn(3)
+		on := randPassCover(rng, s, 10, mode)
+		dc := randPassCover(rng, s, 3, mode)
+		a := cube.GetArena(s)
+		f := on.Copy()
+		f.SingleCubeContainment()
+		dropEmpty(f)
+		off := offSetWith(f, dc, a)
+		want := fullLoop(f, dc, off, a, tally)
+		a.Release(off)
+		got := MinimizeWith(on, dc, Options{}, a)
+		cube.PutArena(a)
+		if !got.Equal(want) {
+			t.Fatalf("draw %d over %v:\non:\n%sdc:\n%sgot:\n%swant:\n%s",
+				i, layouts[i%len(layouts)], on, dc, got, want)
+		}
+	}
+	t.Logf("over 3000 functions: %v", tally)
+	if tally["cubes left unchanged"] < 1000 || tally["EXPAND gave back best"] < 1000 || tally["rounds lowered the cost"] < 10 {
+		t.Fatalf("the skip, the early stop or a second round came up too rarely: %v", tally)
 	}
 }
