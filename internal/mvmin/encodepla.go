@@ -26,10 +26,23 @@ type Encoded struct {
 }
 
 // EncodePLA translates the FSM and assignment into on/dc covers over the
-// encoded binary space. Vertices of the state (and symbolic input) bit
-// space that are not the code of any value are don't-cares, as are the
-// (input, state) combinations left unspecified by the table.
+// encoded binary space: Build followed by the Problem's EncodePLA.
 func EncodePLA(f *kiss.FSM, asg encoding.Assignment) (*Encoded, error) {
+	p, err := Build(f)
+	if err != nil {
+		return nil, err
+	}
+	return p.EncodePLA(asg)
+}
+
+// EncodePLA translates p's machine and the assignment into on/dc covers
+// over the encoded binary space. Vertices of the state (and symbolic
+// input) bit space that are not the code of any value are don't-cares, as
+// are the (input, state) combinations left unspecified by the table,
+// which come from p's don't-care cover. p is only read, so one Problem
+// serves every assignment of its machine, concurrently too.
+func (p *Problem) EncodePLA(asg encoding.Assignment) (*Encoded, error) {
+	f := p.F
 	if err := asg.Validate(); err != nil {
 		return nil, err
 	}
@@ -130,10 +143,6 @@ func EncodePLA(f *kiss.FSM, asg encoding.Assignment) (*Encoded, error) {
 	}
 
 	// DC 2: (input, state) combinations unspecified in the symbolic table.
-	p, err := Build(f)
-	if err != nil {
-		return nil, err
-	}
 	for _, d := range p.Dc.Cubes {
 		if !p.S.VarFull(d, p.OutVar) {
 			continue // per-output DCs were added with the rows

@@ -1,8 +1,10 @@
 package mvmin
 
 import (
+	"math/bits"
 	"testing"
 
+	"nova/internal/bench"
 	"nova/internal/encoding"
 	"nova/internal/espresso"
 	"nova/internal/kiss"
@@ -146,5 +148,57 @@ func TestRowInputCubeAnyState(t *testing.T) {
 	}
 	if !p.S.VarFull(c, p.StateVar) {
 		t.Fatal("any-state row does not span the state variable")
+	}
+}
+
+// codes returns an encoding of n values in the fewest bits, value i coded
+// i, or its reverse, n-1-i, when rev.
+func codes(n int, rev bool) encoding.Encoding {
+	e := encoding.Encoding{Bits: bits.Len(uint(n - 1))}
+	for i := 0; i < n; i++ {
+		c := uint64(i)
+		if rev {
+			c = uint64(n - 1 - i)
+		}
+		e.Codes = append(e.Codes, c)
+	}
+	return e
+}
+
+// TestProblemEncodePLAMatchesEncodePLA requires one built Problem to
+// encode every assignment of its machine cube for cube as EncodePLA,
+// which builds its own, does: over the suite and example machines, two
+// assignments each, both from the same Problem.
+func TestProblemEncodePLAMatchesEncodePLA(t *testing.T) {
+	machines := bench.Examples()
+	for _, e := range bench.Suite() {
+		machines = append(machines, e.F)
+	}
+	for _, f := range machines {
+		p, err := Build(f)
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		for _, rev := range []bool{false, true} {
+			asg := encoding.Assignment{States: codes(f.NumStates(), rev)}
+			for _, v := range f.SymIns {
+				asg.SymIns = append(asg.SymIns, codes(len(v.Values), rev))
+			}
+			for _, v := range f.SymOuts {
+				asg.SymOuts = append(asg.SymOuts, codes(len(v.Values), rev))
+			}
+			got, err := p.EncodePLA(asg)
+			if err != nil {
+				t.Fatalf("%s: %v", f.Name, err)
+			}
+			want, err := EncodePLA(f, asg)
+			if err != nil {
+				t.Fatalf("%s: %v", f.Name, err)
+			}
+			if got.NIn != want.NIn || got.NOut != want.NOut || !got.S.Equal(want.S) ||
+				!got.On.Equal(want.On) || !got.Dc.Equal(want.Dc) {
+				t.Fatalf("%s, reversed codes %v: Problem.EncodePLA differs from EncodePLA", f.Name, rev)
+			}
+		}
 	}
 }

@@ -329,7 +329,7 @@ func encodeMachine(ctx context.Context, eng *engine, f *FSM, opt Options) (*Resu
 }
 
 // prepared is one machine's derived state, shared read-only by every
-// candidate of a run: the minimized multiple-valued cover and its
+// candidate of a run: the multiple-valued cover, its minimization and
 // constraint sets (§2.2), the §6.1 symbolic analysis of that cover, and
 // the symbolic-output codes. Each is derived on first use, at most once,
 // under the context of the candidate that asks first. The candidates of
@@ -342,8 +342,11 @@ type prepared struct {
 	// honors.
 	fast bool
 
+	buildOnce sync.Once
+	mv        *mvmin.Problem
+	buildErr  error
+
 	mvOnce sync.Once
-	mv     *mvmin.Problem
 	cover  *cube.Cover
 	cs     mvmin.ConstraintSets
 	mvErr  error
@@ -375,14 +378,23 @@ func (p *prepared) minOpt(ctx context.Context) espresso.Options {
 	return espresso.Options{SkipReduce: p.fast, Ctx: ctx}
 }
 
+// problem returns the machine's multiple-valued cover, building it on
+// the first call. The constraints and every encoded PLA of the run start
+// from it.
+func (p *prepared) problem(ctx context.Context) (*mvmin.Problem, error) {
+	p.buildOnce.Do(func() {
+		_, sp := obs.Span(ctx, "mvmin.build")
+		p.mv, p.buildErr = mvmin.Build(p.f)
+		sp.End()
+	})
+	return p.mv, p.buildErr
+}
+
 // constraints returns the constraint sets of the minimized
 // multiple-valued cover, deriving the cover on the first call.
 func (p *prepared) constraints(ctx context.Context) (mvmin.ConstraintSets, error) {
 	p.mvOnce.Do(func() {
-		_, sp := obs.Span(ctx, "mvmin.build")
-		p.mv, p.mvErr = mvmin.Build(p.f)
-		sp.End()
-		if p.mvErr != nil {
+		if _, p.mvErr = p.problem(ctx); p.mvErr != nil {
 			return
 		}
 		p.cover = p.mv.Minimize(p.minOpt(ctx))
@@ -390,7 +402,7 @@ func (p *prepared) constraints(ctx context.Context) (mvmin.ConstraintSets, error
 			p.mvErr = canceledErr(err)
 			return
 		}
-		_, sp = obs.Span(ctx, "mvmin.constraints")
+		_, sp := obs.Span(ctx, "mvmin.constraints")
 		p.cs = p.mv.Constraints(p.cover)
 		sp.End()
 	})
@@ -684,7 +696,7 @@ func finishEncode(ctx context.Context, p *prepared, res *Result, opt Options) (*
 	if err := ctx.Err(); err != nil {
 		return nil, canceledErr(err)
 	}
-	return finishResult(ctx, p.f, res, opt, p.minOpt(ctx))
+	return finishResult(ctx, p, res, opt)
 }
 
 func mustangVariant(a Algorithm) baseline.MustangVariant {
@@ -700,15 +712,21 @@ func mustangVariant(a Algorithm) baseline.MustangVariant {
 	}
 }
 
-// finishResult minimizes the encoded machine and fills the cost fields.
-func finishResult(ctx context.Context, f *FSM, res *Result, opt Options, mopt espresso.Options) (*Result, error) {
-	e, err := mvmin.EncodePLA(f, res.Assignment)
+// finishResult minimizes the encoded machine, built from the prepared
+// machine's multiple-valued cover, and fills the cost fields.
+func finishResult(ctx context.Context, p *prepared, res *Result, opt Options) (*Result, error) {
+	f := p.f
+	mv, err := p.problem(ctx)
+	var e *mvmin.Encoded
+	if err == nil {
+		e, err = mv.EncodePLA(res.Assignment)
+	}
 	if err != nil {
 		// The chosen assignment cannot be turned into a two-level
 		// implementation (for example, it would need more than 64 bits).
 		return nil, fmt.Errorf("nova: %s: %w", res.Algorithm, errors.Join(ErrUnencodable, err))
 	}
-	min := e.Minimize(mopt)
+	min := e.Minimize(p.minOpt(ctx))
 	if err := ctx.Err(); err != nil {
 		return nil, canceledErr(err)
 	}
