@@ -460,7 +460,12 @@ func (f *FSM) Validate() error {
 // state or on a specified output bit. It returns a description of the first
 // conflict found.
 func (f *FSM) Deterministic() (bool, string) {
-	inter := func(a, b Row) bool {
+	// Rows are compared in place, and the present states, which tell most
+	// pairs apart, first.
+	inter := func(a, b *Row) bool {
+		if a.Present >= 0 && b.Present >= 0 && a.Present != b.Present {
+			return false
+		}
 		for k := 0; k < f.NI; k++ {
 			x, y := a.In[k], b.In[k]
 			if x != '-' && y != '-' && x != y {
@@ -472,14 +477,12 @@ func (f *FSM) Deterministic() (bool, string) {
 				return false
 			}
 		}
-		if a.Present >= 0 && b.Present >= 0 && a.Present != b.Present {
-			return false
-		}
 		return true
 	}
-	for i := 0; i < len(f.Rows); i++ {
+	for i := range f.Rows {
+		a := &f.Rows[i]
 		for j := i + 1; j < len(f.Rows); j++ {
-			a, b := f.Rows[i], f.Rows[j]
+			b := &f.Rows[j]
 			if !inter(a, b) {
 				continue
 			}
