@@ -133,11 +133,7 @@ func run() int {
 
 	fmt.Printf("algorithm: %s\n", res.Algorithm)
 	if res.Winner != "" {
-		if res.WinnerSeedSplit != 0 {
-			fmt.Printf("winner:    %s@%d\n", res.Winner, res.WinnerSeedSplit)
-		} else {
-			fmt.Printf("winner:    %s\n", res.Winner)
-		}
+		fmt.Printf("winner:    %s\n", res.Winner)
 	}
 	fmt.Printf("codes (%d bits):\n", res.Assignment.States.Bits)
 	for i, name := range fsm.States {

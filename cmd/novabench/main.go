@@ -159,14 +159,13 @@ func realMain(args []string) int {
 		}
 	}()
 
-	// Fill the result cache through the concurrent batch API: the tables
+	// Fill the result cache with the machines in parallel: the tables
 	// below then mostly read memoized results. iexact is left to the
-	// per-table path: a give-up there is just a per-machine entry in the
-	// joined batch error, but the tables want their own budgeted runs and
-	// render a "-" entry for machines that still give up.
+	// per-table path, which runs it under the -exact-budget work budget
+	// and renders a "-" entry for machines that still give up.
 	if *table != 1 {
 		prewarm := []nova.Algorithm{nova.IHybrid, nova.IGreedy, nova.IOHybrid, nova.KISS, nova.Random}
-		if err := r.Prewarm(ctx, prewarm...); err != nil {
+		if err := r.Prewarm(prewarm...); err != nil {
 			return fail(fmt.Errorf("prewarm: %w", err))
 		}
 	}

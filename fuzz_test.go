@@ -28,7 +28,9 @@ func FuzzDecodeRequest(f *testing.F) {
 		`{"kiss2": "` + quick + `", "algorithm": "iexact", "bits": 3, "seed": 9,
 		  "max_work": 1000, "random_trials": 2, "fast_minimize": true,
 		  "include_pla": true, "include_telemetry": true, "name": "x"}`,
-		// Portfolio rosters: default, custom, truncated, hedged.
+		// Portfolio rosters: the default one by name, a custom one that
+		// still sends the removed seed_split, max_candidates and
+		// hedge_delay_ms fields (decoding ignores them), an empty config.
 		`{"kiss2": "` + quick + `", "algorithm": "portfolio"}`,
 		`{"kiss2": "` + quick + `", "portfolio": {"roster": [
 		   {"algorithm": "ihybrid"}, {"algorithm": "iohybrid", "seed_split": 2}],

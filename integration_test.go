@@ -14,9 +14,6 @@ import (
 
 	"nova"
 	"nova/internal/bench"
-	"nova/internal/espresso"
-	"nova/internal/mvmin"
-	"nova/internal/verify"
 )
 
 // randomFSM builds a random deterministic, fully specified machine.
@@ -141,32 +138,5 @@ func TestSuiteConstraintQuality(t *testing.T) {
 	}
 	if withConstraints*10 < checked*8 {
 		t.Fatalf("only %d of %d machines produced input constraints", withConstraints, checked)
-	}
-}
-
-// TestRandomWalkOnBenchmarks drives the encoded machines along random
-// input trajectories from reset, comparing output traces step by step.
-func TestRandomWalkOnBenchmarks(t *testing.T) {
-	if testing.Short() {
-		t.Skip("walks skipped in -short")
-	}
-	for _, name := range []string{"shiftreg", "modulo12", "bbtas", "dk27"} {
-		f := bench.Get(name)
-		res, err := nova.Encode(f, nova.Options{Algorithm: nova.IHybrid})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		e, err := mvmin.EncodePLA(f, res.Assignment)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		cov := e.Minimize(espresso.Options{})
-		trace, err := verify.RandomWalk(f, res.Assignment, cov, 300, 7)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(trace) == 0 {
-			t.Fatalf("%s: empty trace", name)
-		}
 	}
 }

@@ -198,68 +198,21 @@ func (r *Runner) gaveUpAt(name string, alg nova.Algorithm, bits int) bool {
 }
 
 // Prewarm encodes every benchmark machine of the run with each of the
-// given algorithms through the batch API, filling the cache so the table
-// builders afterwards only read memoized results. Per-machine failures
-// (EncodeAll's partial-results contract: a gave-up or unencodable
-// machine) leave that machine to the per-table path; only cancellation
-// aborts the prewarm.
-func (r *Runner) Prewarm(ctx context.Context, algs ...nova.Algorithm) error {
+// given algorithms, machines in parallel through Run, filling the cache
+// so the table builders afterwards only read memoized results. A machine
+// that fails (say, an unencodable one) is left to the table that needs
+// it; only cancellation aborts the prewarm.
+func (r *Runner) Prewarm(algs ...nova.Algorithm) error {
 	entries := r.Opts.entries()
-	if r.observing() {
-		// Per-machine tracers need per-machine EncodeContext calls: the
-		// batch API would record the whole sweep under one tracer and
-		// blur the attribution PhaseTable depends on. Fan out with the
-		// same worker bound instead.
-		for _, alg := range algs {
-			if _, err := forEach(entries, r.Opts.workers(), func(e bench.Entry) (struct{}, error) {
-				_, err := r.Run(e.F, alg, 0)
-				return struct{}{}, err
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	fsms := make([]*kiss.FSM, len(entries))
-	for i, e := range entries {
-		fsms[i] = e.F
-	}
 	for _, alg := range algs {
-		opt := r.Opts.novaOptions(alg, 0)
-		opt.Parallelism = r.Opts.Parallel
-		results, err := nova.EncodeAll(ctx, fsms, opt)
-		if err != nil && errors.Is(err, nova.ErrCanceled) {
+		if _, err := forEach(entries, r.Opts.workers(), func(e bench.Entry) (struct{}, error) {
+			if _, err := r.Run(e.F, alg, 0); errors.Is(err, nova.ErrCanceled) {
+				return struct{}{}, fmt.Errorf("%s: %w", e.Name, err)
+			}
+			return struct{}{}, nil
+		}); err != nil {
 			return err
 		}
-		// Attribute give-ups machine by machine: EncodeAll wraps each
-		// per-machine error with the machine's name, so a gave-up partial
-		// result is memoized with its flag and the tables still render
-		// "-" for it.
-		var branches []error
-		if u, ok := err.(interface{ Unwrap() []error }); ok {
-			branches = u.Unwrap()
-		} else if err != nil {
-			branches = []error{err}
-		}
-		gaveUp := func(name string) bool {
-			for _, b := range branches {
-				if errors.Is(b, nova.ErrGaveUp) && strings.HasPrefix(b.Error(), name+": ") {
-					return true
-				}
-			}
-			return false
-		}
-		r.mu.Lock()
-		for i, res := range results {
-			if res != nil {
-				k := fmt.Sprintf("%s/%s/%d", fsms[i].Name, alg, 0)
-				r.memo[k] = res
-				if gaveUp(fsms[i].Name) {
-					r.gaveUp[k] = true
-				}
-			}
-		}
-		r.mu.Unlock()
 	}
 	return nil
 }

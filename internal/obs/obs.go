@@ -2,7 +2,7 @@
 // style phase tracing, atomic counters and histograms for the hot loops
 // (espresso passes, the backtracking searcher, the worker pool), and
 // snapshotting for run reports. It is built on the standard library only
-// (log/slog, encoding/json) and is designed around two rules:
+// and is designed around two rules:
 //
 //  1. Opt-in without global state: a *Tracer travels in a context.Context
 //     (obs.With / obs.From) or in an Options field; nothing is recorded
@@ -24,7 +24,6 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,11 +44,10 @@ type Tracer struct {
 	nextID atomic.Uint64
 	m      Metrics
 
-	mu     sync.Mutex
-	label  string
-	spans  []SpanRecord
-	w      io.Writer
-	logger *slog.Logger
+	mu    sync.Mutex
+	label string
+	spans []SpanRecord
+	w     io.Writer
 
 	wmu sync.Mutex // serializes this tracer's line writes to w
 }
@@ -73,13 +71,6 @@ func (t *Tracer) SetLabel(label string) {
 func (t *Tracer) SetWriter(w io.Writer) {
 	t.mu.Lock()
 	t.w = w
-	t.mu.Unlock()
-}
-
-// SetLogger mirrors completed spans to l at Debug level.
-func (t *Tracer) SetLogger(l *slog.Logger) {
-	t.mu.Lock()
-	t.logger = l
 	t.mu.Unlock()
 }
 
@@ -175,8 +166,7 @@ func (s *ActiveSpan) SetStr(key, v string) {
 }
 
 // End completes the span: the record is stored on the tracer and, when
-// configured, written as a JSON line and mirrored to the slog logger.
-// End on a nil span is a no-op.
+// configured, written as a JSON line. End on a nil span is a no-op.
 func (s *ActiveSpan) End() {
 	if s == nil {
 		return
@@ -185,17 +175,10 @@ func (s *ActiveSpan) End() {
 	t := s.t
 	t.mu.Lock()
 	t.spans = append(t.spans, s.rec)
-	w, logger, label := t.w, t.logger, t.label
+	w, label := t.w, t.label
 	t.mu.Unlock()
 	if w != nil {
 		t.writeJSONLine(w, spanJSON(label, s.rec))
-	}
-	if logger != nil {
-		logger.LogAttrs(context.Background(), slog.LevelDebug, "span",
-			slog.String("name", s.rec.Name),
-			slog.Uint64("id", s.rec.ID),
-			slog.Uint64("parent", s.rec.Parent),
-			slog.Duration("dur", s.rec.Dur))
 	}
 }
 

@@ -25,77 +25,24 @@ type reqObs struct {
 	id       string
 	endpoint string
 	start    time.Time     // wall-clock arrival
-	queue    time.Duration // admission wait
-	encode   time.Duration // engine time (only when this request led a run)
 	total    time.Duration // handler time (post-admission)
-	status   int           // final HTTP status (0 = nothing written)
+	status   int           // final HTTP status, set by writeBody/writeError (0 = nothing written)
 	errKind  string        // nova wire error kind of a failed request
-	cache    string        // "hit", "miss", "follower", "" (no cache path)
-	machine  string        // cache-key digest prefix (content address)
-	algo     string        // requested algorithm
 	pri      priority      // X-Nova-Priority criticality class
 	trace    bool          // per-request trace opt-in (?trace=1 / header)
-	phases   []nova.WirePhase
+	encodeObs
 }
 
-// setRequest stamps the content identity once the cache key is known.
-// Nil-safe: the batch fan-out passes nil for its per-item calls.
-func (ro *reqObs) setRequest(key string, rq *nova.Request) {
-	if ro == nil {
-		return
-	}
-	if len(key) > 12 {
-		key = key[:12]
-	}
-	ro.machine = key
-	ro.algo = string(rq.Algorithm)
-}
-
-// setQueue records how long the request waited for its engine slot.
-// Nil-safe: the batch fan-out passes nil for its per-item calls.
-func (ro *reqObs) setQueue(d time.Duration) {
-	if ro == nil {
-		return
-	}
-	ro.queue = d
-}
-
-// setCache records how the cache answered ("hit", "miss", "follower").
-func (ro *reqObs) setCache(state string) {
-	if ro == nil {
-		return
-	}
-	ro.cache = state
-}
-
-// setEncode records the engine wall time of a led run.
-func (ro *reqObs) setEncode(d time.Duration) {
-	if ro == nil {
-		return
-	}
-	ro.encode = d
-}
-
-// wantTrace reports whether the request opted into per-request tracing.
-func (ro *reqObs) wantTrace() bool { return ro != nil && ro.trace }
-
-// setPhases attaches the per-phase self-time table of a traced run.
-func (ro *reqObs) setPhases(phases []nova.WirePhase) {
-	if ro == nil {
-		return
-	}
-	ro.phases = phases
-}
-
-// setOutcome records the response status (and error kind, for failures).
-// writeBody/writeError call it so every exit path is accounted exactly
-// once — the last write wins, matching what the client saw.
-func (ro *reqObs) setOutcome(status int, errKind string) {
-	if ro == nil {
-		return
-	}
-	ro.status = status
-	ro.errKind = errKind
+// encodeObs is what one pass through encodeCached observed. The point
+// endpoint copies it into its reqObs whole; the batch endpoint sums its
+// items' queue and engine times.
+type encodeObs struct {
+	queue   time.Duration // admission wait
+	encode  time.Duration // engine time (only when this request led a run)
+	cache   string        // "hit", "miss", "follower", "" (no cache path)
+	machine string        // cache-key digest prefix (content address)
+	algo    string        // requested algorithm
+	phases  []nova.WirePhase
 }
 
 // requestID returns the caller-supplied X-Request-ID when it is sane, or

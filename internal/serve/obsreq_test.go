@@ -320,11 +320,10 @@ func TestRequestObsDisabledAllocFree(t *testing.T) {
 	ep := endpointKeysOf("/v1/encode")
 	settle := func() {
 		ro := reqObs{
-			endpoint: ep.name,
-			status:   http.StatusOK,
-			queue:    3 * time.Microsecond,
-			encode:   40 * time.Microsecond,
-			total:    50 * time.Microsecond,
+			endpoint:  ep.name,
+			status:    http.StatusOK,
+			encodeObs: encodeObs{queue: 3 * time.Microsecond, encode: 40 * time.Microsecond},
+			total:     50 * time.Microsecond,
 		}
 		s.finishObs(ep, &ro)
 	}

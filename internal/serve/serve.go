@@ -405,18 +405,19 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request, ro *reqObs
 		s.writeError(w, ro, http.StatusBadRequest, fmt.Errorf("%w: body: %v", nova.ErrBadOptions, err))
 		return
 	}
-	body, hit, err := s.encodeCached(r.Context(), &rq, ro, ro.pri)
+	body, eo, err := s.encodeCached(r.Context(), &rq, ro.pri, ro.trace)
+	ro.encodeObs = eo
 	if err != nil {
 		s.writeError(w, ro, statusOf(r.Context(), err), err)
 		return
 	}
 	state := "MISS"
-	if hit {
+	if eo.cache == "hit" {
 		state = "HIT"
 	}
 	// The ?trace=1 phase table travels as a header: the body is the
 	// cached artifact and must stay byte-identical across replays.
-	if ro.wantTrace() && len(ro.phases) > 0 {
+	if ro.trace && len(ro.phases) > 0 {
 		if pb, err := json.Marshal(ro.phases); err == nil {
 			w.Header().Set("X-Nova-Phases", string(pb))
 		}
@@ -427,9 +428,9 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request, ro *reqObs
 // encodeCached is the content-addressed path shared by the single and
 // batch endpoints: cache lookup, then a singleflight-collapsed engine
 // run whose marshaled Response is cached for the next identical request.
-// ro (nil for the batch fan-out's per-item calls) receives the request's
-// cache interaction, engine time and — for ?trace=1 leaders — the phase
-// table. A request-scoped trace never reaches the cached body: the
+// It returns what it observed: the request's identity, cache
+// interaction, admission wait, engine time and — for trace leaders — the
+// phase table. A request-scoped trace never reaches the cached body: the
 // tracer is request-local and the snapshot is stripped before marshal,
 // so traced and untraced requests share byte-identical cache entries.
 //
@@ -437,22 +438,23 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request, ro *reqObs
 // cost no capacity and are served even under saturation; a cache miss
 // pays admission under the priority shedding policy and can come back
 // with the overloaded error.
-func (s *Server) encodeCached(ctx context.Context, rq *nova.Request, ro *reqObs, pri priority) (body []byte, hit bool, err error) {
+func (s *Server) encodeCached(ctx context.Context, rq *nova.Request, pri priority, trace bool) (body []byte, eo encodeObs, err error) {
 	key, err := rq.CacheKey()
 	if err != nil {
-		return nil, false, err
+		return nil, eo, err
 	}
-	ro.setRequest(key, rq)
+	eo.machine = key[:12]
+	eo.algo = string(rq.Algorithm)
 	if b, ok := s.cache.Get(key); ok {
-		ro.setCache("hit")
-		return b, true, nil
+		eo.cache = "hit"
+		return b, eo, nil
 	}
 	t0 := time.Now()
 	if !s.acquireSlot(ctx, pri, costOf(rq.Algorithm)) {
-		return nil, false, overloadedErr(ctx)
+		return nil, eo, overloadedErr(ctx)
 	}
 	defer s.releaseSlot()
-	ro.setQueue(time.Since(t0))
+	eo.queue = time.Since(t0)
 	led := false
 	b, joined, err := s.flights.Do(ctx, key, func() ([]byte, error) {
 		led = true
@@ -462,18 +464,18 @@ func (s *Server) encodeCached(ctx context.Context, rq *nova.Request, ro *reqObs,
 		}
 		opt := rq.Options()
 		opt.Parallelism = s.cfg.Parallelism
-		if rq.IncludeTelemetry || ro.wantTrace() {
+		if rq.IncludeTelemetry || trace {
 			opt.Tracer = obs.New()
 		}
 		s.encodes.Add(1)
 		t0 := time.Now()
 		res, err := s.encode(ctx, f, opt)
-		ro.setEncode(time.Since(t0))
+		eo.encode = time.Since(t0)
 		if err != nil {
 			return nil, err
 		}
 		if opt.Tracer != nil {
-			ro.setPhases(nova.WirePhasesOf(res.Telemetry))
+			eo.phases = nova.WirePhasesOf(res.Telemetry)
 			if !rq.IncludeTelemetry {
 				res.Telemetry = nil // request-scoped trace: keep it out of the cached body
 			}
@@ -487,11 +489,11 @@ func (s *Server) encodeCached(ctx context.Context, rq *nova.Request, ro *reqObs,
 	})
 	switch {
 	case led:
-		ro.setCache("miss")
+		eo.cache = "miss"
 	case joined:
-		ro.setCache("follower")
+		eo.cache = "follower"
 	}
-	return b, false, err
+	return b, eo, err
 }
 
 // BatchRequest / BatchResponse are the wire envelope of
@@ -510,8 +512,8 @@ type BatchResponse struct {
 // handleBatch serves POST /v1/encode/batch: the items fan out over the
 // server's bounded pool and each one goes through the cached single-
 // encode path, so a batch warms the cache for later point requests and
-// vice versa. Per-item observation is nil — reqObs is single-goroutine
-// by design; the batch is observed as one request.
+// vice versa. The batch is observed as one request: after the join, its
+// record holds the sum of the items' admission waits and engine times.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, ro *reqObs) {
 	var bq BatchRequest
 	if err := json.NewDecoder(r.Body).Decode(&bq); err != nil {
@@ -528,11 +530,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, ro *reqObs)
 		return
 	}
 	out := BatchResponse{Responses: make([]json.RawMessage, len(bq.Requests))}
+	items := make([]encodeObs, len(bq.Requests))
 	g := s.pool.Group(r.Context())
 	for i := range bq.Requests {
 		g.Go(func(ctx context.Context) error {
 			rq := &bq.Requests[i]
-			body, _, err := s.encodeCached(ctx, rq, nil, ro.pri)
+			body, eo, err := s.encodeCached(ctx, rq, ro.pri, false)
+			items[i] = eo
 			if err != nil {
 				if errors.Is(err, nova.ErrCanceled) && ctx.Err() != nil {
 					return err // whole batch canceled: stop the siblings
@@ -548,7 +552,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, ro *reqObs)
 			return nil
 		})
 	}
-	if err := g.Wait(); err != nil {
+	err := g.Wait()
+	for _, eo := range items {
+		ro.queue += eo.queue
+		ro.encode += eo.encode
+	}
+	if err != nil {
 		s.writeError(w, ro, statusOf(r.Context(), err), err)
 		return
 	}
@@ -579,7 +588,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request, ro *reqObs
 		s.writeError(w, ro, statusOf(r.Context(), err), err)
 		return
 	}
-	ro.setQueue(time.Since(t0))
+	ro.queue = time.Since(t0)
 	err = s.verify(r.Context(), f, asg)
 	s.releaseSlot()
 	if err != nil {
@@ -671,9 +680,9 @@ func (s *Server) writeError(w http.ResponseWriter, ro *reqObs, status int, err e
 	if kind == nova.ErrKindOverloaded && w.Header().Get("Retry-After") == "" {
 		w.Header().Set("Retry-After", "1")
 	}
-	ro.setOutcome(status, kind)
+	ro.status, ro.errKind = status, kind
 	if s.cfg.Logger != nil {
-		s.cfg.Logger.Warn("request failed", "status", status, "err", err, "id", requestIDOf(ro))
+		s.cfg.Logger.Warn("request failed", "status", status, "err", err, "id", ro.id)
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)
@@ -682,14 +691,6 @@ func (s *Server) writeError(w http.ResponseWriter, ro *reqObs, status int, err e
 		return
 	}
 	w.Write(append(b, '\n')) //nolint:errcheck // client may be gone
-}
-
-// requestIDOf is ro.id, nil-safe for log sites.
-func requestIDOf(ro *reqObs) string {
-	if ro == nil {
-		return ""
-	}
-	return ro.id
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, ro *reqObs, status int, v any) {
@@ -703,7 +704,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, ro *reqObs, status int, v any)
 
 func (s *Server) writeBody(w http.ResponseWriter, ro *reqObs, status int, b []byte, cacheState string) {
 	s.metrics.Add("http.status."+strconv.Itoa(status), 1)
-	ro.setOutcome(status, "")
+	ro.status, ro.errKind = status, ""
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	if cacheState != "" {
 		w.Header().Set("X-Cache", cacheState)

@@ -1,8 +1,8 @@
 package serve
 
 // End-to-end portfolio serving: a portfolio request runs the race,
-// returns the winner metadata, and different spellings of the same
-// normalized roster share one cache entry.
+// returns the winner, different spellings of the same roster share one
+// cache entry, and a race cut short by its deadline is never cached.
 
 import (
 	"bytes"
@@ -93,5 +93,41 @@ func TestEncodePortfolioBadRoster(t *testing.T) {
 	}
 	if s.encodes.Load() != 0 {
 		t.Fatal("a bad roster reached the engine")
+	}
+}
+
+// TestEncodePortfolioDeadlineNotCached: a ?timeout= that fires mid-race
+// answers 504 canceled and caches nothing, although igreedy had already
+// finished: the random batch cut short might have won. The request
+// without a timeout that follows runs the whole race (a MISS) instead
+// of replaying igreedy's cover. At the server's default Parallelism of 1
+// the candidates run in roster order: igreedy takes well under a
+// millisecond on this machine, the 8,000-trial random batch about 300 ms
+// (2 vCPU).
+func TestEncodePortfolioDeadlineNotCached(t *testing.T) {
+	s := New(Config{})
+	rq := nova.Request{KISS2: quickFSM, Name: "quick", RandomTrials: 8000, Portfolio: &nova.WirePortfolio{
+		Roster: []nova.WireCandidate{{Algorithm: nova.IGreedy}, {Algorithm: nova.Random}},
+	}}
+	w := post(s, "/v1/encode?timeout=30ms", encodeBody(t, rq))
+	if w.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d, want 504; body %s", w.Code, w.Body)
+	}
+	var rp nova.Response
+	if err := json.Unmarshal(w.Body.Bytes(), &rp); err != nil {
+		t.Fatal(err)
+	}
+	if rp.ErrorKind != nova.ErrKindCanceled {
+		t.Fatalf("error_kind = %q, want %q", rp.ErrorKind, nova.ErrKindCanceled)
+	}
+	if n := s.Vars()["cache.entries"]; n != 0 {
+		t.Fatalf("cache.entries = %d after a canceled race, want 0", n)
+	}
+	full := post(s, "/v1/encode", encodeBody(t, rq))
+	if full.Code != http.StatusOK {
+		t.Fatalf("untimed POST: %d %s", full.Code, full.Body)
+	}
+	if got := full.Header().Get("X-Cache"); got != "MISS" {
+		t.Fatalf("untimed request after a canceled race: X-Cache = %q, want MISS", got)
 	}
 }

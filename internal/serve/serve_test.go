@@ -315,7 +315,10 @@ func TestEncodeBadRequests(t *testing.T) {
 }
 
 // TestBatchPartialResults posts a batch with one bad item: the sibling
-// succeeds, the bad item carries its error inline, nothing aborts.
+// succeeds, the bad item carries its error inline, nothing aborts. The
+// good item misses the cache, so the batch is observed with its engine
+// time: one sample in the batch's encode-stage histogram and a nonzero
+// encode_us in the flight recorder.
 func TestBatchPartialResults(t *testing.T) {
 	s := New(Config{})
 	bq := BatchRequest{Requests: []nova.Request{
@@ -349,6 +352,16 @@ func TestBatchPartialResults(t *testing.T) {
 	}
 	if bad.ErrorKind != nova.ErrKindBadRequest || bad.Machine != "bad" {
 		t.Fatalf("bad item: %+v", bad)
+	}
+	if n := s.Vars()["http.encode./v1/encode/batch.count"]; n != 1 {
+		t.Fatalf("http.encode./v1/encode/batch.count = %d, want 1", n)
+	}
+	var snap RecorderSnapshot
+	if err := json.Unmarshal(get(s, "/debug/requests", nil).Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Slowest) != 1 || snap.Slowest[0].Endpoint != "/v1/encode/batch" || snap.Slowest[0].EncodeMicros <= 0 {
+		t.Fatalf("batch record %+v, want one /v1/encode/batch record with encode_us > 0", snap.Slowest)
 	}
 
 	// The batch warmed the cache: the same machine as a point request is

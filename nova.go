@@ -104,13 +104,12 @@ const (
 	// Best runs ihybrid, igreedy and iohybrid and returns the smallest
 	// area (the paper's "best of NOVA" column).
 	Best Algorithm = "best"
-	// Portfolio races a roster of algorithm×seed candidates over the
-	// run's worker pool and returns the cheapest cover — Best with a
-	// configurable roster. The roster and candidate cap come from
-	// Options.Portfolio (nil selects DefaultRoster); the pick is
-	// deterministic (lowest area, ties to the lowest roster index), so
-	// serial and parallel portfolio runs return byte-identical Results.
-	// Result.Winner names the roster member that won.
+	// Portfolio races a roster of algorithms over the run's worker pool
+	// and returns the cheapest cover — Best with a configurable roster.
+	// The roster comes from Options.Portfolio (nil selects
+	// DefaultRoster); the pick is deterministic (lowest area, ties to the
+	// lowest roster index), so serial and parallel portfolio runs return
+	// byte-identical Results. Result.Winner names the algorithm that won.
 	Portfolio Algorithm = "portfolio"
 
 	// KISS satisfies all input constraints at a heuristic length, like
@@ -167,11 +166,10 @@ type Options struct {
 	// index — so scheduling order never leaks into the result, only into
 	// wall-clock time.
 	Parallelism int
-	// Portfolio configures Algorithm Portfolio: the candidate roster (in
-	// pick-priority order) and an optional candidate cap. nil selects
-	// the default roster. Setting it with any other (non-empty)
-	// Algorithm is rejected by Validate; with an empty Algorithm it
-	// selects Portfolio.
+	// Portfolio configures Algorithm Portfolio: the roster of algorithms
+	// in pick-priority order. nil selects the default roster. Setting it
+	// with any other (non-empty) Algorithm is rejected by Validate; with
+	// an empty Algorithm it selects Portfolio.
 	Portfolio *PortfolioConfig
 	// Tracer, when non-nil, records phase spans and counters for the run;
 	// the snapshot is attached to Result.Telemetry. The default (nil)
@@ -212,11 +210,9 @@ type Result struct {
 	SatisfiedOC, TotalOC int
 	// RandomAvgArea is the batch average for Algorithm Random.
 	RandomAvgArea int
-	// Winner and WinnerSeedSplit identify the roster member whose cover
-	// a Portfolio run returned (Winner is empty for every other
-	// algorithm).
-	Winner          Algorithm
-	WinnerSeedSplit int
+	// Winner is the roster algorithm whose cover a Portfolio run
+	// returned (empty for every other algorithm).
+	Winner Algorithm
 	// PLA is the minimized encoded implementation (with KeepPLA).
 	PLA *PLA
 	// Telemetry is the run's phase/counter snapshot, set only when
@@ -510,44 +506,6 @@ func hybOpt(ctx context.Context, opt Options) encode.HybridOptions {
 
 func exactOpt(ctx context.Context, opt Options) encode.ExactOptions {
 	return encode.ExactOptions{MaxWork: opt.MaxWork, Ctx: ctx}
-}
-
-// bestRoster is "best of NOVA" in pick order: the smallest area wins,
-// ties to the earliest algorithm.
-var bestRoster = [...]Algorithm{IHybrid, IGreedy, IOHybrid}
-
-// bestLaunch is the order encodeBest launches bestRoster in, as roster
-// indices. iohybrid goes first: it alone runs the symbolic analysis
-// before its search, so it ends last, and launched first it takes a
-// spare worker while the other two run on the submitting goroutine.
-var bestLaunch = [len(bestRoster)]int{2, 0, 1}
-
-// encodeBest joins the bestRoster candidates over the pool, launched in
-// bestLaunch order. It fails when any candidate fails, with the error
-// firstErr picks in roster order; otherwise the smallest area wins, ties
-// to the earliest in roster order.
-func encodeBest(ctx context.Context, eng *engine, p *prepared, opt Options) (*Result, error) {
-	launched, _ := sched.Cheapest(ctx, eng.pool, len(bestLaunch), func(ctx context.Context, i int) (*Result, int64, error) {
-		o := opt
-		o.Algorithm = bestRoster[bestLaunch[i]]
-		return costed(encodeWith(ctx, eng, p, o))
-	})
-	var out [len(bestRoster)]sched.Outcome[*Result]
-	for i, o := range launched {
-		out[bestLaunch[i]] = o
-	}
-	if err := firstErr(ctx, out[:]); err != nil {
-		return nil, err
-	}
-	win := 0
-	for i, o := range out {
-		if o.Cost < out[win].Cost {
-			win = i
-		}
-	}
-	best := out[win].Value
-	best.Algorithm = Best
-	return best, nil
 }
 
 // encodeRandom joins the Random trial batch over the pool. Trial t is

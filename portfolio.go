@@ -1,89 +1,43 @@
 package nova
 
-// Portfolio mode: instead of picking one algorithm up front, race a
-// roster of algorithm×seed candidates over the run's pool and keep the
-// cheapest cover. The candidates share the run's prepared machine and
-// join through sched.Cheapest, like Best's; this file owns the public
-// configuration surface, the roster normalization shared with the wire
-// layer, and the translation of roster members into join tasks.
+// Racing: Best and Portfolio race a roster of algorithms over the run's
+// pool and keep the cheapest cover. Best's roster is the paper's "best
+// of NOVA"; Portfolio's comes from Options.Portfolio. Both run the one
+// race below, over the run's prepared machine and sched.Cheapest. This
+// file also owns the public portfolio configuration and its validation.
 
 import (
 	"context"
 	"errors"
-	"fmt"
-	"strconv"
 
 	"nova/internal/obs"
 	"nova/internal/sched"
 )
 
-// PortfolioCandidate is one roster member of a portfolio run: an
-// algorithm plus an optional seed split for restart diversity.
-type PortfolioCandidate struct {
-	// Algorithm is any non-portfolio member of Algorithms().
-	Algorithm Algorithm
-	// SeedSplit, when nonzero, derives this candidate's seed as
-	// sched.SplitSeed(Options.Seed, SeedSplit), so several restarts of
-	// one randomized searcher explore different tie-breaks while the
-	// whole run stays a pure function of Options.Seed. Zero keeps
-	// Options.Seed unchanged.
-	SeedSplit int
-}
-
-// label renders the candidate for telemetry and cache keys: the
-// algorithm name, "@split" appended for seed-split restarts.
-func (c PortfolioCandidate) label() string {
-	if c.SeedSplit == 0 {
-		return string(c.Algorithm)
-	}
-	return string(c.Algorithm) + "@" + strconv.Itoa(c.SeedSplit)
-}
-
 // PortfolioConfig configures Algorithm Portfolio. The zero value (and a
 // nil Options.Portfolio) selects the default roster.
 type PortfolioConfig struct {
-	// Roster lists the candidates in pick-priority order: the winner is
+	// Roster lists the algorithms in pick-priority order: the winner is
 	// the lowest final cover cost (PLA area), ties broken by the lowest
 	// roster index. Empty selects DefaultRoster.
-	Roster []PortfolioCandidate
-	// MaxCandidates truncates the roster (0 = race everyone). It is part
-	// of the result-determining inputs: a truncated roster is a
-	// different race.
-	MaxCandidates int
+	Roster []Algorithm
 }
 
 // DefaultRoster is the roster a portfolio run races when none is given:
-// the three main NOVA searchers plus the fast greedy heuristic. It holds
-// no seed-split restarts: Seed reaches ihybrid and iohybrid only through
-// the random fallback of a chain that accepts no constraint, so a
-// restart almost always returns its base candidate's assignment.
-func DefaultRoster() []PortfolioCandidate {
-	return []PortfolioCandidate{
-		{Algorithm: IHybrid},
-		{Algorithm: IOHybrid},
-		{Algorithm: IExact},
-		{Algorithm: IGreedy},
-	}
+// the three main NOVA searchers plus the fast greedy heuristic.
+func DefaultRoster() []Algorithm {
+	return []Algorithm{IHybrid, IOHybrid, IExact, IGreedy}
 }
 
-// normalized resolves the config the race actually runs: the default
-// roster when none was given, truncated to MaxCandidates. The wire cache
-// key hashes exactly this roster, so requests that race the same
-// candidates share cache entries regardless of how they spelled the
+// roster is the roster the race runs: DefaultRoster when none was
+// given. The wire cache key hashes exactly this roster, so requests that
+// race the same algorithms share cache entries however they spelled the
 // config.
-func (pc *PortfolioConfig) normalized() PortfolioConfig {
-	out := PortfolioConfig{}
-	if pc != nil {
-		out = *pc
+func (pc *PortfolioConfig) roster() []Algorithm {
+	if pc == nil || len(pc.Roster) == 0 {
+		return DefaultRoster()
 	}
-	if len(out.Roster) == 0 {
-		out.Roster = DefaultRoster()
-	}
-	if out.MaxCandidates > 0 && out.MaxCandidates < len(out.Roster) {
-		out.Roster = out.Roster[:out.MaxCandidates]
-	}
-	out.MaxCandidates = 0 // folded into the roster above
-	return out
+	return pc.Roster
 }
 
 // validate is the Options.Validate leg for the portfolio fields.
@@ -94,70 +48,107 @@ func (pc *PortfolioConfig) validate(bad func(format string, args ...any) error) 
 	if len(pc.Roster) > maxJoinWidth {
 		return bad("portfolio roster of %d exceeds %d candidates", len(pc.Roster), maxJoinWidth)
 	}
-	for i, c := range pc.Roster {
-		if c.Algorithm == Portfolio {
+	for i, a := range pc.Roster {
+		if a == Portfolio {
 			return bad("portfolio roster[%d] cannot nest the portfolio algorithm", i)
 		}
-		if c.Algorithm == "" || !algorithms[c.Algorithm] {
-			return bad("portfolio roster[%d] has unknown algorithm %q", i, c.Algorithm)
+		if a == "" || !algorithms[a] {
+			return bad("portfolio roster[%d] has unknown algorithm %q", i, a)
 		}
-		if c.SeedSplit < 0 {
-			return bad("portfolio roster[%d] SeedSplit %d is negative", i, c.SeedSplit)
-		}
-	}
-	if pc.MaxCandidates < 0 {
-		return bad("portfolio MaxCandidates %d is negative", pc.MaxCandidates)
 	}
 	return nil
 }
 
-// encodePortfolio joins the normalized roster over the run's pool and
-// returns the winner: the candidate with the smallest final area, ties
-// broken by roster order. Candidate failures (a gave-up iexact, an
-// unencodable baseline) only lose the race; the run fails when every
-// candidate failed. When the context dies mid-race the candidates that
-// already finished still decide a winner — the best cover within the
-// deadline — and only a race with no finished candidate at all returns
-// ErrCanceled.
-func encodePortfolio(ctx context.Context, eng *engine, p *prepared, opt Options) (*Result, error) {
-	roster := opt.Portfolio.normalized().Roster
-	m := obs.MetricsFrom(ctx)
-	out, win := sched.Cheapest(ctx, eng.pool, len(roster), func(ctx context.Context, i int) (*Result, int64, error) {
-		c := roster[i]
+// bestRoster is "best of NOVA" in pick order.
+var bestRoster = []Algorithm{IHybrid, IGreedy, IOHybrid}
+
+// encodeBest races bestRoster and returns the winner as a Best result.
+func encodeBest(ctx context.Context, eng *engine, p *prepared, opt Options) (*Result, error) {
+	res, _, err := race(ctx, eng, bestRoster, func(ctx context.Context, alg Algorithm) (*Result, error) {
 		o := opt
-		o.Algorithm = c.Algorithm
+		o.Algorithm = alg
+		return encodeWith(ctx, eng, p, o)
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.Algorithm = Best
+	return res, nil
+}
+
+// encodePortfolio races the configured roster, each candidate under a
+// portfolio.candidate span, and names the winner in Result.Winner.
+func encodePortfolio(ctx context.Context, eng *engine, p *prepared, opt Options) (*Result, error) {
+	roster := opt.Portfolio.roster()
+	m := obs.MetricsFrom(ctx)
+	res, win, err := race(ctx, eng, roster, func(ctx context.Context, alg Algorithm) (*Result, error) {
+		o := opt
+		o.Algorithm = alg
 		o.Portfolio = nil
-		if c.SeedSplit != 0 {
-			o.Seed = sched.SplitSeed(opt.Seed, c.SeedSplit)
-		}
 		m.Add("portfolio.launched", 1)
 		sctx, sp := obs.Span(ctx, "portfolio.candidate")
 		r, err := encodeWith(sctx, eng, p, o)
 		if sp != nil {
-			sp.SetStr("candidate", c.label())
+			sp.SetStr("candidate", string(alg))
 			sp.SetStr("outcome", outcomeOf(err))
 			if r != nil {
 				sp.SetInt("area", int64(r.Area))
 			}
 			sp.End()
 		}
-		return costed(r, err)
+		return r, err
 	})
-	if win < 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, canceledErr(err)
-		}
-		errs := make([]error, 0, len(out))
-		for i, o := range out {
-			errs = append(errs, fmt.Errorf("%s: %w", roster[i].label(), o.Err))
-		}
-		return nil, fmt.Errorf("nova: portfolio: every candidate failed: %w", errors.Join(errs...))
+	if err != nil {
+		return nil, err
 	}
-	res := out[win].Value
 	res.Algorithm = Portfolio
-	res.Winner = roster[win].Algorithm
-	res.WinnerSeedSplit = roster[win].SeedSplit
+	res.Winner = roster[win]
 	m.Add("portfolio.won", 1)
-	m.Add("portfolio.winner."+roster[win].label(), 1)
+	m.Add("portfolio.winner."+string(roster[win]), 1)
 	return res, nil
+}
+
+// race runs every roster algorithm through run over the pool and returns
+// the winner with its roster index: the lowest area, ties to the lowest
+// index. A failed candidate only loses. Once ctx is done, a race with a
+// failed or unlaunched candidate fails with ErrCanceled, since the
+// missing candidate might have won; a race with no success reports its
+// lowest-index failure. Launch order (launchOrder) never affects the
+// pick or the error.
+func race(ctx context.Context, eng *engine, roster []Algorithm, run func(ctx context.Context, alg Algorithm) (*Result, error)) (*Result, int, error) {
+	launch := launchOrder(roster)
+	launched, _ := sched.Cheapest(ctx, eng.pool, len(roster), func(ctx context.Context, i int) (*Result, int64, error) {
+		return costed(run(ctx, roster[launch[i]]))
+	})
+	out := make([]sched.Outcome[*Result], len(roster))
+	for i, o := range launched {
+		out[launch[i]] = o
+	}
+	win := -1
+	for i, o := range out {
+		if o.Err == nil && (win < 0 || o.Cost < out[win].Cost) {
+			win = i
+		}
+	}
+	if err := firstErr(ctx, out); err != nil && (win < 0 || errors.Is(err, ErrCanceled)) {
+		return nil, -1, err
+	}
+	return out[win].Value, win, nil
+}
+
+// launchOrder lists the roster's indices in launch order: iohybrid and
+// iovariant first, then the rest, each group in roster order. The two
+// run the §6.1 symbolic analysis before their search, so they end a race
+// last; launched first, they take a spare worker while the others run
+// on the submitting goroutine. For bestRoster the order is 2, 0, 1.
+func launchOrder(roster []Algorithm) []int {
+	order := make([]int, 0, len(roster))
+	for _, analysisFirst := range []bool{true, false} {
+		for i, a := range roster {
+			if (a == IOHybrid || a == IOVariant) == analysisFirst {
+				order = append(order, i)
+			}
+		}
+	}
+	return order
 }

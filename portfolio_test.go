@@ -8,17 +8,15 @@ package nova_test
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"nova"
 	"nova/internal/bench"
 )
-
-// fullRoster is the default roster spelled explicitly, for tests that
-// compare against its members one at a time.
-func fullRoster() []nova.PortfolioCandidate { return nova.DefaultRoster() }
 
 // TestPortfolioSerialParallelIdentical is the acceptance check: over the
 // determinism suite, a portfolio race at Parallelism 1 and at
@@ -68,31 +66,25 @@ func TestPortfolioMatchesOrBeatsSingles(t *testing.T) {
 			t.Fatalf("%s: portfolio: %v", name, err)
 		}
 		sawWinner := false
-		for _, c := range fullRoster() {
+		for _, alg := range nova.DefaultRoster() {
 			o := opt
-			o.Algorithm = c.Algorithm
-			o.Portfolio = nil
-			if c.SeedSplit != 0 {
-				// Seed-split restarts are portfolio-internal; comparing the
-				// base algorithms is the meaningful quality bar.
-				continue
-			}
+			o.Algorithm = alg
 			single, err := nova.Encode(f, o)
 			if err != nil {
 				continue // a gave-up candidate only loses the race
 			}
 			if best.Area > single.Area {
-				t.Errorf("%s: portfolio area %d worse than %s area %d", name, best.Area, c.Algorithm, single.Area)
+				t.Errorf("%s: portfolio area %d worse than %s area %d", name, best.Area, alg, single.Area)
 			}
-			if c.Algorithm == best.Winner && best.WinnerSeedSplit == 0 {
+			if alg == best.Winner {
 				sawWinner = true
 				if best.Area != single.Area {
 					t.Errorf("%s: winner %s reported area %d but standalone run gives %d", name, best.Winner, best.Area, single.Area)
 				}
 			}
 		}
-		if !sawWinner && best.WinnerSeedSplit == 0 {
-			t.Errorf("%s: winner %q not among the compared roster algorithms", name, best.Winner)
+		if !sawWinner {
+			t.Errorf("%s: winner %q not among the roster algorithms", name, best.Winner)
 		}
 	}
 }
@@ -138,28 +130,6 @@ func TestPortfolioDefaultAlgorithm(t *testing.T) {
 	}
 }
 
-// TestPortfolioMaxCandidates: truncating the roster via MaxCandidates is
-// the same race as spelling out the truncated roster.
-func TestPortfolioMaxCandidates(t *testing.T) {
-	f := bench.Get("dk27")
-	base := nova.Options{Algorithm: nova.Portfolio, Seed: 7}
-	capped := base
-	capped.Portfolio = &nova.PortfolioConfig{Roster: fullRoster(), MaxCandidates: 2}
-	explicit := base
-	explicit.Portfolio = &nova.PortfolioConfig{Roster: fullRoster()[:2]}
-	a, err := nova.Encode(f, capped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := nova.Encode(f, explicit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("MaxCandidates race differs from the explicit truncated roster")
-	}
-}
-
 // TestPortfolioSingleCandidateRoster: a one-entry roster degenerates to
 // that algorithm's cover with portfolio metadata attached.
 func TestPortfolioSingleCandidateRoster(t *testing.T) {
@@ -171,7 +141,7 @@ func TestPortfolioSingleCandidateRoster(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt.Algorithm = nova.Portfolio
-	opt.Portfolio = &nova.PortfolioConfig{Roster: []nova.PortfolioCandidate{{Algorithm: nova.IGreedy}}}
+	opt.Portfolio = &nova.PortfolioConfig{Roster: []nova.Algorithm{nova.IGreedy}}
 	pf, err := nova.Encode(f, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -184,33 +154,6 @@ func TestPortfolioSingleCandidateRoster(t *testing.T) {
 	}
 }
 
-// TestPortfolioSeedSplitDiversity: a seed-split restart really runs the
-// searcher under a different derived seed (validated indirectly — the
-// restart is accepted and the race stays deterministic).
-func TestPortfolioSeedSplitRoster(t *testing.T) {
-	f := bench.Get("shiftreg")
-	opt := nova.Options{Algorithm: nova.Portfolio, Seed: 7, Parallelism: 2}
-	opt.Portfolio = &nova.PortfolioConfig{Roster: []nova.PortfolioCandidate{
-		{Algorithm: nova.Random},
-		{Algorithm: nova.Random, SeedSplit: 1},
-		{Algorithm: nova.Random, SeedSplit: 2},
-	}}
-	a, err := nova.Encode(f, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := nova.Encode(f, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("seed-split race is nondeterministic")
-	}
-	if err := nova.Verify(f, a.Assignment); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPortfolioValidate sweeps the config rejections.
 func TestPortfolioValidate(t *testing.T) {
 	f := bench.Get("lion")
@@ -220,15 +163,11 @@ func TestPortfolioValidate(t *testing.T) {
 		want string
 	}{
 		{"nested portfolio", nova.Options{Portfolio: &nova.PortfolioConfig{
-			Roster: []nova.PortfolioCandidate{{Algorithm: nova.Portfolio}},
+			Roster: []nova.Algorithm{nova.Portfolio},
 		}}, "nest"},
 		{"unknown algorithm", nova.Options{Portfolio: &nova.PortfolioConfig{
-			Roster: []nova.PortfolioCandidate{{Algorithm: "simulated-annealing"}},
+			Roster: []nova.Algorithm{"simulated-annealing"},
 		}}, "unknown algorithm"},
-		{"negative seed split", nova.Options{Portfolio: &nova.PortfolioConfig{
-			Roster: []nova.PortfolioCandidate{{Algorithm: nova.IHybrid, SeedSplit: -1}},
-		}}, "SeedSplit"},
-		{"negative max", nova.Options{Portfolio: &nova.PortfolioConfig{MaxCandidates: -2}}, "MaxCandidates"},
 		{"conflicting algorithm", nova.Options{Algorithm: nova.IHybrid, Portfolio: &nova.PortfolioConfig{}}, "Portfolio config"},
 	}
 	for _, c := range cases {
@@ -252,5 +191,33 @@ func TestPortfolioPreCanceled(t *testing.T) {
 	_, err := nova.EncodeContext(ctx, bench.Get("bbtas"), nova.Options{Algorithm: nova.Portfolio})
 	if !errors.Is(err, nova.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+}
+
+// TestPortfolioDeadlineFailsRace: a deadline that fires mid-race fails
+// the race with ErrCanceled, even though one candidate already finished:
+// the candidate cut short might have won, so the finished one is not
+// the race's answer, and a server must not cache it as one. igreedy
+// finishes in milliseconds on this 32-state machine; iexact with this
+// budget runs far past the deadline.
+func TestPortfolioDeadlineFailsRace(t *testing.T) {
+	f := randomFSM(rand.New(rand.NewSource(99)), 2, 2, 32)
+	deadline := 200 * time.Millisecond
+	if raceEnabled {
+		deadline = time.Second
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	res, err := nova.EncodeContext(ctx, f, nova.Options{
+		Algorithm:   nova.Portfolio,
+		MaxWork:     1 << 30,
+		Parallelism: 1,
+		Portfolio:   &nova.PortfolioConfig{Roster: []nova.Algorithm{nova.IGreedy, nova.IExact}},
+	})
+	if !errors.Is(err, nova.ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	if res != nil {
+		t.Fatalf("canceled race returned a winner: %s, area %d", res.Winner, res.Area)
 	}
 }

@@ -26,9 +26,8 @@ type TelemetrySnapshot = obs.Snapshot
 type PhaseStat = obs.PhaseStat
 
 // NewTracer returns an empty tracer whose clock starts now. Use
-// Tracer.SetWriter to stream spans as JSON lines, Tracer.SetLogger to
-// mirror them to a log/slog logger, and Tracer.SetLabel to tag the
-// stream when several tracers share one writer.
+// Tracer.SetWriter to stream spans as JSON lines and Tracer.SetLabel to
+// tag the stream when several tracers share one writer.
 func NewTracer() *Tracer { return obs.New() }
 
 // flushPoolStats folds a run's pool scheduling counters into its

@@ -55,9 +55,8 @@ type Request struct {
 	// IncludeTelemetry attaches a telemetry summary to the Response.
 	IncludeTelemetry bool `json:"include_telemetry,omitempty"`
 	// Portfolio configures the portfolio race (Algorithm "portfolio", or
-	// an empty Algorithm with this field set). The normalized roster —
-	// defaults resolved, truncated to max_candidates — is part of the
-	// cache key.
+	// an empty Algorithm with this field set). The resolved roster — the
+	// default roster when none is given — is part of the cache key.
 	Portfolio *WirePortfolio `json:"portfolio,omitempty"`
 }
 
@@ -66,14 +65,11 @@ type WirePortfolio struct {
 	// Roster lists the candidates in pick-priority order; empty selects
 	// the library default roster.
 	Roster []WireCandidate `json:"roster,omitempty"`
-	// MaxCandidates truncates the roster (0 = race everyone).
-	MaxCandidates int `json:"max_candidates,omitempty"`
 }
 
 // WireCandidate is one roster member on the wire.
 type WireCandidate struct {
 	Algorithm Algorithm `json:"algorithm"`
-	SeedSplit int       `json:"seed_split,omitempty"`
 }
 
 // Config translates the wire portfolio into the Options field.
@@ -81,9 +77,9 @@ func (wp *WirePortfolio) Config() *PortfolioConfig {
 	if wp == nil {
 		return nil
 	}
-	pc := &PortfolioConfig{MaxCandidates: wp.MaxCandidates}
+	pc := &PortfolioConfig{}
 	for _, c := range wp.Roster {
-		pc.Roster = append(pc.Roster, PortfolioCandidate{Algorithm: c.Algorithm, SeedSplit: c.SeedSplit})
+		pc.Roster = append(pc.Roster, c.Algorithm)
 	}
 	return pc
 }
@@ -186,15 +182,13 @@ func (rq *Request) CacheKey() (string, error) {
 		alg, rq.Bits, rq.MaxWork, rq.Seed, rq.RandomTrials,
 		rq.FastMinimize, rq.IncludePLA, rq.IncludeTelemetry)
 	if alg == Portfolio {
-		// The normalized roster — defaults resolved, MaxCandidates
-		// folded in — is result-determining.
-		pc := rq.Portfolio.Config().normalized()
+		// The resolved roster is result-determining.
 		io.WriteString(h, "portfolio=")
-		for i, c := range pc.Roster {
+		for i, a := range rq.Portfolio.Config().roster() {
 			if i > 0 {
 				io.WriteString(h, ",")
 			}
-			io.WriteString(h, c.label())
+			io.WriteString(h, string(a))
 		}
 		io.WriteString(h, "\n")
 	}
@@ -387,10 +381,9 @@ type Response struct {
 	TotalOC     int `json:"oc_total,omitempty"`
 	// RandomAvgArea is the batch average for the random baseline.
 	RandomAvgArea int `json:"random_avg_area,omitempty"`
-	// Winner / WinnerSeedSplit identify the roster member whose cover a
-	// portfolio run returned (absent for every other algorithm).
-	Winner          Algorithm `json:"winner,omitempty"`
-	WinnerSeedSplit int       `json:"winner_seed_split,omitempty"`
+	// Winner is the roster algorithm whose cover a portfolio run
+	// returned (absent for every other algorithm).
+	Winner Algorithm `json:"winner,omitempty"`
 	// States / SymIns / SymOuts carry the code assignment.
 	States  *WireEncoding  `json:"states,omitempty"`
 	SymIns  []WireEncoding `json:"sym_ins,omitempty"`
@@ -411,18 +404,17 @@ type Response struct {
 // the state and symbolic value names.
 func ResponseOf(f *FSM, res *Result) *Response {
 	rp := &Response{
-		APIVersion:      WireVersion,
-		Algorithm:       res.Algorithm,
-		Bits:            res.Bits,
-		Cubes:           res.Cubes,
-		Area:            res.Area,
-		WSat:            res.WSat,
-		WUnsat:          res.WUnsat,
-		SatisfiedOC:     res.SatisfiedOC,
-		TotalOC:         res.TotalOC,
-		RandomAvgArea:   res.RandomAvgArea,
-		Winner:          res.Winner,
-		WinnerSeedSplit: res.WinnerSeedSplit,
+		APIVersion:    WireVersion,
+		Algorithm:     res.Algorithm,
+		Bits:          res.Bits,
+		Cubes:         res.Cubes,
+		Area:          res.Area,
+		WSat:          res.WSat,
+		WUnsat:        res.WUnsat,
+		SatisfiedOC:   res.SatisfiedOC,
+		TotalOC:       res.TotalOC,
+		RandomAvgArea: res.RandomAvgArea,
+		Winner:        res.Winner,
 	}
 	if f != nil {
 		rp.Machine = f.Name

@@ -1,12 +1,14 @@
 package nova
 
-// Wire-layer tests for the portfolio request surface: the roster
-// normalization baked into the cache key, the wire rule for the removed
-// hedge_delay_ms field, and the winner metadata on responses.
+// Wire-layer tests for the portfolio request surface: the resolved
+// roster baked into the cache key, the wire rule for the removed
+// hedge_delay_ms, seed_split and max_candidates fields, and the winner
+// metadata on responses.
 
 import (
 	"context"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -22,13 +24,13 @@ func portfolioKey(t *testing.T, rq Request) string {
 
 // TestCacheKeyPortfolioNormalization: every spelling of the same race
 // shares one cache entry — the explicit algorithm vs. the implied one,
-// the default roster vs. the default roster written out, and a
-// MaxCandidates truncation vs. the truncated roster spelled explicitly.
+// and the default roster vs. the default roster written out — while a
+// shorter roster is a different race.
 func TestCacheKeyPortfolioNormalization(t *testing.T) {
 	defaultRoster := func() []WireCandidate {
 		var ws []WireCandidate
-		for _, c := range DefaultRoster() {
-			ws = append(ws, WireCandidate{Algorithm: c.Algorithm, SeedSplit: c.SeedSplit})
+		for _, a := range DefaultRoster() {
+			ws = append(ws, WireCandidate{Algorithm: a})
 		}
 		return ws
 	}
@@ -44,25 +46,24 @@ func TestCacheKeyPortfolioNormalization(t *testing.T) {
 		t.Fatal("default roster written out split the cache")
 	}
 
-	capped := Request{KISS2: quickFSM, Portfolio: &WirePortfolio{Roster: defaultRoster(), MaxCandidates: 3}}
-	explicit := Request{KISS2: quickFSM, Portfolio: &WirePortfolio{Roster: defaultRoster()[:3]}}
-	if portfolioKey(t, capped) != portfolioKey(t, explicit) {
-		t.Fatal("MaxCandidates truncation and the explicit truncated roster split the cache")
-	}
-	if portfolioKey(t, capped) == base {
+	short := Request{KISS2: quickFSM, Portfolio: &WirePortfolio{Roster: defaultRoster()[:3]}}
+	if portfolioKey(t, short) == base {
 		t.Fatal("truncated roster shares the full roster's key")
 	}
 
-	// hedge_delay_ms is no longer a field: encoding/json ignores it like
-	// any unknown field, so a request that still sends it decodes,
-	// validates, shares the key of the same request without it and gets
-	// the same response bytes.
-	var hedged, plain Request
+	// hedge_delay_ms, seed_split and max_candidates are no longer
+	// fields: encoding/json ignores them like any unknown field, so a
+	// request that still sends them decodes, validates, races its full
+	// roster under that roster's key and gets the same response bytes
+	// as the same request without them.
+	var old, plain Request
 	for _, c := range []struct {
 		rq   *Request
 		body string
 	}{
-		{&hedged, `{"kiss2": ` + jsonString(t, quickFSM) + `, "portfolio": {"hedge_delay_ms": 250}}`},
+		{&old, `{"kiss2": ` + jsonString(t, quickFSM) + `, "portfolio": {"roster": [
+		  {"algorithm": "ihybrid"}, {"algorithm": "iohybrid", "seed_split": 2}, {"algorithm": "iexact"},
+		  {"algorithm": "igreedy"}], "max_candidates": 1, "hedge_delay_ms": 250}}`},
 		{&plain, `{"kiss2": ` + jsonString(t, quickFSM) + `, "portfolio": {}}`},
 	} {
 		if err := json.Unmarshal([]byte(c.body), c.rq); err != nil {
@@ -72,16 +73,16 @@ func TestCacheKeyPortfolioNormalization(t *testing.T) {
 			t.Fatalf("%s: %v", c.body, err)
 		}
 	}
-	if portfolioKey(t, hedged) != base || portfolioKey(t, plain) != base {
-		t.Fatal("hedge_delay_ms split the cache")
+	if portfolioKey(t, old) != base || portfolioKey(t, plain) != base {
+		t.Fatal("a removed portfolio field split the cache")
 	}
-	if hb, pb := responseBytes(t, hedged), responseBytes(t, plain); string(hb) != string(pb) {
-		t.Fatalf("hedge_delay_ms changed the response:\n%s\n%s", hb, pb)
+	if ob, pb := responseBytes(t, old), responseBytes(t, plain); string(ob) != string(pb) {
+		t.Fatalf("a removed portfolio field changed the response:\n%s\n%s", ob, pb)
 	}
 
 	// A genuinely different roster is a different race.
 	other := Request{KISS2: quickFSM, Portfolio: &WirePortfolio{
-		Roster: []WireCandidate{{Algorithm: IGreedy}, {Algorithm: IHybrid, SeedSplit: 4}},
+		Roster: []WireCandidate{{Algorithm: IGreedy}, {Algorithm: IHybrid}},
 	}}
 	if portfolioKey(t, other) == base {
 		t.Fatal("a custom roster shares the default roster's key")
@@ -121,28 +122,22 @@ func responseBytes(t *testing.T, rq Request) []byte {
 	return b
 }
 
-// TestWirePortfolioConfig: the JSON shape maps onto PortfolioConfig
-// field by field, and a nil wire config stays a nil nova config.
+// TestWirePortfolioConfig: the wire roster maps onto PortfolioConfig's
+// algorithms in order, and a nil wire config stays a nil nova config.
 func TestWirePortfolioConfig(t *testing.T) {
 	var nilWP *WirePortfolio
 	if nilWP.Config() != nil {
 		t.Fatal("nil WirePortfolio produced a config")
 	}
-	wp := &WirePortfolio{
-		Roster:        []WireCandidate{{Algorithm: IExact}, {Algorithm: IHybrid, SeedSplit: 2}},
-		MaxCandidates: 5,
-	}
-	pc := wp.Config()
-	if len(pc.Roster) != 2 || pc.Roster[1].Algorithm != IHybrid || pc.Roster[1].SeedSplit != 2 {
-		t.Fatalf("roster lost in translation: %+v", pc.Roster)
-	}
-	if pc.MaxCandidates != 5 {
-		t.Fatalf("scalar fields lost: %+v", pc)
+	wp := &WirePortfolio{Roster: []WireCandidate{{Algorithm: IExact}, {Algorithm: IHybrid}}}
+	want := []Algorithm{IExact, IHybrid}
+	if pc := wp.Config(); !slices.Equal(pc.Roster, want) {
+		t.Fatalf("roster lost in translation: %v, want %v", pc.Roster, want)
 	}
 
 	rq := Request{KISS2: quickFSM, Portfolio: wp}
 	opt := rq.Options()
-	if opt.Portfolio == nil || opt.Portfolio.MaxCandidates != 5 {
+	if opt.Portfolio == nil || !slices.Equal(opt.Portfolio.Roster, want) {
 		t.Fatalf("Request.Options dropped the portfolio config: %+v", opt.Portfolio)
 	}
 
@@ -155,13 +150,13 @@ func TestWirePortfolioConfig(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Portfolio == nil || len(back.Portfolio.Roster) != 2 || back.Portfolio.MaxCandidates != 5 {
+	if back.Portfolio == nil || !slices.Equal(back.Portfolio.Config().Roster, want) {
 		t.Fatalf("request round trip lost the portfolio: %+v", back.Portfolio)
 	}
 }
 
 // TestResponseWinnerFields: a portfolio response carries the winner
-// metadata under stable JSON keys.
+// under a stable JSON key.
 func TestResponseWinnerFields(t *testing.T) {
 	f := parseQuick(t)
 	res, err := Encode(f, Options{Algorithm: Portfolio, Seed: 7})
@@ -172,15 +167,12 @@ func TestResponseWinnerFields(t *testing.T) {
 	if rp.Algorithm != Portfolio || rp.Winner != res.Winner {
 		t.Fatalf("winner metadata lost: %+v", rp)
 	}
-	rp.WinnerSeedSplit = 3 // force the omitempty field to serialize
 	data, err := json.Marshal(rp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"winner"`, `"winner_seed_split"`} {
-		if !strings.Contains(string(data), key) {
-			t.Fatalf("serialized Response lost %s:\n%s", key, data)
-		}
+	if want := `"winner":"` + string(res.Winner) + `"`; !strings.Contains(string(data), want) {
+		t.Fatalf("serialized Response lost %s:\n%s", want, data)
 	}
 	// Non-portfolio responses omit the winner entirely.
 	plain, err := Encode(f, Options{Algorithm: IGreedy})

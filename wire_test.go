@@ -9,9 +9,9 @@ import (
 
 func TestOptionsValidate(t *testing.T) {
 	roster := func(n int) *PortfolioConfig {
-		pc := &PortfolioConfig{Roster: make([]PortfolioCandidate, n)}
+		pc := &PortfolioConfig{Roster: make([]Algorithm, n)}
 		for i := range pc.Roster {
-			pc.Roster[i].Algorithm = IGreedy
+			pc.Roster[i] = IGreedy
 		}
 		return pc
 	}
@@ -159,7 +159,7 @@ func TestCacheKeyValues(t *testing.T) {
 		want string
 	}{
 		{Request{KISS2: quickFSM}, "a6bc0dee30efc0b29617c7c3571ed6e7a97d94ed1032b523752791eadc05bdfd"},
-		{Request{KISS2: quickFSM, Portfolio: &WirePortfolio{MaxCandidates: 2}}, "669f175a504f33ad6ebdc00613f986bed962ec7a65117a1053c1018dab4cc1ee"},
+		{Request{KISS2: quickFSM, Portfolio: &WirePortfolio{Roster: []WireCandidate{{Algorithm: IHybrid}, {Algorithm: IOHybrid}}}}, "669f175a504f33ad6ebdc00613f986bed962ec7a65117a1053c1018dab4cc1ee"},
 		{Request{KISS2: quickFSM, Algorithm: IHybrid}, "54c4278d0f3b6bf5f4bc5a5aa94849aed5c7295d4896b5a38f7d4a23ce10e2bf"},
 	} {
 		got, err := c.rq.CacheKey()
