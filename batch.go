@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"nova/internal/obs"
+	"nova/internal/sched"
 )
 
 // EncodeAll encodes a batch of machines concurrently over one shared
@@ -48,17 +49,17 @@ func EncodeAll(ctx context.Context, fsms []*FSM, opt Options) ([]*Result, error)
 			return nil, fmt.Errorf("%w: EncodeAll: fsms[%d] is nil", ErrBadOptions, i)
 		}
 	}
-	eng := newEngine(opt)
+	pool := sched.New(opt.Parallelism)
 	results := make([]*Result, len(fsms))
 	errs := make([]error, len(fsms))
 	t := opt.Tracer
 	ctx = obs.With(ctx, t) // no-op when t is nil
 	bctx, bsp := obs.Span(ctx, "nova.batch")
 	bsp.SetInt("machines", int64(len(fsms)))
-	g := eng.pool.Group(bctx)
+	g := pool.Group(bctx)
 	for i, f := range fsms {
 		g.Go(func(ctx context.Context) error {
-			r, err := encodeObserved(ctx, eng, f, opt, t)
+			r, err := encodeObserved(ctx, pool, f, opt, t)
 			results[i] = r // partial Result on ErrGaveUp, nil on other failures
 			if err != nil {
 				if f.Name != "" {
@@ -77,7 +78,7 @@ func EncodeAll(ctx context.Context, fsms []*FSM, opt Options) ([]*Result, error)
 	werr := g.Wait()
 	bsp.End()
 	if t != nil {
-		flushPoolStats(t.Metrics(), eng.pool)
+		flushPoolStats(t.Metrics(), pool)
 	}
 	if werr != nil {
 		return nil, werr

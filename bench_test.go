@@ -404,8 +404,7 @@ func requireSplits(tb testing.TB, a *cube.Arena, qs []coverQuestion) {
 // split of the recursion.
 func BenchmarkTautology(b *testing.B) {
 	s, qs := irredundantQuestions(b)
-	a := cube.GetArena(s)
-	defer cube.PutArena(a)
+	a := cube.NewArena(s)
 	requireSplits(b, a, qs)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -421,8 +420,7 @@ func BenchmarkTautology(b *testing.B) {
 func BenchmarkComplement(b *testing.B) {
 	p := mvProblem(b, "keyb")
 	b.ReportAllocs()
-	a := cube.GetArena(p.S)
-	defer cube.PutArena(a)
+	a := cube.NewArena(p.S)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSink = p.On.ComplementWith(a).Len()

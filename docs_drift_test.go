@@ -211,7 +211,7 @@ func TestGlossaryCountersAppearInTracedRun(t *testing.T) {
 
 	// One portfolio race (algo.*, portfolio.won, portfolio.winner.*),
 	// then a parallel ihybrid encode on the same tracer twice (espresso,
-	// tautology calls, arenas including reuses, searcher
+	// tautology calls, arena cubes allocated and reused, searcher
 	// work/backtracks/checks, pool tasks/depths), then an ihybrid encode
 	// of dk17, whose chain has steps no face embedding can satisfy
 	// (search.refuted), and one of a ring machine no earlier execution

@@ -15,7 +15,6 @@ import (
 	"nova/internal/encode"
 	"nova/internal/encoding"
 	"nova/internal/kiss"
-	"nova/internal/sched"
 	"nova/internal/symbolic"
 )
 
@@ -62,18 +61,6 @@ func RandomAssignment(f *kiss.FSM, seed int64) encoding.Assignment {
 	return a
 }
 
-// RandomAssignments returns `trials` independent random minimum-length
-// assignments of the FSM's states and symbolic inputs. The paper uses
-// #states + #symbolic-inputs trials per example. Trial t is drawn from
-// seed sched.SplitSeed(seed, t).
-func RandomAssignments(f *kiss.FSM, trials int, seed int64) []encoding.Assignment {
-	out := make([]encoding.Assignment, 0, trials)
-	for t := 0; t < trials; t++ {
-		out = append(out, RandomAssignment(f, sched.SplitSeed(seed, t)))
-	}
-	return out
-}
-
 // DefaultRandomTrials is the paper's batch size: number of states plus
 // number of symbolic inputs.
 func DefaultRandomTrials(f *kiss.FSM) int {
@@ -109,11 +96,6 @@ func (v MustangVariant) String() string {
 		return "-nt"
 	}
 	return "?"
-}
-
-// Variants lists all four MUSTANG runs of Table VII.
-func Variants() []MustangVariant {
-	return []MustangVariant{MustangP, MustangN, MustangPT, MustangNT}
 }
 
 // Mustang computes a minimum-length state encoding with a MUSTANG-style
@@ -272,10 +254,11 @@ func MustangAssignment(f *kiss.FSM, variant MustangVariant) encoding.Assignment 
 }
 
 // Cream is the Cappuccino/Cream-style stand-in of Table V: symbolic
-// minimization provides the (IC, OC) pair; the encoder then satisfies
-// every input constraint by projection (non-minimum length, like
-// Cappuccino's column-based scheme) after seeding the codes with the
-// out_encoder solution of the covering graph.
+// minimization derives the input constraints of its final cover FinalP,
+// and encode.SatisfyAll satisfies every one of them by projection
+// (non-minimum length, like Cappuccino's column-based scheme), for the
+// states and for each symbolic input. The output covering graph is not
+// used: no code is chosen to satisfy an output constraint.
 func Cream(f *kiss.FSM, sopt symbolic.Options) (encoding.Assignment, error) {
 	out, err := symbolic.Analyze(f, sopt)
 	if err != nil {

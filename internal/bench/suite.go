@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 
@@ -157,29 +156,6 @@ func Get(name string) *kiss.FSM {
 		return e.F
 	}
 	return nil
-}
-
-// Names returns all benchmark names.
-func Names() []string {
-	var out []string
-	for _, e := range Suite() {
-		out = append(out, e.Name)
-	}
-	return out
-}
-
-// ByStates returns the Table I entries sorted by increasing state count
-// (the x-axis order of the paper's plots).
-func ByStates() []Entry {
-	out := append([]Entry(nil), TableI()...)
-	sort.SliceStable(out, func(i, j int) bool {
-		si, sj := out[i].F.NumStates(), out[j].F.NumStates()
-		if si != sj {
-			return si < sj
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
 }
 
 // seedFor derives a stable per-name seed.

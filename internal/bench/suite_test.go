@@ -103,18 +103,6 @@ func TestModulo12Semantics(t *testing.T) {
 	}
 }
 
-func TestByStatesOrdering(t *testing.T) {
-	ord := ByStates()
-	for i := 1; i < len(ord); i++ {
-		if ord[i-1].F.NumStates() > ord[i].F.NumStates() {
-			t.Fatal("ByStates not sorted")
-		}
-	}
-	if ord[len(ord)-1].Name != "scf" {
-		t.Fatalf("largest should be scf, got %s", ord[len(ord)-1].Name)
-	}
-}
-
 func TestSplitInputSpace(t *testing.T) {
 	for ni := 1; ni <= 4; ni++ {
 		for m := 1; m <= 1<<uint(ni); m++ {

@@ -7,9 +7,9 @@ package cube
 // handed to the garbage collector, which removes the dominant allocation
 // cost of the ESPRESSO passes.
 //
-// An Arena is NOT safe for concurrent use. Obtain one with GetArena and
-// return it with PutArena; the backing sync.Pool hands each worker its own
-// arena, which is what keeps parallel encoding race-free.
+// An Arena is NOT safe for concurrent use. Each top-level operation
+// makes its own with NewArena and drops it when it returns, so no scratch
+// outlives a call and no two workers ever share one.
 type Arena struct {
 	s      *Structure
 	cubes  []Cube
@@ -20,13 +20,11 @@ type Arena struct {
 	// single-owner, so no atomics are needed here. Callers that trace
 	// snapshot Stats() before and after a phase and flush the delta into
 	// an obs.Metrics; untraced runs pay only the increments.
-	stat   ArenaStats
-	reused bool // true when GetArena served this arena from the pool
+	stat ArenaStats
 }
 
 // ArenaStats counts arena and tautology activity. Values are cumulative
-// over the arena's lifetime (across pool reuses); use Sub to form
-// per-phase deltas.
+// over the arena's lifetime; use Sub to form per-phase deltas.
 type ArenaStats struct {
 	TautCalls   int64 // tautology / covering queries answered
 	CubesAlloc  int64 // NewCube calls that hit make()
@@ -45,32 +43,8 @@ func (s ArenaStats) Sub(o ArenaStats) ArenaStats {
 // Stats returns the arena's cumulative activity counters.
 func (a *Arena) Stats() ArenaStats { return a.stat }
 
-// Reused reports whether this arena came out of the pool warm (with its
-// free lists from a previous owner) rather than freshly built.
-func (a *Arena) Reused() bool { return a.reused }
-
 // NewArena returns an empty arena for structure s.
 func NewArena(s *Structure) *Arena { return &Arena{s: s} }
-
-// GetArena checks an arena for s's layout out of the shared pool. The
-// caller has exclusive use of it until PutArena.
-func GetArena(s *Structure) *Arena {
-	if v := s.pool.Get(); v != nil {
-		a := v.(*Arena)
-		a.s = s // equal layout: masks and widths are interchangeable
-		a.reused = true
-		return a
-	}
-	return NewArena(s)
-}
-
-// PutArena returns an arena to its layout's pool.
-func PutArena(a *Arena) {
-	if a == nil {
-		return
-	}
-	a.s.pool.Put(a)
-}
 
 // NewCube returns a zeroed cube, recycled when possible.
 func (a *Arena) NewCube() Cube {

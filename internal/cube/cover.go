@@ -159,12 +159,9 @@ func (f *Cover) pickSplitVar(a *Arena) int {
 // implementation is the Shannon/unate-recursion procedure: quick checks for
 // a universe row and for a missing column, then branching on the most binate
 // variable and recursing on every value cofactor. Scratch comes from a
-// pooled arena; use TautologyWith when the caller already holds one.
+// fresh arena; use TautologyWith when the caller already holds one.
 func (f *Cover) Tautology() bool {
-	a := GetArena(f.S)
-	ok := f.TautologyWith(a)
-	PutArena(a)
-	return ok
+	return f.TautologyWith(NewArena(f.S))
 }
 
 // TautologyWith is Tautology with caller-provided scratch. The recursion
@@ -270,10 +267,7 @@ func (f *Cover) singleActiveVar(v int) bool {
 // CoversCube reports whether the cover contains cube c, i.e. every minterm
 // of c is covered by some cube of f. Implemented as Tautology(F/c).
 func (f *Cover) CoversCube(c Cube) bool {
-	a := GetArena(f.S)
-	ok := f.CoversCubeWith(a, c)
-	PutArena(a)
-	return ok
+	return f.CoversCubeWith(NewArena(f.S), c)
 }
 
 // CoversCubeWith is CoversCube with caller-provided scratch.
@@ -324,10 +318,7 @@ func (f *Cover) ContainsCube(c Cube) bool {
 // single-cube terminal case. The result is made minimal with single-cube
 // containment only.
 func (f *Cover) Complement() *Cover {
-	a := GetArena(f.S)
-	out := f.ComplementWith(a)
-	PutArena(a)
-	return out
+	return f.ComplementWith(NewArena(f.S))
 }
 
 // ComplementWith is Complement with caller-provided scratch. The returned

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
-	"sync"
 )
 
 // Structure describes the variable layout shared by all cubes of a cover:
@@ -49,8 +48,6 @@ type Structure struct {
 	vlo, vhi []int  // first/last word index of each variable's field
 	bmask    Cube   // per word: low part of each whole-in-word binary field
 	other    []int  // variables bmask does not cover, in variable order
-
-	pool *sync.Pool // arena pool shared by every Structure of this layout
 }
 
 // NewStructure returns a Structure for variables with the given part counts.
@@ -95,30 +92,7 @@ func NewStructure(sizes ...int) *Structure {
 	for i := 0; i < s.nbits; i++ {
 		s.full.setBit(i)
 	}
-	s.pool = arenaPoolFor(s.sizes)
 	return s
-}
-
-// arenaPools maps a serialized sizes vector to the *sync.Pool of arenas
-// that every Structure of that layout shares, so scratch buffers survive
-// across calls and across the equal-layout Structure values the
-// per-candidate encoders create. Entries are never removed; each is a
-// few hundred bytes.
-var arenaPools sync.Map
-
-// arenaPoolFor returns the arena pool of sizes, registering it on first
-// sight.
-func arenaPoolFor(sizes []int) *sync.Pool {
-	var b strings.Builder
-	for _, n := range sizes {
-		fmt.Fprintf(&b, "%d.", n)
-	}
-	key := b.String()
-	if p, ok := arenaPools.Load(key); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := arenaPools.LoadOrStore(key, new(sync.Pool))
-	return p.(*sync.Pool)
 }
 
 // NumVars returns the number of variables.
@@ -504,40 +478,6 @@ func (s *Structure) String(c Cube) string {
 				b.WriteByte('0')
 			}
 		}
-	}
-	return b.String()
-}
-
-// BinaryString renders a cube over binary variables using the PLA alphabet:
-// '0', '1', '-' per binary variable, '?' for an empty field. Variables with
-// more than two parts are rendered positionally in braces.
-func (s *Structure) BinaryString(c Cube) string {
-	var b strings.Builder
-	for v := range s.sizes {
-		off, sz := s.offsets[v], s.sizes[v]
-		if sz == 2 {
-			zero, one := c.testBit(off), c.testBit(off+1)
-			switch {
-			case zero && one:
-				b.WriteByte('-')
-			case zero:
-				b.WriteByte('0')
-			case one:
-				b.WriteByte('1')
-			default:
-				b.WriteByte('?')
-			}
-			continue
-		}
-		b.WriteByte('{')
-		for p := 0; p < sz; p++ {
-			if c.testBit(off + p) {
-				b.WriteByte('1')
-			} else {
-				b.WriteByte('0')
-			}
-		}
-		b.WriteByte('}')
 	}
 	return b.String()
 }

@@ -153,9 +153,6 @@ func TestStringRendering(t *testing.T) {
 	if got := s.String(c); got != "01 101" {
 		t.Fatalf("String = %q", got)
 	}
-	if got := s.BinaryString(c); got != "1{101}" {
-		t.Fatalf("BinaryString = %q", got)
-	}
 }
 
 func randomCube(s *Structure, rng *rand.Rand) Cube {

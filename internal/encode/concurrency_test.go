@@ -13,7 +13,8 @@ import (
 // return the serial result. The parallel encoding engine fans searches
 // over shared problem data exactly this way, so under -race (make verify)
 // this pins the searches down to per-call state only — no hidden shared
-// scratch, which is also the contract the espresso arena pool relies on.
+// scratch, the same contract the minimizer keeps by giving every call its
+// own arena.
 func TestConcurrentIHybridIndependence(t *testing.T) {
 	var ics []constraint.Constraint
 	for _, v := range []string{"1110000", "0111000", "0000111", "1000110", "0000011", "0011000"} {

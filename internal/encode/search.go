@@ -9,7 +9,6 @@ package encode
 
 import (
 	"context"
-	"errors"
 	"math/bits"
 	"slices"
 
@@ -18,10 +17,6 @@ import (
 	"nova/internal/face"
 	"nova/internal/obs"
 )
-
-// ErrBudget is returned when a search exceeds its work bound rather than
-// proving infeasibility.
-var ErrBudget = errors.New("encode: work budget exhausted")
 
 // ctxCheckInterval is how many work ticks pass between context polls in
 // the backtracking inner loop: frequent enough that cancellation lands

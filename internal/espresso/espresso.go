@@ -49,18 +49,8 @@ const maxIterations = 16
 // The input covers are not modified.
 func Minimize(on, dc *cube.Cover, opt Options) *cube.Cover {
 	// One scratch arena serves the whole call: every pass recycles cofactor
-	// buffers through it. The backing pool is keyed by structure layout,
-	// so repeated calls over equal layouts (the per-candidate evaluation
-	// loop) reuse the same buffers without any coordination by the caller.
-	a := cube.GetArena(on.S)
-	defer cube.PutArena(a)
-	if m := obs.MetricsFrom(opt.Ctx); m != nil {
-		m.ArenaGets.Add(1)
-		if a.Reused() {
-			m.ArenaReuses.Add(1)
-		}
-	}
-	return MinimizeWith(on, dc, opt, a)
+	// buffers through it, and it is dropped when the call returns.
+	return MinimizeWith(on, dc, opt, cube.NewArena(on.S))
 }
 
 // MinimizeWith is Minimize with caller-provided scratch, for callers that
@@ -208,11 +198,8 @@ func dropEmpty(f *cube.Cover) {
 // computes as the complement of f∪dc. Cubes made redundant by the
 // expansion of earlier cubes are removed.
 func Expand(f, dc *cube.Cover) {
-	a := cube.GetArena(f.S)
-	off := offSetWith(f, dc, a)
-	expandWith(f, off, nil, a)
-	a.Release(off)
-	cube.PutArena(a)
+	a := cube.NewArena(f.S)
+	expandWith(f, offSetWith(f, dc, a), nil, a)
 }
 
 // offSetWith returns the complement of f∪dc from arena cubes; the caller
@@ -337,9 +324,7 @@ func blockedParts(s *cube.Structure, blocked, c cube.Cube, off *cube.Cover) {
 // remaining cubes and the don't-care set. Cubes are examined smallest
 // first so large cubes (likely relatively essential) are retained.
 func Irredundant(f, dc *cube.Cover) {
-	a := cube.GetArena(f.S)
-	irredundantWith(f, dc, a)
-	cube.PutArena(a)
+	irredundantWith(f, dc, cube.NewArena(f.S))
 }
 
 func irredundantWith(f, dc *cube.Cover, a *cube.Arena) {
@@ -379,9 +364,7 @@ func irredundantWith(f, dc *cube.Cover, a *cube.Arena) {
 // the cover and the don't-care set leave uncovered. Reduction unblocks the
 // next EXPAND.
 func Reduce(f, dc *cube.Cover) {
-	a := cube.GetArena(f.S)
-	reduceWith(f, dc, a)
-	cube.PutArena(a)
+	reduceWith(f, dc, cube.NewArena(f.S))
 }
 
 // reduceWith reduces the cubes of f largest first, each against the
@@ -454,15 +437,16 @@ func Verify(f, on, dc *cube.Cover) bool {
 	if dc == nil {
 		dc = cube.NewCover(on.S)
 	}
+	a := cube.NewArena(on.S)
 	fdc := f.Append(dc)
 	for _, c := range on.Cubes {
-		if !fdc.CoversCube(c) {
+		if !fdc.CoversCubeWith(a, c) {
 			return false
 		}
 	}
 	ondc := on.Append(dc)
 	for _, c := range f.Cubes {
-		if !ondc.CoversCube(c) {
+		if !ondc.CoversCubeWith(a, c) {
 			return false
 		}
 	}

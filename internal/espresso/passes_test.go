@@ -181,7 +181,7 @@ func TestPassesMatchReference(t *testing.T) {
 		dc := randPassCover(rng, s, 3, mode)
 		f := on.Copy()
 		f.SingleCubeContainment()
-		a := cube.GetArena(s)
+		a := cube.NewArena(s)
 		off := offSetWith(f, dc, a)
 		var unchanged []bool
 		reduce := func(f, dc *cube.Cover, a *cube.Arena) {
@@ -214,7 +214,6 @@ func TestPassesMatchReference(t *testing.T) {
 			irredundantWith(f, dc, a)
 		}
 		a.Release(off)
-		cube.PutArena(a)
 	}
 	t.Logf("covers changed by a pass: %v", changed)
 	// The draws must make both passes do work and let EXPAND skip cubes,
@@ -257,7 +256,7 @@ func TestPassesKeepOnDcSet(t *testing.T) {
 	changed := map[string]int{}
 	for _, sizes := range enumerableLayouts {
 		s := cube.NewStructure(sizes...)
-		a := cube.GetArena(s)
+		a := cube.NewArena(s)
 		for i := 0; i < 1000; i++ {
 			mode := rng.Intn(3)
 			on := randPassCover(rng, s, 8, mode)
@@ -291,7 +290,6 @@ func TestPassesKeepOnDcSet(t *testing.T) {
 			}
 			a.Release(off)
 		}
-		cube.PutArena(a)
 	}
 	t.Logf("covers changed by a pass: %v", changed)
 	for _, name := range []string{"expand", "irredundant", "reduce"} {
@@ -312,7 +310,7 @@ func TestReduceCubeOracle(t *testing.T) {
 	cases := map[string]int{}
 	for _, sizes := range enumerableLayouts {
 		s := cube.NewStructure(sizes...)
-		a := cube.GetArena(s)
+		a := cube.NewArena(s)
 		low := s.NewCube()
 		for i := 0; i < 1000; i++ {
 			mode := rng.Intn(3)
@@ -359,7 +357,6 @@ func TestReduceCubeOracle(t *testing.T) {
 				cases["lowered"]++
 			}
 		}
-		cube.PutArena(a)
 	}
 	t.Logf("cases: %v", cases)
 	if cases["c ⊆ rest"] < 500 || cases["uncovered"] < 500 || cases["lowered"] < 500 {
@@ -401,8 +398,7 @@ func fullLoop(f, dc, off *cube.Cover, a *cube.Arena, tally map[string]int) *cube
 // external test that runs both on the suite machines' covers. It adds
 // fullLoop's tallies to tally.
 func FullLoopMinimize(on, dc *cube.Cover, tally map[string]int) *cube.Cover {
-	a := cube.GetArena(on.S)
-	defer cube.PutArena(a)
+	a := cube.NewArena(on.S)
 	f := on.Copy()
 	f.SingleCubeContainment()
 	dropEmpty(f)
@@ -425,7 +421,7 @@ func TestMinimizeMatchesFullLoop(t *testing.T) {
 		mode := rng.Intn(3)
 		on := randPassCover(rng, s, 10, mode)
 		dc := randPassCover(rng, s, 3, mode)
-		a := cube.GetArena(s)
+		a := cube.NewArena(s)
 		f := on.Copy()
 		f.SingleCubeContainment()
 		dropEmpty(f)
@@ -433,7 +429,6 @@ func TestMinimizeMatchesFullLoop(t *testing.T) {
 		want := fullLoop(f, dc, off, a, tally)
 		a.Release(off)
 		got := MinimizeWith(on, dc, Options{}, a)
-		cube.PutArena(a)
 		if !got.Equal(want) {
 			t.Fatalf("draw %d over %v:\non:\n%sdc:\n%sgot:\n%swant:\n%s",
 				i, layouts[i%len(layouts)], on, dc, got, want)

@@ -105,8 +105,8 @@ func FormatPhaseTable(rows []PhaseRow) string {
 	b.WriteString("\ncounters:\n")
 	fmt.Fprintf(&b, "  espresso iterations      %d\n", agg["espresso.iterations"])
 	fmt.Fprintf(&b, "  tautology calls          %d\n", agg["tautology.calls"])
-	fmt.Fprintf(&b, "  arena gets               %d (reuse rate %s)\n",
-		agg["arena.gets"], ratio(agg["arena.reuses"], agg["arena.gets"]))
+	fmt.Fprintf(&b, "  arena cubes              %d allocated / %d reused\n",
+		agg["arena.cubes_alloc"], agg["arena.cubes_reused"])
 	fmt.Fprintf(&b, "  searcher work            %d (backtracks %d)\n",
 		agg["search.work"], agg["search.backtracks"])
 	fmt.Fprintf(&b, "  search pruning           %d merged / %d symmetry pruned / memo hit rate %s\n",

@@ -12,7 +12,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -408,17 +407,6 @@ func (f *FSM) Stats() Stats {
 	}
 }
 
-// NextStateUsage returns, per state, how many rows have it as next state.
-func (f *FSM) NextStateUsage() []int {
-	use := make([]int, len(f.States))
-	for _, r := range f.Rows {
-		if r.Next >= 0 {
-			use[r.Next]++
-		}
-	}
-	return use
-}
-
 // Validate performs structural sanity checks: state indexes in range,
 // row field widths consistent.
 func (f *FSM) Validate() error {
@@ -503,31 +491,4 @@ func (f *FSM) Deterministic() (bool, string) {
 		}
 	}
 	return true, ""
-}
-
-// ReachableStates returns the states reachable from the reset state (or
-// state 0 when no reset is declared) following rows as edges.
-func (f *FSM) ReachableStates() []int {
-	start := f.Reset
-	if start < 0 {
-		start = 0
-	}
-	seen := map[int]bool{start: true}
-	queue := []int{start}
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
-		for _, r := range f.Rows {
-			if (r.Present == s || r.Present < 0) && r.Next >= 0 && !seen[r.Next] {
-				seen[r.Next] = true
-				queue = append(queue, r.Next)
-			}
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
 }

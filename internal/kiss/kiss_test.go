@@ -142,36 +142,12 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
-func TestReachableStates(t *testing.T) {
-	f := New("r", 1, 1)
-	f.MustAddRow("0", "a", "b", "0")
-	f.MustAddRow("1", "b", "a", "0")
-	f.MustAddRow("0", "orphan", "orphan", "1")
-	f.SetReset("a")
-	got := f.ReachableStates()
-	if len(got) != 2 {
-		t.Fatalf("reachable = %v, want 2 states", got)
-	}
-}
-
 func TestStats(t *testing.T) {
 	f, _ := ParseString(lionKiss)
 	f.Name = "lion"
 	st := f.Stats()
 	if st.Name != "lion" || st.Inputs != 2 || st.Outputs != 1 || st.States != 4 || st.Terms != 11 {
 		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestNextStateUsage(t *testing.T) {
-	f, _ := ParseString(lionKiss)
-	use := f.NextStateUsage()
-	total := 0
-	for _, u := range use {
-		total += u
-	}
-	if total != 11 {
-		t.Fatalf("usage total = %d, want 11", total)
 	}
 }
 

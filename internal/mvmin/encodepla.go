@@ -231,10 +231,7 @@ func addNonCodeDC(e *Encoded, baseVar int, enc encoding.Encoding) {
 		}
 		codes.Add(c)
 	}
-	arena := cube.GetArena(bs)
-	comp := codes.ComplementWith(arena)
-	cube.PutArena(arena)
-	for _, c := range comp.Cubes {
+	for _, c := range codes.Complement().Cubes {
 		d := e.S.FullCube()
 		for b := 0; b < enc.Bits; b++ {
 			e.S.ClearAll(d, baseVar+b)

@@ -24,9 +24,7 @@ type Metrics struct {
 	// unate-recursion tautology checks
 	TautCalls atomic.Int64
 
-	// scratch arenas (reuse rate = reuses / gets)
-	ArenaGets   atomic.Int64
-	ArenaReuses atomic.Int64
+	// scratch arena cubes: freshly allocated vs recycled off free lists
 	CubesAlloc  atomic.Int64
 	CubesReused atomic.Int64
 
@@ -166,8 +164,6 @@ func (m *Metrics) Counters() map[string]int64 {
 	}
 	put("espresso.iterations", m.EspressoIters.Load())
 	put("tautology.calls", m.TautCalls.Load())
-	put("arena.gets", m.ArenaGets.Load())
-	put("arena.reuses", m.ArenaReuses.Load())
 	put("arena.cubes_alloc", m.CubesAlloc.Load())
 	put("arena.cubes_reused", m.CubesReused.Load())
 	put("search.work", m.SearchWork.Load())

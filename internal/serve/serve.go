@@ -226,9 +226,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // waits for the in-flight connections.
 func (s *Server) Drain() { s.draining.Store(true) }
 
-// Draining reports whether Drain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Vars merges every server counter into one flat map: HTTP counters and
 // latency histograms, cache statistics, engine-run and singleflight
 // totals, and the inflight/draining gauges. This is the /debug/vars

@@ -218,8 +218,7 @@ func minimizeGroup(p *mvmin.Problem, c *cube.Cover, base, count int, opt Options
 
 	// All stages run over the same reduced layout: hold one scratch arena
 	// across the loop so cofactor buffers are shared between stages.
-	arena := cube.GetArena(rs)
-	defer cube.PutArena(arena)
+	arena := cube.NewArena(rs)
 
 	for _, i := range g.order {
 		on := cube.NewCover(rs)

@@ -180,19 +180,6 @@ type Options struct {
 	Tracer *Tracer
 }
 
-// engine bundles the concurrency machinery of one run (or one EncodeAll
-// batch): the bounded pool every fan-out shares. Concurrency is between
-// problems only; each problem's pipeline runs serially on one worker.
-type engine struct {
-	pool *sched.Pool
-}
-
-// newEngine builds the run machinery for an Options value that already
-// went through withDefaults.
-func newEngine(opt Options) *engine {
-	return &engine{pool: sched.New(opt.Parallelism)}
-}
-
 // Result reports an encoding and its two-level cost.
 type Result struct {
 	Algorithm  Algorithm
@@ -264,7 +251,7 @@ func EncodeContext(ctx context.Context, f *FSM, opt Options) (*Result, error) {
 		return nil, err
 	}
 	opt = opt.withDefaults()
-	return encodeRun(ctx, newEngine(opt), f, opt)
+	return encodeRun(ctx, sched.New(opt.Parallelism), f, opt)
 }
 
 // encodeObserved wraps one machine's run in the per-run telemetry
@@ -273,14 +260,14 @@ func EncodeContext(ctx context.Context, f *FSM, opt Options) (*Result, error) {
 // of that envelope, shared by EncodeContext (via encodeRun) and the
 // EncodeAll fan-out; without a tracer it is exactly encodeMachine. The
 // tracer must already be attached to ctx (obs.With) by the caller.
-func encodeObserved(ctx context.Context, eng *engine, f *FSM, opt Options, t *Tracer) (*Result, error) {
+func encodeObserved(ctx context.Context, pool *sched.Pool, f *FSM, opt Options, t *Tracer) (*Result, error) {
 	if t == nil {
-		return encodeMachine(ctx, eng, f, opt)
+		return encodeMachine(ctx, pool, f, opt)
 	}
 	sctx, sp := obs.Span(ctx, "nova.encode")
 	sp.SetStr("machine", f.Name)
 	sp.SetStr("algorithm", string(opt.Algorithm))
-	res, err := encodeMachine(sctx, eng, f, opt)
+	res, err := encodeMachine(sctx, pool, f, opt)
 	outcome := outcomeOf(err)
 	sp.SetStr("outcome", outcome)
 	if res != nil {
@@ -297,14 +284,14 @@ func encodeObserved(ctx context.Context, eng *engine, f *FSM, opt Options, t *Tr
 // pool scheduling counters are flushed, and the snapshot is attached to
 // the Result — including the partial Result of an ErrGaveUp run. Without
 // a tracer this is exactly encodeMachine.
-func encodeRun(ctx context.Context, eng *engine, f *FSM, opt Options) (*Result, error) {
+func encodeRun(ctx context.Context, pool *sched.Pool, f *FSM, opt Options) (*Result, error) {
 	t := opt.Tracer
 	if t == nil {
-		return encodeMachine(ctx, eng, f, opt)
+		return encodeMachine(ctx, pool, f, opt)
 	}
-	res, err := encodeObserved(obs.With(ctx, t), eng, f, opt, t)
+	res, err := encodeObserved(obs.With(ctx, t), pool, f, opt, t)
 	m := t.Metrics()
-	flushPoolStats(m, eng.pool)
+	flushPoolStats(m, pool)
 	if res != nil {
 		res.Telemetry = t.Snapshot()
 	}
@@ -316,12 +303,12 @@ func encodeRun(ctx context.Context, eng *engine, f *FSM, opt Options) (*Result, 
 // Portfolio candidates enter at encodeWith with that same value, so the
 // checks and the derivations run once per machine, not once per
 // candidate.
-func encodeMachine(ctx context.Context, eng *engine, f *FSM, opt Options) (*Result, error) {
+func encodeMachine(ctx context.Context, pool *sched.Pool, f *FSM, opt Options) (*Result, error) {
 	p, err := prepare(f, opt)
 	if err != nil {
 		return nil, err
 	}
-	return encodeWith(ctx, eng, p, opt)
+	return encodeWith(ctx, pool, p, opt)
 }
 
 // prepared is one machine's derived state, shared read-only by every
@@ -445,17 +432,17 @@ func (p *prepared) symOutCodes(ctx context.Context) ([]Encoding, error) {
 // fan-out of one run (or one batch) shares the same bounded pool. The
 // Options were resolved by withDefaults at the entry point, so
 // opt.Algorithm is always a member of the algorithm set here.
-func encodeWith(ctx context.Context, eng *engine, p *prepared, opt Options) (*Result, error) {
+func encodeWith(ctx context.Context, pool *sched.Pool, p *prepared, opt Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, canceledErr(err)
 	}
 	switch opt.Algorithm {
 	case Portfolio:
-		return encodePortfolio(ctx, eng, p, opt)
+		return encodePortfolio(ctx, pool, p, opt)
 	case Best:
-		return encodeBest(ctx, eng, p, opt)
+		return encodeBest(ctx, pool, p, opt)
 	case Random:
-		return encodeRandom(ctx, eng, p, opt)
+		return encodeRandom(ctx, pool, p, opt)
 	case OneHot, MustangP, MustangN, MustangPT, MustangNT:
 		res := &Result{Algorithm: opt.Algorithm}
 		if opt.Algorithm == OneHot {
@@ -465,9 +452,9 @@ func encodeWith(ctx context.Context, eng *engine, p *prepared, opt Options) (*Re
 		}
 		return finishEncode(ctx, p, res, opt)
 	case IOHybrid, IOVariant:
-		return encodeIO(ctx, eng, p, opt)
+		return encodeIO(ctx, pool, p, opt)
 	case IExact, IHybrid, IGreedy, KISS:
-		return encodeInput(ctx, eng, p, opt)
+		return encodeInput(ctx, pool, p, opt)
 	default:
 		return nil, fmt.Errorf("nova: unknown algorithm %q", opt.Algorithm)
 	}
@@ -513,12 +500,12 @@ func exactOpt(ctx context.Context, opt Options) encode.ExactOptions {
 // any other encode, so the batch is bit-identical to a serial run
 // regardless of completion order; the join keeps the smallest area, ties
 // to the lowest trial index.
-func encodeRandom(ctx context.Context, eng *engine, p *prepared, opt Options) (*Result, error) {
+func encodeRandom(ctx context.Context, pool *sched.Pool, p *prepared, opt Options) (*Result, error) {
 	trials := opt.RandomTrials
 	if trials <= 0 {
 		trials = baseline.DefaultRandomTrials(p.f)
 	}
-	out, win := sched.Cheapest(ctx, eng.pool, trials, func(ctx context.Context, t int) (*Result, int64, error) {
+	out, win := sched.Cheapest(ctx, pool, trials, func(ctx context.Context, t int) (*Result, int64, error) {
 		asg := baseline.RandomAssignment(p.f, sched.SplitSeed(opt.Seed, t))
 		return costed(finishEncode(ctx, p, &Result{Algorithm: Random, Assignment: asg}, opt))
 	})
@@ -537,12 +524,12 @@ func encodeRandom(ctx context.Context, eng *engine, p *prepared, opt Options) (*
 // encodeIO runs iohybrid_code / iovariant_code: the prepared machine's
 // symbolic analysis drives the state-variable embedding and the
 // per-symbolic-input encodes.
-func encodeIO(ctx context.Context, eng *engine, p *prepared, opt Options) (*Result, error) {
+func encodeIO(ctx context.Context, pool *sched.Pool, p *prepared, opt Options) (*Result, error) {
 	out, err := p.analysis(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return encodeVars(ctx, eng, p, opt, out.SymIns, func(ctx context.Context) encode.Result {
+	return encodeVars(ctx, pool, p, opt, out.SymIns, func(ctx context.Context) encode.Result {
 		if opt.Algorithm == IOHybrid {
 			return encode.IOHybrid(out.Problem, opt.Bits, hybOpt(ctx, opt))
 		}
@@ -553,13 +540,13 @@ func encodeIO(ctx context.Context, eng *engine, p *prepared, opt Options) (*Resu
 // encodeInput runs the input-constraint algorithms (iexact, ihybrid,
 // igreedy, KISS-style): the prepared machine's constraints drive the
 // state-variable encode and the per-symbolic-input encodes.
-func encodeInput(ctx context.Context, eng *engine, p *prepared, opt Options) (*Result, error) {
+func encodeInput(ctx context.Context, pool *sched.Pool, p *prepared, opt Options) (*Result, error) {
 	cs, err := p.constraints(ctx)
 	if err != nil {
 		return nil, err
 	}
 	n := p.f.NumStates()
-	return encodeVars(ctx, eng, p, opt, cs.SymIns, func(ctx context.Context) encode.Result {
+	return encodeVars(ctx, pool, p, opt, cs.SymIns, func(ctx context.Context) encode.Result {
 		switch opt.Algorithm {
 		case IExact:
 			return encode.IExact(n, cs.States, exactOpt(ctx, opt))
@@ -579,12 +566,12 @@ func encodeInput(ctx context.Context, eng *engine, p *prepared, opt Options) (*R
 // them by variable index and finishes the run. A state search that gave
 // up (IExact with no encoding) fails the run with ErrGaveUp alongside the
 // partial Result, so tables can render their "-" entries.
-func encodeVars(ctx context.Context, eng *engine, p *prepared, opt Options, symIns [][]Constraint, state func(context.Context) encode.Result) (*Result, error) {
+func encodeVars(ctx context.Context, pool *sched.Pool, p *prepared, opt Options, symIns [][]Constraint, state func(context.Context) encode.Result) (*Result, error) {
 	f := p.f
 	res := &Result{Algorithm: opt.Algorithm}
 	var r encode.Result
 	symRes := make([]encode.Result, len(f.SymIns))
-	g := eng.pool.Group(ctx)
+	g := pool.Group(ctx)
 	g.Go(func(ctx context.Context) error {
 		sctx, sp := obs.Span(ctx, "search."+string(opt.Algorithm))
 		defer sp.End()

@@ -63,11 +63,11 @@ func (pc *PortfolioConfig) validate(bad func(format string, args ...any) error) 
 var bestRoster = []Algorithm{IHybrid, IGreedy, IOHybrid}
 
 // encodeBest races bestRoster and returns the winner as a Best result.
-func encodeBest(ctx context.Context, eng *engine, p *prepared, opt Options) (*Result, error) {
-	res, _, err := race(ctx, eng, bestRoster, func(ctx context.Context, alg Algorithm) (*Result, error) {
+func encodeBest(ctx context.Context, pool *sched.Pool, p *prepared, opt Options) (*Result, error) {
+	res, _, err := race(ctx, pool, bestRoster, func(ctx context.Context, alg Algorithm) (*Result, error) {
 		o := opt
 		o.Algorithm = alg
-		return encodeWith(ctx, eng, p, o)
+		return encodeWith(ctx, pool, p, o)
 	})
 	if err != nil {
 		return nil, err
@@ -78,16 +78,16 @@ func encodeBest(ctx context.Context, eng *engine, p *prepared, opt Options) (*Re
 
 // encodePortfolio races the configured roster, each candidate under a
 // portfolio.candidate span, and names the winner in Result.Winner.
-func encodePortfolio(ctx context.Context, eng *engine, p *prepared, opt Options) (*Result, error) {
+func encodePortfolio(ctx context.Context, pool *sched.Pool, p *prepared, opt Options) (*Result, error) {
 	roster := opt.Portfolio.roster()
 	m := obs.MetricsFrom(ctx)
-	res, win, err := race(ctx, eng, roster, func(ctx context.Context, alg Algorithm) (*Result, error) {
+	res, win, err := race(ctx, pool, roster, func(ctx context.Context, alg Algorithm) (*Result, error) {
 		o := opt
 		o.Algorithm = alg
 		o.Portfolio = nil
 		m.Add("portfolio.launched", 1)
 		sctx, sp := obs.Span(ctx, "portfolio.candidate")
-		r, err := encodeWith(sctx, eng, p, o)
+		r, err := encodeWith(sctx, pool, p, o)
 		if sp != nil {
 			sp.SetStr("candidate", string(alg))
 			sp.SetStr("outcome", outcomeOf(err))
@@ -115,9 +115,9 @@ func encodePortfolio(ctx context.Context, eng *engine, p *prepared, opt Options)
 // missing candidate might have won; a race with no success reports its
 // lowest-index failure. Launch order (launchOrder) never affects the
 // pick or the error.
-func race(ctx context.Context, eng *engine, roster []Algorithm, run func(ctx context.Context, alg Algorithm) (*Result, error)) (*Result, int, error) {
+func race(ctx context.Context, pool *sched.Pool, roster []Algorithm, run func(ctx context.Context, alg Algorithm) (*Result, error)) (*Result, int, error) {
 	launch := launchOrder(roster)
-	launched, _ := sched.Cheapest(ctx, eng.pool, len(roster), func(ctx context.Context, i int) (*Result, int64, error) {
+	launched, _ := sched.Cheapest(ctx, pool, len(roster), func(ctx context.Context, i int) (*Result, int64, error) {
 		return costed(run(ctx, roster[launch[i]]))
 	})
 	out := make([]sched.Outcome[*Result], len(roster))

@@ -11,6 +11,7 @@ import (
 
 	"nova/internal/bench"
 	"nova/internal/obs"
+	"nova/internal/sched"
 )
 
 func phaseCount(snap *TelemetrySnapshot, name string) int {
@@ -92,7 +93,7 @@ func TestPreparedSharedReadOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := encodeWith(ctx, newEngine(opt), p, opt); err != nil {
+		if _, err := encodeWith(ctx, sched.New(opt.Parallelism), p, opt); err != nil {
 			t.Fatalf("%s: %v", f.Name, err)
 		}
 		derive(p)

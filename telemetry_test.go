@@ -67,10 +67,11 @@ func TestTautologyZeroAllocWithTelemetry(t *testing.T) {
 }
 
 // TestMinimizeAllocParityWithoutTracer runs the full ESPRESSO loop (the
-// BenchmarkExpand/BenchmarkTableII hot path) twice — once with a nil Ctx
-// and once with a plain context carrying no tracer — and requires the
-// allocation counts to be identical: the instrumented path must cost
-// nothing when tracing is off.
+// BenchmarkExpand/BenchmarkTableII hot path) through espresso.Minimize,
+// the entry point production calls, twice — once with a nil Ctx and once
+// with a plain context carrying no tracer — and requires the allocation
+// counts to be identical: the instrumented path must cost nothing when
+// tracing is off.
 func TestMinimizeAllocParityWithoutTracer(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are noise under the race detector (its runtime allocates); enforced by the non-race runs")
@@ -79,23 +80,15 @@ func TestMinimizeAllocParityWithoutTracer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A held (non-pooled) arena keeps sync.Pool GC churn out of the
-	// measurement; its free lists fill during the warm-up run
-	// AllocsPerRun performs before counting, so each counted run pays for
-	// the whole recursion, not its scratch. The minimum of three
-	// measurements discards stray runtime allocations (GC bookkeeping)
-	// that land in individual runs.
-	a := cube.NewArena(p.S)
+	// Every call makes and drops its own arena, so each counted run pays
+	// for the whole recursion and for its scratch, the same with and
+	// without a context. The minimum of three measurements discards stray
+	// runtime allocations (GC bookkeeping) that land in individual runs.
 	measure := func(opt espresso.Options) float64 {
-		best := testing.AllocsPerRun(5, func() {
-			f := p.On.Copy()
-			espresso.MinimizeWith(f, p.Dc, opt, a)
-		})
+		run := func() { espresso.Minimize(p.On, p.Dc, opt) }
+		best := testing.AllocsPerRun(5, run)
 		for i := 0; i < 2; i++ {
-			if v := testing.AllocsPerRun(5, func() {
-				f := p.On.Copy()
-				espresso.MinimizeWith(f, p.Dc, opt, a)
-			}); v < best {
+			if v := testing.AllocsPerRun(5, run); v < best {
 				best = v
 			}
 		}
@@ -164,7 +157,7 @@ func TestTelemetrySnapshotContents(t *testing.T) {
 			t.Errorf("snapshot missing phase %q", phase)
 		}
 	}
-	for _, key := range []string{"espresso.iterations", "tautology.calls", "arena.gets", "search.work", "algo.ok.ihybrid"} {
+	for _, key := range []string{"espresso.iterations", "tautology.calls", "arena.cubes_alloc", "search.work", "algo.ok.ihybrid"} {
 		if snap.Counters[key] == 0 {
 			t.Errorf("counter %q is zero", key)
 		}
@@ -205,17 +198,22 @@ const historyFSM = `
 .e
 `
 
+// historyKeys are the counters TestMinimizerTalliesIgnoreProcessHistory
+// compares.
+var historyKeys = [...]string{"tautology.calls", "espresso.iterations", "arena.cubes_alloc", "arena.cubes_reused"}
+
 // historyTallies keeps the tallies of the first execution of
 // TestMinimizerTalliesIgnoreProcessHistory in this process; under
 // -count=2 the second execution runs in a process the first one warmed,
 // and must read them again.
-var historyTallies map[string][2]int64
+var historyTallies map[string][len(historyKeys)]int64
 
 // TestMinimizerTalliesIgnoreProcessHistory pins that the minimizer's work
-// on a machine depends on the machine alone: tautology.calls and
-// espresso.iterations of igreedy and of Best at Parallelism 1 and 2 are
-// the same on a machine no earlier run has seen, again after two suite
-// machines were encoded, and in every later count of the test.
+// on a machine depends on the machine alone: the historyKeys tallies of
+// igreedy and of Best at Parallelism 1 and 2 are the same on a machine no
+// earlier run has seen, again after two suite machines were encoded, and
+// in every later count of the test. Scratch arenas that outlived a call
+// would break it: a warm arena allocates fewer cubes than a fresh one.
 func TestMinimizerTalliesIgnoreProcessHistory(t *testing.T) {
 	f, err := nova.ParseKISSString(historyFSM)
 	if err != nil {
@@ -229,17 +227,19 @@ func TestMinimizerTalliesIgnoreProcessHistory(t *testing.T) {
 		{"best-p1", nova.Options{Algorithm: nova.Best, Parallelism: 1}},
 		{"best-p2", nova.Options{Algorithm: nova.Best, Parallelism: 2}},
 	}
-	tallies := func(opt nova.Options) [2]int64 {
+	tallies := func(opt nova.Options) (out [len(historyKeys)]int64) {
 		t.Helper()
 		opt.Tracer = nova.NewTracer()
 		res, err := nova.Encode(f, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := res.Telemetry.Counters
-		return [2]int64{c["tautology.calls"], c["espresso.iterations"]}
+		for i, key := range historyKeys {
+			out[i] = res.Telemetry.Counters[key]
+		}
+		return out
 	}
-	first := map[string][2]int64{}
+	first := map[string][len(historyKeys)]int64{}
 	for _, r := range runs {
 		first[r.name] = tallies(r.opt)
 	}
@@ -247,7 +247,7 @@ func TestMinimizerTalliesIgnoreProcessHistory(t *testing.T) {
 		t.Fatalf("tallies %v: the machine never reached the minimizer", first)
 	}
 	if first["best-p1"] != first["best-p2"] {
-		t.Errorf("Best [tautology.calls espresso.iterations] %v at Parallelism 1, %v at 2", first["best-p1"], first["best-p2"])
+		t.Errorf("Best %v = %v at Parallelism 1, %v at 2", historyKeys, first["best-p1"], first["best-p2"])
 	}
 	for _, name := range []string{"bbtas", "dk27"} {
 		if _, err := nova.Encode(bench.Get(name), nova.Options{Algorithm: nova.Best}); err != nil {
@@ -256,7 +256,7 @@ func TestMinimizerTalliesIgnoreProcessHistory(t *testing.T) {
 	}
 	for _, r := range runs {
 		if got := tallies(r.opt); got != first[r.name] {
-			t.Errorf("%s [tautology.calls espresso.iterations] %v after two suite machines, %v before", r.name, got, first[r.name])
+			t.Errorf("%s %v = %v after two suite machines, %v before", r.name, historyKeys, got, first[r.name])
 		}
 	}
 	if historyTallies == nil {
@@ -265,7 +265,7 @@ func TestMinimizerTalliesIgnoreProcessHistory(t *testing.T) {
 	}
 	for _, r := range runs {
 		if first[r.name] != historyTallies[r.name] {
-			t.Errorf("%s [tautology.calls espresso.iterations] %v in this count, %v in the first", r.name, first[r.name], historyTallies[r.name])
+			t.Errorf("%s %v = %v in this count, %v in the first", r.name, historyKeys, first[r.name], historyTallies[r.name])
 		}
 	}
 }
